@@ -8,7 +8,6 @@ from .patterns import (
     binomial_array,
     chebyshev_array,
     esnla,
-    evaluate,
     omni,
     sector,
     threshold_widths,
@@ -42,7 +41,6 @@ __all__ = [
     "effective_beam_width",
     "esnla",
     "estimate_throughput",
-    "evaluate",
     "f_alpha",
     "fit_power_law",
     "generate_network",

@@ -2,7 +2,8 @@
 
 Subcommands: pattern, ebw, scan, fit, reproduce, netsim, analytic.
 Common flags: --seed, --out, --threads, --emit-plot, --config.
-Exit codes: 0 success, 2 usage/precondition violation, 3 numerical failure.
+Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
+written), 2 usage/precondition violation, 3 numerical failure.
 
 Every output CSV starts with a comment line recording the tool version, the
 resolved configuration, and the seed; identical configurations produce
@@ -139,21 +140,6 @@ def _emit_plot(kind: str, csv_path) -> Path:
     return script
 
 
-def _build_pattern_from_args(args) -> patterns.AntennaPattern:
-    fam = args.family
-    if fam == "omni":
-        return patterns.omni()
-    if fam == "sector":
-        return patterns.sector(args.beam_fraction)
-    if fam == "esnla":
-        return patterns.esnla(args.n, args.d)
-    if fam == "binomial":
-        return patterns.binomial_array(args.n, args.d)
-    if fam == "chebyshev":
-        return patterns.chebyshev_array(args.n, args.d, args.rms)
-    raise ValueError(f"unknown pattern family {fam!r}")
-
-
 def _parse_mixture(spec: str) -> ebw.MixtureDistribution:
     weights, orders = [], []
     for part in spec.split(","):
@@ -168,7 +154,8 @@ def _parse_n_list(spec: str) -> list[int]:
 
 
 def cmd_pattern(args) -> int:
-    p = _build_pattern_from_args(args)
+    p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
+                               beam_fraction=args.beam_fraction, r_ms=args.rms)
     out = args.out or "pattern.csv"
     patterns.write_pattern_csv(p, args.alpha, out, rows=args.rows,
                                comment=_comment("pattern", args))
@@ -179,7 +166,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_ebw(args) -> int:
-    p = _build_pattern_from_args(args)
+    p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
+                               beam_fraction=args.beam_fraction, r_ms=args.rms)
     if args.mixture:
         dist = _parse_mixture(args.mixture)
     else:
@@ -328,7 +316,7 @@ def cmd_reproduce(args) -> int:
     else:
         raise ValueError(f"unknown figure {args.figure!r}")
     print(f"reproduce {args.figure}: {'PASS' if ok else 'FAIL'}")
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_netsim(args) -> int:
@@ -420,8 +408,7 @@ def _add_common(sp, out_default=None):
 
 
 def _add_pattern_family(sp):
-    sp.add_argument("--family", required=True,
-                    choices=["omni", "sector", "esnla", "binomial", "chebyshev"])
+    sp.add_argument("--family", required=True, choices=list(patterns.PATTERN_FAMILIES))
     sp.add_argument("--n", type=int, default=4, help="array factor degree")
     sp.add_argument("--d", type=float, default=0.5, help="element spacing D/lambda")
     sp.add_argument("--beam-fraction", type=float, default=0.25)
@@ -451,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ebw)
 
     sp = sub.add_parser("scan", help="sweep W_B over array degree N")
-    sp.add_argument("--family", required=True,
-                    choices=["omni", "esnla", "binomial", "chebyshev"])
+    sp.add_argument("--family", required=True, choices=scaling.FAMILIES)
     sp.add_argument("--alpha-star", type=float, default=2.0)
     sp.add_argument("--d", type=float, default=0.5)
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")

@@ -46,17 +46,15 @@ class NetworkConfig:
     fading: str = "none"
     slots: int = 1000
     seed: int = 0
-    allow_high_pt: bool = False  # diagnostics only: permit p_t in (1/2, 1)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if not 0.0 < self.r <= MAX_LINK_LENGTH:
             raise ValueError(f"r must lie in (0, sqrt(2)/2], got {self.r}")
-        p_max = 1.0 if self.allow_high_pt else 0.5
-        if not 0.0 <= self.p_t <= p_max or self.p_t >= 1.0:
+        if not 0.0 <= self.p_t <= 0.5:
             raise ValueError(
-                f"p_t must lie in [0, {p_max}] (optimal region is (0, 1/2]), got {self.p_t}"
+                f"p_t must lie in [0, 0.5] (optimal region is (0, 1/2]), got {self.p_t}"
             )
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
@@ -101,16 +99,7 @@ class NetworkState:
 
 def _range_pairs(pos: np.ndarray, r: float) -> np.ndarray:
     """All unordered pairs within torus distance r, as an (m, 2) int array."""
-    if r < 0.45:
-        tree = cKDTree(pos, boxsize=1.0)
-        return tree.query_pairs(r, output_type="ndarray")
-    n = len(pos)
-    out = []
-    for i in range(n - 1):
-        d = torus_distance(pos[i], pos[i + 1 :])
-        hits = np.flatnonzero(d <= r) + i + 1
-        out.append(np.stack([np.full(len(hits), i), hits], axis=1))
-    return np.concatenate(out) if out else np.zeros((0, 2), dtype=np.int64)
+    return cKDTree(pos, boxsize=1.0).query_pairs(r, output_type="ndarray")
 
 
 def generate_network(config: NetworkConfig) -> NetworkState:
@@ -148,9 +137,15 @@ class SlotOutcome:
     success: np.ndarray
 
 
-def _signed_angle(vx, vy, wx, wy):
-    """Angle from vector v to vector w."""
-    return np.arctan2(vx * wy - vy * wx, vx * wx + vy * wy)
+def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: bool):
+    """Gain, plain or starred, toward `direction` of `pattern` aimed along
+    `boresight` (vectors along the last axis); scalar 1.0 when omni."""
+    if pattern.kind == "omni":
+        return 1.0
+    vx, vy = boresight[..., 0], boresight[..., 1]
+    wx, wy = direction[..., 0], direction[..., 1]
+    theta = np.arctan2(vx * wy - vy * wx, vx * wx + vy * wy)  # signed angle from v to w
+    return pattern.gain_starred(theta, alpha) if starred else pattern.gain(theta)
 
 
 def _link_gains(state, config, tx, rx, starred):
@@ -162,31 +157,11 @@ def _link_gains(state, config, tx, rx, starred):
     pt, pr = pos[tx], pos[rx]
     disp = torus_delta(pr[:, None, :], pt[None, :, :])  # R_i -> T_j
     dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
-    alpha = config.alpha
-
-    if config.rx_pattern.kind == "omni":
-        g_rx = 1.0
-    else:
-        v1 = torus_delta(pr, pt)  # R_i -> T_i (boresight of the receiver)
-        theta = _signed_angle(v1[:, None, 0], v1[:, None, 1], disp[..., 0], disp[..., 1])
-        g_rx = (
-            config.rx_pattern.gain_starred(theta, alpha)
-            if starred
-            else config.rx_pattern.gain(theta)
-        )
-
-    if config.tx_pattern.kind == "omni":
-        g_tx = 1.0
-    else:
-        v2 = torus_delta(pt, pr)  # T_j -> R_j (boresight of the interferer)
-        phi = _signed_angle(
-            v2[None, :, 0], v2[None, :, 1], -disp[..., 0], -disp[..., 1]
-        )
-        g_tx = (
-            config.tx_pattern.gain_starred(phi, alpha)
-            if starred
-            else config.tx_pattern.gain(phi)
-        )
+    back = torus_delta(pr, pt)  # R_i -> T_i, the receiver's boresight
+    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred)
+    # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
+    # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
+    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred)
     return g_rx, g_tx, dist
 
 
@@ -509,18 +484,16 @@ def _forced_link_tables(state, config, tx_node, rx_node):
 
     w = torus_delta(ri, pos[ks])  # R_i -> k
     dist = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
-    theta = _signed_angle(v1[0], v1[1], w[:, 0], w[:, 1])
     u = -w  # k -> R_i
     v2 = torus_delta(pos[ks], pos[ms])  # k -> chosen receiver m
-    phi = _signed_angle(v2[:, 0], v2[:, 1], u[:, 0], u[:, 1])
 
     alpha = config.alpha
-    g_rx = 1.0 if config.rx_pattern.kind == "omni" else config.rx_pattern.gain(theta)
-    g_tx = 1.0 if config.tx_pattern.kind == "omni" else config.tx_pattern.gain(phi)
+    g_rx = _gain(config.rx_pattern, v1, w, alpha, starred=False)
+    g_tx = _gain(config.tx_pattern, v2, u, alpha, starred=False)
     plain = g_rx * g_tx * dist ** (-alpha) * np.ones(len(ks))
 
-    gs_rx = 1.0 if config.rx_pattern.kind == "omni" else config.rx_pattern.gain_starred(theta, alpha)
-    gs_tx = 1.0 if config.tx_pattern.kind == "omni" else config.tx_pattern.gain_starred(phi, alpha)
+    gs_rx = _gain(config.rx_pattern, v1, w, alpha, starred=True)
+    gs_tx = _gain(config.tx_pattern, v2, u, alpha, starred=True)
     starred = dist - (1.0 + state.delta) * d_i * gs_rx * gs_tx * np.ones(len(ks))
     return nodes, offsets, plain, starred, d_i
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.optimize import minimize_scalar
 from scipy.signal import windows
 
 TWO_PI = 2.0 * math.pi
@@ -113,25 +114,6 @@ def sector(beam_fraction: float) -> AntennaPattern:
     return AntennaPattern(kind="sector", label=f"sector({f:g})", beam_fraction=f)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-13) -> float:
-    """Golden-section maximization of a unimodal fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def _normalize_array(coeffs: np.ndarray, d_ratio: float, roots=None, grid: int = DEFAULT_GRID):
     """Locate the boresight theta_m (smallest >= 0 among ties) and the peak power."""
     # Nonnegative real tapers peak exactly at z = 1: |sum a_k z^k| <= sum a_k,
@@ -148,15 +130,20 @@ def _normalize_array(coeffs: np.ndarray, d_ratio: float, roots=None, grid: int =
         return _factor_magnitude(np.asarray(th, dtype=float), d_ratio, coeffs, roots)
 
     theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    vals = af(theta)
-    i = int(np.argmax(vals))
+    i = int(np.argmax(af(theta)))
     step = TWO_PI / grid
-    theta_m = _golden_max(af, theta[i] - step, theta[i] + step) % TWO_PI
-    # Maxima tie in pairs (the factor depends on sin theta, and real tapers give
-    # even patterns); keep the smallest nonnegative candidate.
-    for cand in (0.0, TWO_PI - theta_m):
-        if cand < theta_m and af(cand) >= af(theta_m) * (1.0 - 1e-12):
-            theta_m = cand
+    # Refine as an offset from the grid point, so the search tolerance is not
+    # scaled by the size of the angle.
+    res = minimize_scalar(
+        lambda t: -af(theta[i] + t), bounds=(-step, step), method="bounded",
+        options={"xatol": 1e-13},
+    )
+    t = float(theta[i] + res.x) % TWO_PI
+    # Maxima tie: the factor depends only on sin theta (t ~ pi - t), and real
+    # tapers also give even patterns (t ~ -t).  Keep the smallest nonnegative one.
+    floor = af(t) * (1.0 - 1e-12)
+    ties = (c % TWO_PI for c in (0.0, math.pi - t, TWO_PI - t, t - math.pi))
+    theta_m = min([t] + [c for c in ties if af(c) >= floor])
     peak = float(af(theta_m)) ** 2
     if peak <= 0.0:
         raise ValueError("degenerate coefficients: array factor vanishes everywhere")
@@ -220,13 +207,6 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     )
 
 
-def evaluate(pattern: AntennaPattern, theta, alpha: float = 1.0, starred: bool = False):
-    """Evaluate G(theta), or G*(theta) = G(theta)**(1/alpha) when starred."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
-    return pattern.gain_starred(theta, alpha) if starred else pattern.gain(theta)
-
-
 def threshold_widths(
     pattern: AntennaPattern, beta: float, alpha: float, grid: int = DEFAULT_GRID
 ) -> ThresholdWidth:
@@ -259,24 +239,48 @@ def write_pattern_csv(
             w.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}"])
 
 
+# Pattern families: name -> (constructor, its parameters as (name, type, default)),
+# default None meaning required.  Constructors are named, not captured, so a
+# wrapper installed on the module attribute (a tracer, a test double) sees the call.
+PATTERN_FAMILIES = {
+    "omni": ("omni", ()),
+    "sector": ("sector", (("beam_fraction", float, None),)),
+    "esnla": ("esnla", (("n", int, None), ("d_ratio", float, 0.5))),
+    "binomial": ("binomial_array", (("n", int, None), ("d_ratio", float, 0.5))),
+    "chebyshev": (
+        "chebyshev_array",
+        (("n", int, None), ("d_ratio", float, 0.5), ("r_ms", float, 30.0)),
+    ),
+}
+
+
+def build_pattern(family: str, **params) -> AntennaPattern:
+    """Build a pattern of a named family.  Parameters the family does not take
+    are ignored; a missing or None parameter takes the family's default."""
+    if family not in PATTERN_FAMILIES:
+        raise ValueError(f"unknown pattern family {family!r}")
+    constructor, fields = PATTERN_FAMILIES[family]
+    args = []
+    for name, _, default in fields:
+        value = params.get(name)
+        if value is None:
+            if default is None:
+                raise ValueError(f"{family} pattern needs {name}")
+            value = default
+        args.append(value)
+    return globals()[constructor](*args)
+
+
 def parse_pattern_spec(spec: str) -> AntennaPattern:
     """Parse compact pattern ids like 'omni', 'sector:0.25', 'esnla:4:0.5',
     'binomial:6:0.5', 'chebyshev:8:0.5:30'."""
-    parts = spec.split(":")
-    name, args = parts[0].lower(), parts[1:]
+    name, *fields = spec.split(":")
+    name = name.lower()
+    if name not in PATTERN_FAMILIES:
+        raise ValueError(f"unknown pattern family {name!r}")
+    params = PATTERN_FAMILIES[name][1]
     try:
-        if name == "omni":
-            return omni()
-        if name == "sector":
-            return sector(float(args[0]))
-        if name == "esnla":
-            return esnla(int(args[0]), float(args[1]) if len(args) > 1 else 0.5)
-        if name == "binomial":
-            return binomial_array(int(args[0]), float(args[1]) if len(args) > 1 else 0.5)
-        if name == "chebyshev":
-            d = float(args[1]) if len(args) > 1 else 0.5
-            r_ms = float(args[2]) if len(args) > 2 else 30.0
-            return chebyshev_array(int(args[0]), d, r_ms)
-    except (IndexError, ValueError) as exc:
+        values = {key: cast(text) for (key, cast, _), text in zip(params, fields)}
+        return build_pattern(name, **values)
+    except ValueError as exc:
         raise ValueError(f"bad pattern spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown pattern family {name!r}")

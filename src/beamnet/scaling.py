@@ -12,11 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import patterns
 from ._parallel import derive_seed, run_indexed
 from .ebw import BasisDistribution, EbwEstimate, effective_beam_width
 
+# Families with a degree N.  The order is part of every sweep cell's seed.
 FAMILIES = ("omni", "esnla", "binomial", "chebyshev")
 _FAMILY_CODE = {name: i for i, name in enumerate(FAMILIES)}
 
@@ -73,18 +75,6 @@ class PowerLawFit:
         return self.b1 / np.asarray(n, dtype=float) ** self.gamma
 
 
-def _build_pattern(family: str, n: int, d_ratio: float, r_ms: float | None):
-    if family == "omni":
-        return patterns.omni()
-    if family == "esnla":
-        return patterns.esnla(n, d_ratio)
-    if family == "binomial":
-        return patterns.binomial_array(n, d_ratio)
-    if family == "chebyshev":
-        return patterns.chebyshev_array(n, d_ratio, r_ms if r_ms is not None else 30.0)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def sweep(
     family: str,
     n_list=DEFAULT_N_LIST,
@@ -118,7 +108,7 @@ def sweep(
             r_ms, _ = optimize_chebyshev_rms(
                 n, alpha_star, d_ratio, optimizer_samples or samples, derive_seed(cell_seed, 1)
             )
-        p = _build_pattern(family, n, d_ratio, r_ms)
+        p = patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r_ms)
         est = effective_beam_width(p, BasisDistribution(2.0), alpha, samples, cell_seed)
         return SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r_ms)
 
@@ -151,10 +141,10 @@ def optimize_chebyshev_rms(
 ) -> tuple[float, float]:
     """Search R_MS minimizing W_B for a degree-N Chebyshev array.
 
-    Log-spaced grid over [1.5, 1e4] followed by golden-section refinement around
-    the best grid point.  Every candidate reuses the same sampling seed (common
-    random numbers), so the noisy objective is a fixed function of R_MS and the
-    returned value is the minimum over all evaluated candidates.
+    Log-spaced grid over [1.5, 1e4] followed by a bounded Brent search between
+    the best grid point's neighbors.  Every candidate reuses the same sampling
+    seed (common random numbers), so the noisy objective is a fixed function of
+    R_MS and the returned value is the minimum over all evaluated candidates.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -170,24 +160,9 @@ def optimize_chebyshev_rms(
         return evaluated[r_ms]
 
     grid = np.linspace(math.log10(RMS_GRID_LO), math.log10(RMS_GRID_HI), RMS_GRID_POINTS)
-    vals = [objective(g) for g in grid]
-    best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-3:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
+    best = int(np.argmin([objective(g) for g in grid]))
+    bounds = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
+    minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": 1e-3})
 
     r_best = min(evaluated, key=lambda r: (evaluated[r], r))
     return float(r_best), float(evaluated[r_best])

@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, printed as a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Full suite takes roughly
-15-20 minutes on a desktop-class machine; the sweep-heavy checks reuse
-module-scoped fixtures.
+Run with `pytest tests/test_acceptance.py -v -s`.  The file takes 4-6 minutes
+on a shared 2-vCPU machine; the sweep-heavy checks reuse module-scoped fixtures.
 
 Criteria 4 and 5 each contain one sub-check that this implementation measures
 slightly outside the encoded tolerance, reproducibly and with independent

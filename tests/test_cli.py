@@ -117,17 +117,18 @@ def test_analytic_divergent_fade(capsys):
 def test_reproduce_smoke(tmp_path, capsys):
     code = main(["reproduce", "tableC", "--samples", "20000", "--n-list", "2,4,6",
                  "--out", str(tmp_path)])
-    assert code == 0
     assert (tmp_path / "tableC_sweep.csv").exists()
     assert (tmp_path / "tableC_fit.csv").exists()
     text = capsys.readouterr().out
     assert "reproduce tableC" in text
+    assert code == (0 if "reproduce tableC: PASS" in text else 1)
 
 
-def test_reproduce_deterministic_bytes(tmp_path):
+def test_reproduce_deterministic_bytes(tmp_path, capsys):
     args = ["reproduce", "fig4", "--samples", "5000", "--n-list", "2,4,6"]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    for out in ("a", "b"):
+        code = main(args + ["--out", str(tmp_path / out)])
+        assert code == (0 if "reproduce fig4: PASS" in capsys.readouterr().out else 1)
     a = (tmp_path / "a" / "fig4_sweep.csv").read_bytes()
     b = (tmp_path / "b" / "fig4_sweep.csv").read_bytes()
     assert a == b

@@ -75,11 +75,6 @@ def test_config_validation(kw):
         make_config(**kw)
 
 
-def test_config_high_pt_override():
-    cfg = make_config(p_t=0.7, allow_high_pt=True)
-    assert cfg.p_t == 0.7
-
-
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_torus_metric_symmetry_and_bound(ax, ay, bx, by):
@@ -123,16 +118,15 @@ def test_generate_network_guard_constants():
 
 
 def test_large_radius_pair_search_matches_brute_force():
-    rng = np.random.default_rng(3)
-    pos = rng.random((40, 2))
-    pairs = netsim._range_pairs(pos, 0.6)
-    want = sum(
-        1
-        for i in range(40)
-        for j in range(i + 1, 40)
-        if float(torus_distance(pos[i], pos[j])) <= 0.6
-    )
-    assert len(pairs) == want
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 2 + 23 * seed
+        pos = rng.random((n, 2))
+        dist = torus_distance(pos[:, None, :], pos[None, :, :])
+        for r in (0.45, 0.5, 0.6, math.sqrt(2.0) / 2.0):
+            want = {(i, j) for i, j in zip(*np.nonzero(dist <= r)) if i < j}
+            got = {tuple(sorted(pair)) for pair in netsim._range_pairs(pos, r).tolist()}
+            assert got == want, (seed, r)
 
 
 # --- slot mechanics ----------------------------------------------------------

@@ -11,7 +11,7 @@ from beamnet.patterns import (
     chebyshev_array,
     esnla,
     esnla_null_set,
-    evaluate,
+    from_coefficients,
     omni,
     sector,
     threshold_widths,
@@ -162,12 +162,12 @@ def test_starred_power_rule():
     theta = math.asin(2.0 / 3.0)
     assert p.gain(theta) == pytest.approx(0.0625, abs=1e-12)
     assert p.gain_starred(theta, 4.0) == pytest.approx(0.5, abs=1e-12)
-    assert evaluate(omni(), 0.77, alpha=4.0, starred=True) == 1.0
+    assert omni().gain_starred(0.77, 4.0) == 1.0
 
 
-def test_evaluate_rejects_small_alpha():
+def test_gain_starred_rejects_small_alpha():
     with pytest.raises(ValueError):
-        evaluate(omni(), 0.0, alpha=0.5, starred=True)
+        omni().gain_starred(0.0, 0.5)
 
 
 def test_threshold_widths_sector():
@@ -218,6 +218,18 @@ def test_boresight_is_grid_argmax(n, d):
     p = esnla(n, d)
     theta = np.linspace(0, TWO_PI, 1 << 18, endpoint=False)
     assert p.array_factor(p.boresight) >= p.array_factor(theta).max() * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("d", [0.5, 0.3])
+@pytest.mark.parametrize("beta", [-1.3, -0.4, 0.7, 1.5])
+def test_steered_boresight_is_smallest_nonnegative_root(beta, d):
+    # a_k = e^{i beta k} peaks where 2 pi (D/lambda) sin(theta) = beta.  theta and
+    # pi - theta tie; the boresight is the smallest nonnegative root.
+    s = beta / (TWO_PI * d)
+    want = math.asin(s) if s >= 0.0 else math.pi - math.asin(s)
+    p = from_coefficients(np.exp(1j * beta * np.arange(7)), d, "steered")
+    assert p.boresight == pytest.approx(want, abs=1e-7)
+    assert p.gain(0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.floats(-50.0, 50.0))
