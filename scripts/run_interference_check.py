@@ -10,12 +10,12 @@
 import numpy as np
 
 from beamnet import netsim
-from beamnet.ebw import BasisDistribution, effective_beam_width
+from beamnet.ebw import BasisDistribution, exact_beam_width
 from beamnet.patterns import esnla, omni
 
 if __name__ == "__main__":
     p4 = esnla(4, 0.5)
-    w_b = effective_beam_width(p4, BasisDistribution(2.0), 4.0, 10**6, seed=1).value
+    w_b = exact_beam_width(p4, BasisDistribution(2.0), 4.0)
     print(f"W_B(esnla(4), alpha=4, h=2) = {w_b:.4f}")
 
     for rx, w_eff, tag in ((omni(), w_b, "omni rx"), (p4, w_b**2, "directional rx")):

@@ -17,9 +17,8 @@ from .ebw import (
     EbwEstimate,
     MixtureDistribution,
     effective_beam_width,
+    exact_beam_width,
     interference_probability,
-    mixture_ebw,
-    quadrature_beam_width,
     verify_bounds,
 )
 from .scaling import PowerLawFit, SweepTable, fit_power_law, optimize_chebyshev_rms, sweep
@@ -41,16 +40,15 @@ __all__ = [
     "effective_beam_width",
     "esnla",
     "estimate_throughput",
+    "exact_beam_width",
     "f_alpha",
     "fit_power_law",
     "generate_network",
     "guard_zone",
     "interference_probability",
-    "mixture_ebw",
     "omni",
     "optimal_params",
     "optimize_chebyshev_rms",
-    "quadrature_beam_width",
     "sector",
     "sweep",
     "threshold_widths",

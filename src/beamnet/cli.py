@@ -1,9 +1,12 @@
 """Command-line front end: patterns -> beam widths -> scaling fits -> network sims.
 
 Subcommands: pattern, ebw, scan, fit, reproduce, netsim, analytic.
-Common flags: --seed, --out, --threads, --emit-plot, --config.
+Common flags: --seed, --out, --threads, --emit-plot, --config (a file of
+`key = value` lines, keyed by option destination; explicit flags win).
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
-written), 2 usage/precondition violation, 3 numerical failure.
+written), 2 usage/precondition violation or a file that cannot be read or
+written, 3 numerical failure.  netsim's bracket takes the exact W_B of both
+patterns.
 
 Every output CSV starts with a comment line recording the tool version, the
 resolved configuration, and the seed; identical configurations produce
@@ -38,11 +41,14 @@ def _comment(cmd: str, args: argparse.Namespace) -> str:
     return f"beamnet {__version__} | {cmd} | {parts}"
 
 
-def _write_csv(path, fieldnames, rows, comment: str) -> None:
+def _make_parent(path) -> Path:
     path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _write_csv(path, fieldnames, rows, comment: str) -> None:
+    with open(_make_parent(path), "w", newline="") as f:
         f.write(f"# {comment}\n")
         w = csv.writer(f)
         w.writerow(fieldnames)
@@ -56,10 +62,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _read_csv(path):
+def _read_csv(path, columns):
+    """Rows of a CSV as dicts; the header must name every one of `columns`."""
     with open(path, newline="") as f:
         rows = [r for r in csv.reader(f) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
     header, body = rows[0], rows[1:]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {', '.join(missing)}")
+    if any(len(r) != len(header) for r in body):
+        raise ValueError(f"{path}: a row's length differs from the header's")
     return [dict(zip(header, r)) for r in body]
 
 
@@ -157,7 +171,7 @@ def cmd_pattern(args) -> int:
     p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
                                beam_fraction=args.beam_fraction, r_ms=args.rms)
     out = args.out or "pattern.csv"
-    patterns.write_pattern_csv(p, args.alpha, out, rows=args.rows,
+    patterns.write_pattern_csv(p, args.alpha, _make_parent(out), rows=args.rows,
                                comment=_comment("pattern", args))
     print(f"wrote {out} ({args.rows} rows, pattern {p.label})")
     if args.emit_plot:
@@ -185,6 +199,9 @@ def cmd_ebw(args) -> int:
     return 0
 
 
+SWEEP_COLUMNS = ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"]
+
+
 def _sweep_rows(table: scaling.SweepTable):
     return [
         [table.family, table.alpha_star, table.d_ratio, row.n, row.w_b, row.stderr]
@@ -205,7 +222,7 @@ def cmd_scan(args) -> int:
     out = args.out or "sweep.csv"
     _write_csv(
         out,
-        ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"],
+        SWEEP_COLUMNS,
         _sweep_rows(table),
         _comment("scan", args),
     )
@@ -216,7 +233,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    records = _read_csv(args.infile)
+    records = _read_csv(args.infile, SWEEP_COLUMNS)
     groups: dict[tuple, list] = {}
     for rec in records:
         key = (rec["family"], float(rec["alpha_star"]), float(rec["d_ratio"]))
@@ -251,7 +268,7 @@ def _reproduce_bundle(args, curves, out_dir):
         )
     rows = [row for t in tables for row in _sweep_rows(t)]
     sweep_csv = out_dir / f"{args.figure}_sweep.csv"
-    _write_csv(sweep_csv, ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"], rows,
+    _write_csv(sweep_csv, SWEEP_COLUMNS, rows,
                _comment(f"reproduce {args.figure}", args))
     fits = [scaling.fit_power_law(t) for t in tables]
     fit_rows = [
@@ -334,14 +351,8 @@ def cmd_netsim(args) -> int:
         seed=args.seed,
     )
     state = netsim.generate_network(config)
-    w_tx = ebw.effective_beam_width(
-        config.tx_pattern, ebw.BasisDistribution(2.0), config.alpha,
-        args.wb_samples, args.seed, args.threads,
-    ).value
-    w_rx = ebw.effective_beam_width(
-        config.rx_pattern, ebw.BasisDistribution(2.0), config.alpha,
-        args.wb_samples, args.seed + 1, args.threads,
-    ).value
+    w_tx, w_rx = (ebw.exact_beam_width(p, ebw.BasisDistribution(2.0), config.alpha)
+                  for p in (config.tx_pattern, config.rx_pattern))
     stats = netsim.estimate_throughput(
         state, config, w_b_effective=w_tx * w_rx, bins=args.bins, threads=args.threads
     )
@@ -470,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rx-pattern", default="omni")
     sp.add_argument("--slots", type=int, default=1000)
     sp.add_argument("--bins", type=int, default=16)
-    sp.add_argument("--wb-samples", type=int, default=10**6)
     _add_common(sp)
     sp.set_defaults(func=cmd_netsim)
 
@@ -486,36 +496,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            pass
-    return low
+def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The options in args.config's `key = value` lines, as command-line tokens.
 
-
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill options from a key=value file; explicit command-line flags win."""
-    if not getattr(args, "config", None):
-        return
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    Keys are option destinations (`infile` for `--in`).  The tokens go through
+    the parser like typed flags, so they get its types and choices.
+    """
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest: a for a in sub.choices[args.cmd]._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    tokens = []
     for line in Path(args.config).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if not hasattr(args, key):
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in options:
             raise ValueError(f"config file option {key!r} unknown for this subcommand")
-        if key not in explicit:
-            setattr(args, key, _coerce(value))
+        flag = options[key].option_strings[-1]
+        if options[key].nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() == "true":
+            tokens.append(flag)
+        elif value.lower() != "false":
+            raise ValueError(f"config file option {key!r} takes true or false, got {value!r}")
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -523,12 +529,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        if args.config:
+            # File options go before the command line's own, so explicit flags win.
+            i = argv.index(args.cmd) + 1
+            args = parser.parse_args(argv[:i] + _config_tokens(parser, args) + argv[i:])
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ebw.EstimationError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -279,6 +279,8 @@ def parse_pattern_spec(spec: str) -> AntennaPattern:
     if name not in PATTERN_FAMILIES:
         raise ValueError(f"unknown pattern family {name!r}")
     params = PATTERN_FAMILIES[name][1]
+    if len(fields) > len(params):
+        raise ValueError(f"bad pattern spec {spec!r}: too many fields, {name} takes {len(params)}")
     try:
         values = {key: cast(text) for (key, cast, _), text in zip(params, fields)}
         return build_pattern(name, **values)

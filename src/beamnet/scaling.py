@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 
 from . import patterns
 from ._parallel import derive_seed, run_indexed
-from .ebw import BasisDistribution, EbwEstimate, effective_beam_width
+from .ebw import BasisDistribution, effective_beam_width, exact_beam_width
 
 # Families with a degree N.  The order is part of every sweep cell's seed.
 FAMILIES = ("omni", "esnla", "binomial", "chebyshev")
@@ -85,11 +85,11 @@ def sweep(
     threads: int = 1,
     optimizer_samples: int | None = None,
 ) -> SweepTable:
-    """Estimate W_B for each N.  Chebyshev rows first optimize R_MS per N.
+    """Estimate W_B by Monte Carlo for each N.  Chebyshev rows first optimize
+    R_MS per N on the exact W_B.
 
-    `optimizer_samples` trims the per-candidate cost of that search (the
-    objective is flat near its optimum, so a coarser search barely moves the
-    re-estimated W_B); default is the sweep's own sample count.
+    `optimizer_samples` is ignored, since the R_MS search is exact; it stays in
+    the signature because perfbench/workloads.py passes it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -105,9 +105,7 @@ def sweep(
         )
         r_ms = None
         if family == "chebyshev":
-            r_ms, _ = optimize_chebyshev_rms(
-                n, alpha_star, d_ratio, optimizer_samples or samples, derive_seed(cell_seed, 1)
-            )
+            r_ms, _ = optimize_chebyshev_rms(n, alpha_star, d_ratio)
         p = patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r_ms)
         est = effective_beam_width(p, BasisDistribution(2.0), alpha, samples, cell_seed)
         return SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r_ms)
@@ -132,19 +130,12 @@ def fit_power_law(table: SweepTable) -> PowerLawFit:
     return PowerLawFit(b1=10.0**intercept, gamma=-slope, r2=r2)
 
 
-def optimize_chebyshev_rms(
-    n: int,
-    alpha_star: float,
-    d_ratio: float = 0.5,
-    samples: int = 10**6,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Search R_MS minimizing W_B for a degree-N Chebyshev array.
+def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> tuple[float, float]:
+    """Search R_MS minimizing the exact W_B of a degree-N Chebyshev array.
 
     Log-spaced grid over [1.5, 1e4] followed by a bounded Brent search between
-    the best grid point's neighbors.  Every candidate reuses the same sampling
-    seed (common random numbers), so the noisy objective is a fixed function of
-    R_MS and the returned value is the minimum over all evaluated candidates.
+    the best grid point's neighbors; returns the minimum over all evaluated
+    candidates as (R_MS, W_B).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -156,7 +147,7 @@ def optimize_chebyshev_rms(
         r_ms = 10.0**log_r
         if r_ms not in evaluated:
             p = patterns.chebyshev_array(n, d_ratio, r_ms)
-            evaluated[r_ms] = effective_beam_width(p, basis, alpha, samples, seed).value
+            evaluated[r_ms] = exact_beam_width(p, basis, alpha)
         return evaluated[r_ms]
 
     grid = np.linspace(math.log10(RMS_GRID_LO), math.log10(RMS_GRID_HI), RMS_GRID_POINTS)

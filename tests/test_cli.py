@@ -81,7 +81,7 @@ def test_netsim_outputs(tmp_path):
     out = tmp_path / "net.csv"
     code = main(["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2",
                  "--tx-pattern", "esnla:4:0.5", "--rx-pattern", "omni",
-                 "--slots", "40", "--wb-samples", "20000", "--seed", "2",
+                 "--slots", "40", "--seed", "2",
                  "--out", str(out)])
     assert code == 0
     header, rows = read_rows(out)
@@ -89,6 +89,13 @@ def test_netsim_outputs(tmp_path):
     bins_header, bins_rows = read_rows(tmp_path / "net_bins.csv")
     assert bins_header == ["bin_lo", "bin_hi", "links", "successes", "p_emp", "bound_lo", "bound_hi"]
     assert len(bins_rows) == 16
+
+
+def test_netsim_rejects_extra_spec_fields(tmp_path, capsys):
+    code = main(["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2",
+                 "--tx-pattern", "esnla:4:0.5:99", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "esnla:4:0.5:99" in capsys.readouterr().err
 
 
 def test_netsim_precondition_exit_code(tmp_path, capsys):
@@ -170,3 +177,50 @@ def test_threads_flag_identical_output(tmp_path):
     assert main(base + ["--threads", "1", "--out", str(a)]) == 0
     assert main(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def write_sweep(path, family, w_bs):
+    path.write_text("family,alpha_star,d_ratio,N,W_B,stderr\n" + "".join(
+        f"{family},2,0.5,{n},{w},0\n" for n, w in zip((2, 4, 8), w_bs)))
+
+
+def test_config_file_cannot_override_explicit_dest_flag(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_sweep(a, "esnla", (0.5, 0.3, 0.2))
+    write_sweep(b, "binomial", (0.6, 0.5, 0.4))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"infile = {b}\n")
+    out = tmp_path / "f.csv"
+    assert main(["fit", "--in", str(a), "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert [r[0] for r in rows] == ["esnla"]
+
+
+def test_config_file_values_take_the_option_type(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 1e4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["ebw", "--family", "omni", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["missing_csv", "missing_config", "empty_csv", "no_sweep_columns"])
+def test_bad_input_file_is_usage_error(tmp_path, capsys, case):
+    csv_path = tmp_path / "in.csv"
+    args = ["fit", "--in", str(csv_path), "--out", str(tmp_path / "f.csv")]
+    if case == "missing_config":
+        write_sweep(csv_path, "esnla", (0.5, 0.3, 0.2))
+        args += ["--config", str(tmp_path / "missing.cfg")]
+    elif case == "empty_csv":
+        csv_path.write_text("")
+    elif case == "no_sweep_columns":
+        csv_path.write_text("x,y\n1,2\n")
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_pattern_creates_output_directory(tmp_path):
+    out = tmp_path / "newdir" / "p.csv"
+    assert main(["pattern", "--family", "omni", "--rows", "8", "--out", str(out)]) == 0
+    assert len(read_rows(out)[1]) == 8

@@ -11,14 +11,41 @@ from beamnet.ebw import (
     MixtureDistribution,
     ebw_monotonicity_scan,
     effective_beam_width,
+    exact_beam_width,
     interference_probability,
-    mixture_ebw,
-    quadrature_beam_width,
     verify_bounds,
 )
-from beamnet.patterns import binomial_array, chebyshev_array, esnla, omni, sector
+from beamnet.patterns import TWO_PI, binomial_array, chebyshev_array, esnla, omni, sector
 
 SAMPLES = 2 * 10**5
+
+ORACLE_PATTERNS = [
+    esnla(4, 0.5), esnla(12, 0.5), esnla(20, 0.25), binomial_array(8, 0.5),
+    chebyshev_array(4, 0.5, 30.0), chebyshev_array(20, 0.5, 107.36),
+]
+
+
+def sorted_quadrature_beam_width(pattern, dist, alpha, x_points=1 << 16, phi_grid=1 << 20):
+    """Independent oracle for W_B: integrate the beam-width-vs-threshold curve
+    b(x) = |{phi: G*(phi) > x}|/2pi against dF_X.
+
+    Uses the substitution t = F_X(x) per mixture component, so each term is the
+    trapezoid of b(t**(1/h)) over a uniform t grid, with no endpoint singularity.
+    """
+    theta = np.linspace(0.0, TWO_PI, phi_grid, endpoint=False)
+    gs = np.sort(np.asarray(pattern.gain_starred(theta, alpha)))
+
+    def beam_curve(x):
+        return (phi_grid - np.searchsorted(gs, x, side="right")) / phi_grid
+
+    t = np.linspace(0.0, 1.0, x_points)
+    return sum(w * float(np.trapezoid(beam_curve(t ** (1.0 / h)), t))
+               for w, h in dist.components)
+
+
+def trapezoid_beam_width(pattern, h, alpha, points):
+    theta = np.arange(points) * (TWO_PI / points)
+    return float(np.mean(pattern.gain(theta) ** (h / alpha)))
 
 
 def combined_se(*ests):
@@ -81,20 +108,51 @@ def test_sector_beam_width_matches_fraction():
 def test_estimator_matches_quadrature_oracle():
     p = esnla(4, 0.5)
     est = effective_beam_width(p, BasisDistribution(2.0), 4.0, 10**6, seed=2)
-    q = quadrature_beam_width(p, BasisDistribution(2.0), 4.0)
-    assert abs(est.value - q.value) <= 3 * est.stderr
+    q = sorted_quadrature_beam_width(p, BasisDistribution(2.0), 4.0)
+    assert abs(est.value - q) <= 3 * est.stderr
+
+
+def test_exact_closed_forms():
+    mix = MixtureDistribution((0.3, 0.7), (1.0, 4.0))
+    for dist in (BasisDistribution(2.0), mix):
+        assert exact_beam_width(omni(), dist, 4.0) == 1.0
+        assert exact_beam_width(sector(0.3), dist, 4.0) == 0.3
+    with pytest.raises(ValueError):
+        exact_beam_width(omni(), BasisDistribution(2.0), 0.5)
+
+
+@pytest.mark.parametrize("p", ORACLE_PATTERNS, ids=lambda p: p.label)
+def test_exact_mixture_is_weighted_sum(p):
+    mix = MixtureDistribution((0.2, 0.5, 0.3), (1.0, 2.0, 4.0))
+    want = sum(w * exact_beam_width(p, BasisDistribution(h), 4.0) for w, h in mix.components)
+    assert abs(exact_beam_width(p, mix, 4.0) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("p", ORACLE_PATTERNS, ids=lambda p: p.label)
+@pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
+def test_exact_matches_sorted_quadrature_oracle(p, h):
+    want = sorted_quadrature_beam_width(p, BasisDistribution(h), 4.0)
+    assert abs(exact_beam_width(p, BasisDistribution(h), 4.0) - want) <= 1e-5
+
+
+@pytest.mark.parametrize("p", ORACLE_PATTERNS, ids=lambda p: p.label)
+def test_exact_matches_fine_trapezoid(p):
+    # h/alpha = 1/2: |AF| to the first power has a cusp at every null
+    fine = trapezoid_beam_width(p, 2.0, 4.0, 1 << 20)
+    assert abs(exact_beam_width(p, BasisDistribution(2.0), 4.0) - fine) <= 1e-7
 
 
 @pytest.mark.parametrize(
     "p",
-    [sector(0.3), esnla(2, 0.5), esnla(4, 0.5), binomial_array(4, 0.5), chebyshev_array(4, 0.5, 30.0)],
+    [omni(), sector(0.3), esnla(2, 0.5), esnla(4, 0.5), binomial_array(4, 0.5),
+     chebyshev_array(4, 0.5, 30.0)],
     ids=lambda p: p.label,
 )
 @pytest.mark.parametrize("h", [1.0, 2.0, 4.0])
 def test_quadrature_agreement_fixture_set(p, h):
     est = effective_beam_width(p, BasisDistribution(h), 4.0, SAMPLES, seed=3)
-    q = quadrature_beam_width(p, BasisDistribution(h), 4.0, x_points=1 << 12, phi_grid=1 << 18)
-    assert abs(est.value - q.value) <= 3 * max(est.stderr, 1e-4)
+    exact = exact_beam_width(p, BasisDistribution(h), 4.0)
+    assert abs(est.value - exact) <= 4 * max(est.stderr, 1e-12)
 
 
 def test_interference_omni_pair_is_one():
@@ -119,30 +177,27 @@ def test_product_form_single_order():
 
 def test_mixture_single_component_reduces_to_basis():
     p = esnla(4, 0.5)
-    m = mixture_ebw(p, MixtureDistribution((1.0,), (2.0,)), 4.0, SAMPLES, seed=7)
+    single = MixtureDistribution((1.0,), (2.0,))
+    assert exact_beam_width(p, single, 4.0) == exact_beam_width(p, BasisDistribution(2.0), 4.0)
+    m = effective_beam_width(p, single, 4.0, SAMPLES, seed=7)
     b = effective_beam_width(p, BasisDistribution(2.0), 4.0, SAMPLES, seed=8)
     assert abs(m.value - b.value) <= 3 * combined_se(m, b)
 
 
 def test_mixture_on_sector_is_order_free():
-    m = mixture_ebw(
-        sector(0.25), MixtureDistribution((0.5, 0.5), (1.0, 3.0)), 4.0, SAMPLES, seed=9
-    )
+    mix = MixtureDistribution((0.5, 0.5), (1.0, 3.0))
+    assert exact_beam_width(sector(0.25), mix, 4.0) == 0.25
+    m = effective_beam_width(sector(0.25), mix, 4.0, SAMPLES, seed=9)
     assert abs(m.value - 0.25) <= 3 * m.stderr
 
 
 def test_mixture_matches_component_quadratures():
-    p = esnla(4, 0.5)
+    # sampling the mixture directly agrees with the exact weighted sum of basis widths
     mix = MixtureDistribution((0.5, 0.5), (1.0, 4.0))
-    est = mixture_ebw(p, mix, 4.0, 10**6, seed=10)
-    want = 0.5 * quadrature_beam_width(p, BasisDistribution(1.0), 4.0).value
-    want += 0.5 * quadrature_beam_width(p, BasisDistribution(4.0), 4.0).value
-    assert abs(est.value - want) <= 3 * est.stderr
-
-
-def test_mixture_requires_mixture_type():
-    with pytest.raises(ValueError):
-        mixture_ebw(omni(), BasisDistribution(2.0), 4.0, 100, seed=0)
+    for p in (esnla(4, 0.5), binomial_array(4, 0.5), chebyshev_array(8, 0.5, 41.11)):
+        want = sum(w * exact_beam_width(p, BasisDistribution(h), 4.0) for w, h in mix.components)
+        est = effective_beam_width(p, mix, 4.0, 10**6, seed=10)
+        assert abs(est.value - want) <= 4 * est.stderr
 
 
 def test_bounds_single_order_equality():

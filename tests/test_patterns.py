@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,3 +263,6 @@ def test_parse_pattern_spec():
         patterns.parse_pattern_spec("yagi:3")
     with pytest.raises(ValueError):
         patterns.parse_pattern_spec("esnla:odd")
+    for spec in ("omni:3", "sector:0.25:7", "esnla:4:0.5:99", "chebyshev:8:0.5:30:1"):
+        with pytest.raises(ValueError, match=re.escape(spec)):
+            patterns.parse_pattern_spec(spec)

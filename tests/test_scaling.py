@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamnet import scaling
-from beamnet.ebw import BasisDistribution, effective_beam_width
+from beamnet.ebw import BasisDistribution, exact_beam_width
 from beamnet.patterns import chebyshev_array
 from beamnet.scaling import (
     PowerLawFit,
@@ -105,24 +105,26 @@ def test_chebyshev_sweep_records_rms():
 
 
 def test_optimizer_beats_grid_neighbors():
-    n, a_star, samples, seed = 4, 2.0, SAMPLES, 3
-    r_best, w_best = optimize_chebyshev_rms(n, a_star, 0.5, samples, seed)
+    n, a_star = 4, 2.0
+    r_best, w_best = optimize_chebyshev_rms(n, a_star, 0.5)
+    assert w_best == exact_beam_width(chebyshev_array(n, 0.5, r_best), BasisDistribution(2.0), 4.0)
     grid = np.logspace(math.log10(scaling.RMS_GRID_LO), math.log10(scaling.RMS_GRID_HI),
                        scaling.RMS_GRID_POINTS)
     i = int(np.argmin(np.abs(np.log10(grid) - math.log10(r_best))))
     for j in (max(i - 1, 0), min(i + 1, len(grid) - 1)):
-        est = effective_beam_width(
-            chebyshev_array(n, 0.5, grid[j]), BasisDistribution(2.0), 2 * a_star, samples, seed
-        )
-        assert w_best <= est.value + 1e-12
+        w = exact_beam_width(chebyshev_array(n, 0.5, grid[j]), BasisDistribution(2.0), 2 * a_star)
+        assert w_best <= w
 
 
 def test_optimizer_beats_huge_rms():
-    r_best, w_best = optimize_chebyshev_rms(4, 2.0, 0.5, SAMPLES, seed=4)
-    est = effective_beam_width(
-        chebyshev_array(4, 0.5, 1e6), BasisDistribution(2.0), 4.0, SAMPLES, seed=4
-    )
-    assert est.value >= w_best
+    r_best, w_best = optimize_chebyshev_rms(4, 2.0, 0.5)
+    assert exact_beam_width(chebyshev_array(4, 0.5, 1e6), BasisDistribution(2.0), 4.0) >= w_best
+
+
+def test_chebyshev_sweep_ignores_optimizer_samples():
+    a = sweep("chebyshev", [2, 6], alpha_star=2.0, samples=10**4, seed=3, optimizer_samples=10)
+    b = sweep("chebyshev", [2, 6], alpha_star=2.0, samples=10**4, seed=3, optimizer_samples=10**6)
+    assert a == b
 
 
 def test_parallel_lines_single_table():
