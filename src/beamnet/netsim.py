@@ -350,6 +350,8 @@ def estimate_throughput(
     """
     if config.slots < 1:
         raise ValueError("config.slots must be >= 1 to estimate throughput")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, state.r, bins + 1)
 
     def one_slot(t: int):
@@ -468,19 +470,13 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     d_i = float(torus_distance(ti, ri))
     v1 = torus_delta(ri, ti)
 
-    nodes = np.array(
-        [k for k in range(state.n) if k not in (tx_node, rx_node) and state.k_pr[k] > 0],
-        dtype=np.int64,
-    )
+    keep = state.k_pr > 0
+    keep[[tx_node, rx_node]] = False
+    nodes = np.flatnonzero(keep)
     counts = state.k_pr[nodes]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ks = np.repeat(nodes, counts)
-    ms = np.concatenate(
-        [
-            state.neighbors[state.neighbor_offsets[k] : state.neighbor_offsets[k] + state.k_pr[k]]
-            for k in nodes
-        ]
-    ) if len(nodes) else np.zeros(0, dtype=np.int64)
+    ms = state.neighbors[np.repeat(keep, state.k_pr)]  # CSR rows of the kept nodes
 
     w = torus_delta(ri, pos[ks])  # R_i -> k
     dist = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
@@ -569,8 +565,5 @@ def multi_rayleigh_prediction(
     nodes, offsets, plain, _, d_i = _forced_link_tables(state, config, tx_node, rx_node)
     sir_d = config.sir0 * d_i**config.alpha
     pred = (1.0 - config.p_t) if state.k_pr[rx_node] > 0 else 1.0
-    for j in range(len(nodes)):
-        row = plain[offsets[j] : offsets[j + 1]]
-        factor = (1.0 - config.p_t) + config.p_t * float(np.mean(1.0 / (1.0 + sir_d * row)))
-        pred *= factor
-    return pred
+    mean = np.add.reduceat(1.0 / (1.0 + sir_d * plain), offsets[:-1]) / np.diff(offsets)
+    return pred * float(np.prod((1.0 - config.p_t) + config.p_t * mean))

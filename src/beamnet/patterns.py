@@ -1,9 +1,10 @@
 """Normalized azimuthal antenna power patterns and threshold-based beam widths.
 
 Every pattern exposes a gain G(theta) in [0, 1] with G(0) = 1 at boresight,
-2*pi-periodic in theta.  Linear-array patterns are built from complex taper
+2*pi-periodic in theta.  Linear-array patterns are built from taper
 coefficients a_k via the array factor |sum_k a_k exp(-2*pi*i*k*(D/lambda)*sin(theta))|,
-then recentered on the factor's maximum and normalized to unit peak power.
+whose main beam lies at theta = 0 by construction, and are normalized by
+their power there.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import minimize_scalar
 from scipy.signal import windows
 
 TWO_PI = 2.0 * math.pi
 
-# Measure grid for boresight search and width integrals; widths have O(1/grid) error.
+# Measure grid for threshold widths; widths have O(1/grid) error.
 DEFAULT_GRID = 1 << 20
 
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
@@ -55,8 +55,7 @@ class AntennaPattern:
     coeffs: np.ndarray | None = None  # array only: a_k, k = 0..N (ascending)
     roots: np.ndarray | None = None  # array only: placed factor roots, if built from nulls
     d_ratio: float = 0.5  # array only: element spacing D/lambda
-    boresight: float = 0.0  # theta_m, radians
-    peak_power: float = 1.0  # AF(theta_m)**2
+    peak_power: float = 1.0  # AF(0)**2, the main-beam power
 
     @property
     def degree(self) -> int:
@@ -64,7 +63,7 @@ class AntennaPattern:
         return 0 if self.coeffs is None else len(self.coeffs) - 1
 
     def array_factor(self, theta) -> np.ndarray | float:
-        """Raw (unshifted, unnormalized) array factor magnitude."""
+        """Raw (unnormalized) array factor magnitude."""
         if self.coeffs is None:
             raise ValueError(f"pattern {self.label!r} has no array factor")
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -79,7 +78,7 @@ class AntennaPattern:
         elif self.kind == "sector":
             g = (np.abs(_wrap_pi(th)) <= np.pi * self.beam_fraction + 1e-15).astype(float)
         else:
-            af = _factor_magnitude(th + self.boresight, self.d_ratio, self.coeffs, self.roots)
+            af = _factor_magnitude(th, self.d_ratio, self.coeffs, self.roots)
             g = np.clip(af * af / self.peak_power, 0.0, 1.0)
             g = np.where(g < NULL_CLAMP, 0.0, g)
         return g if np.ndim(theta) else float(g[0])
@@ -114,65 +113,43 @@ def sector(beam_fraction: float) -> AntennaPattern:
     return AntennaPattern(kind="sector", label=f"sector({f:g})", beam_fraction=f)
 
 
-def _normalize_array(coeffs: np.ndarray, d_ratio: float, roots=None, grid: int = DEFAULT_GRID):
-    """Locate the boresight theta_m (smallest >= 0 among ties) and the peak power."""
-    # Nonnegative real tapers peak exactly at z = 1: |sum a_k z^k| <= sum a_k,
-    # attained at theta = 0.  Same answer as the scan, without the scan.
-    if (
-        roots is None
-        and np.all(np.isreal(coeffs))
-        and np.all(coeffs.real >= 0.0)
-        and coeffs.real.sum() > 0.0
-    ):
-        return 0.0, float(coeffs.real.sum()) ** 2
-
-    def af(th):
-        return _factor_magnitude(np.asarray(th, dtype=float), d_ratio, coeffs, roots)
-
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    i = int(np.argmax(af(theta)))
-    step = TWO_PI / grid
-    # Refine as an offset from the grid point, so the search tolerance is not
-    # scaled by the size of the angle.
-    res = minimize_scalar(
-        lambda t: -af(theta[i] + t), bounds=(-step, step), method="bounded",
-        options={"xatol": 1e-13},
-    )
-    t = float(theta[i] + res.x) % TWO_PI
-    # Maxima tie: the factor depends only on sin theta (t ~ pi - t), and real
-    # tapers also give even patterns (t ~ -t).  Keep the smallest nonnegative one.
-    floor = af(t) * (1.0 - 1e-12)
-    ties = (c % TWO_PI for c in (0.0, math.pi - t, TWO_PI - t, t - math.pi))
-    theta_m = min([t] + [c for c in ties if af(c) >= floor])
-    peak = float(af(theta_m)) ** 2
-    if peak <= 0.0:
-        raise ValueError("degenerate coefficients: array factor vanishes everywhere")
-    return float(theta_m), peak
-
-
-def from_coefficients(coeffs, d_ratio: float, label: str, roots=None) -> AntennaPattern:
-    """Build a normalized array pattern from taper coefficients a_0..a_N."""
+def _array_pattern(coeffs: np.ndarray, d_ratio: float, label: str, roots=None) -> AntennaPattern:
+    """Array pattern normalized by its power at theta = 0, where the main beam lies."""
     d = float(d_ratio)
     if not 0.0 < d <= 0.5:
         raise ValueError(f"d_ratio must lie in (0, 1/2], got {d_ratio}")
+    # The same 1-d evaluation gain() performs, so gain(0) == 1 exactly.
+    peak = float(_factor_magnitude(np.zeros(1), d, coeffs, roots)[0] ** 2)
+    return AntennaPattern(
+        kind="array", label=label, coeffs=coeffs, roots=roots, d_ratio=d, peak_power=peak
+    )
+
+
+def from_coefficients(coeffs, d_ratio: float, label: str) -> AntennaPattern:
+    """Build a normalized array pattern from a real, nonnegative taper a_0..a_N.
+
+    Such a taper peaks at theta = 0: |sum a_k z^k| <= sum a_k, attained at z = 1.
+    """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or len(c) < 2:
         raise ValueError("need at least two coefficients")
-    theta_m, peak = _normalize_array(c, d, roots)
-    return AntennaPattern(
-        kind="array", label=label, coeffs=c, roots=roots, d_ratio=d,
-        boresight=theta_m, peak_power=peak,
-    )
+    if not (np.all(c.imag == 0.0) and np.all(c.real >= 0.0) and c.real.sum() > 0.0):
+        raise ValueError("taper must be real and nonnegative, and not all zero")
+    return _array_pattern(c, d_ratio, label)
 
 
 def esnla(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     """Equally-spaced-null linear array of degree N (even), nulls at 2*pi*s/(N+1)."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"esnla degree must be even and >= 2, got {n}")
+    # Its taper takes both signs, but the main beam is still at theta = 0: as D/lambda -> 0
+    # the factor tends to the Dirichlet kernel |sin((N+1)theta) / ((N+1) sin theta)|,
+    # which peaks there, and a grid scan over N <= 80 and D/lambda in (0, 1/2]
+    # finds no angle where |AF| exceeds |AF(0)|.
     null_angles = TWO_PI * np.arange(1, n + 1) / (n + 1)
     roots = np.exp(-2j * np.pi * float(d_ratio) * np.sin(null_angles))
     coeffs = npoly.polyfromroots(roots)
-    return from_coefficients(coeffs, d_ratio, f"esnla({n},{float(d_ratio):g})", roots=roots)
+    return _array_pattern(coeffs, d_ratio, f"esnla({n},{float(d_ratio):g})", roots=roots)
 
 
 def esnla_null_set(n: int) -> np.ndarray:

@@ -105,6 +105,13 @@ def test_netsim_precondition_exit_code(tmp_path, capsys):
     assert "SIR0" in capsys.readouterr().err
 
 
+def test_netsim_rejects_zero_bins(tmp_path, capsys):
+    code = main(["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--bins", "0",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "bins" in capsys.readouterr().err
+
+
 def test_analytic_json(capsys):
     assert main(["analytic", "--sir0", "10", "--alpha", "4", "--n", "10000",
                  "--wb", "0.01", "--objective", "transport", "--json"]) == 0

@@ -348,6 +348,13 @@ def test_throughput_zero_activity():
     assert stats.eta_tt == 0.0 and stats.eta_tr == 0.0
 
 
+@pytest.mark.parametrize("bins", [0, -2])
+def test_throughput_rejects_nonpositive_bins(bins):
+    cfg = make_config(slots=5)
+    with pytest.raises(ValueError, match="bins"):
+        estimate_throughput(generate_network(cfg), cfg, bins=bins)
+
+
 def test_transport_below_range_times_total():
     cfg = make_config(n=200, r=0.12, p_t=0.3, slots=100, seed=3)
     state = generate_network(cfg)

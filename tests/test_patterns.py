@@ -199,7 +199,7 @@ def test_gain_bounds_and_boresight(p):
     theta = np.random.default_rng(1).uniform(-10, 10, 10**5)
     g = p.gain(theta)
     assert np.all(g >= 0.0) and np.all(g <= 1.0)
-    assert p.gain(0.0) >= 1.0 - 1e-9
+    assert p.gain(0.0) == 1.0
 
 
 @pytest.mark.parametrize("p", FAMILY_FIXTURES, ids=lambda p: p.label)
@@ -214,23 +214,31 @@ def test_starred_monotone_in_alpha():
     assert np.all(p.gain_starred(theta, 6.0) >= p.gain_starred(theta, 3.0) - 1e-15)
 
 
-@pytest.mark.parametrize("n,d", [(6, 0.3), (20, 0.0625)])
+GRID_DEGREES = range(2, 41, 2)
+GRID_SPACINGS = [0.0625, 0.1, 0.2, 0.25, 0.3, 0.4, 0.45, 0.5]
+
+
+@pytest.mark.parametrize("d", GRID_SPACINGS)
+@pytest.mark.parametrize("n", GRID_DEGREES)
 def test_boresight_is_grid_argmax(n, d):
-    p = esnla(n, d)
-    theta = np.linspace(0, TWO_PI, 1 << 18, endpoint=False)
-    assert p.array_factor(p.boresight) >= p.array_factor(theta).max() * (1 - 1e-12)
+    # The ESNLA taper takes both signs, so its main beam at theta = 0 is checked against
+    # a scan of the null-product oracle; the factor depends on theta only through sin.
+    theta = np.arcsin(np.linspace(-1.0, 1.0, 1 << 15))
+    assert esnla(n, d).array_factor(0.0) >= raw_esnla_product(theta, n, d).max() * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("d", [0.5, 0.3])
-@pytest.mark.parametrize("beta", [-1.3, -0.4, 0.7, 1.5])
-def test_steered_boresight_is_smallest_nonnegative_root(beta, d):
-    # a_k = e^{i beta k} peaks where 2 pi (D/lambda) sin(theta) = beta.  theta and
-    # pi - theta tie; the boresight is the smallest nonnegative root.
-    s = beta / (TWO_PI * d)
-    want = math.asin(s) if s >= 0.0 else math.pi - math.asin(s)
-    p = from_coefficients(np.exp(1j * beta * np.arange(7)), d, "steered")
-    assert p.boresight == pytest.approx(want, abs=1e-7)
-    assert p.gain(0.0) == pytest.approx(1.0, abs=1e-12)
+def test_gain_is_exactly_one_at_boresight():
+    builders = (esnla, binomial_array, lambda n, d: chebyshev_array(n, d, 30.0))
+    grid = (build(n, d) for build in builders for n in GRID_DEGREES for d in GRID_SPACINGS)
+    assert [p.label for p in grid if p.gain(0.0) != 1.0] == []
+
+
+@pytest.mark.parametrize(
+    "taper", [np.exp(0.7j * np.arange(7)), [1.0, -0.5, 1.0], [1.0, 2.0 + 1e-9j], [0.0, 0.0]]
+)
+def test_from_coefficients_rejects_tapers_not_real_nonnegative(taper):
+    with pytest.raises(ValueError, match="real and nonnegative"):
+        from_coefficients(taper, 0.5, "bad")
 
 
 @given(st.floats(-50.0, 50.0))
