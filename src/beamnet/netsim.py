@@ -13,6 +13,20 @@ Interference models:
   * pairwise + rayleigh: per-interferer SIR test with Exp(1) fades.
   * multi (none | rayleigh): cumulative SIR over all active transmitters,
     plain gains, S_i / sum_k I_ik >= SIR0.
+
+Cost of a slot with L links among n nodes.  Links are evaluated in blocks of
+whole receivers of at most _PAIR_BUDGET // n links, so a slot holds
+O(_PAIR_BUDGET + n) memory whatever L is (a receiver with more links than that
+forms its own block):
+  * pairwise + no fading has an exact cutoff, the protocol-model locality of
+    Gupta and Kumar (2000): since G* <= 1, transmitter j can break link i only
+    within (1 + Delta) d_i of R_i.  A periodic k-d tree over the transmitters
+    returns the pairs within that reach, and only they are tested, in
+    O(L log L + pairs within reach) time.
+  * the other three models have no cutoff (a fade, or the sum, lets any
+    transmitter matter), so every (link, transmitter) pair is evaluated:
+    O(L^2) time.  Rayleigh fades are rows of a (unique rx) x n matrix drawn
+    block by block, the same stream as one draw of the whole matrix.
 """
 
 from __future__ import annotations
@@ -148,60 +162,81 @@ def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: 
     return pattern.gain_starred(theta, alpha) if starred else pattern.gain(theta)
 
 
-def _link_gains(state, config, tx, rx, starred):
-    """Per (link i, transmitter j) receive/transmit gains from actual geometry.
-
-    Returns (g_rx, g_tx, dist) with shapes (L, L); scalars 1.0 when a side is omni.
-    """
-    pos = state.positions
-    pt, pr = pos[tx], pos[rx]
-    disp = torus_delta(pr[:, None, :], pt[None, :, :])  # R_i -> T_j
-    dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
-    back = torus_delta(pr, pt)  # R_i -> T_i, the receiver's boresight
-    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred)
-    # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
-    # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
-    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred)
-    return g_rx, g_tx, dist
+# Pairs (link, node) held at once by one block of links; bounds a slot's memory.
+_PAIR_BUDGET = 1 << 20
+# Added to each guard-zone query radius.  Coordinates lie in [0, 1), so the tree's
+# and torus_delta's distances agree to ~1e-15 absolute, far below this pad.
+_REACH_PAD = 1e-9
 
 
 def _evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
-    """Success flags for all candidate links of one slot under the configured model."""
+    """Success flags for all candidate links of one slot under the configured model,
+    evaluated in receiver blocks as the module docstring describes."""
     n_links = len(tx)
-    if n_links == 0:
-        return np.zeros(0, dtype=bool)
-    # j == T_i (self) and j == R_i are excluded from the interferer set.
-    excl = (tx[None, :] == tx[:, None]) | (tx[None, :] == rx[:, None])
-    rayleigh = config.fading == "rayleigh"
-
-    if rayleigh:
-        uniq, inv = np.unique(rx, return_inverse=True)
-        fades = rng.standard_exponential((len(uniq), state.n))
-        f_sig = fades[inv, tx]
-        f_int = fades[inv[:, None], tx[None, :]]
-    else:
-        f_sig = 1.0
-        f_int = 1.0
-
+    success = np.ones(n_links, dtype=bool)
+    pos = state.positions
     alpha = config.alpha
-    if config.model == "pairwise" and not rayleigh:
-        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=True)
-        ok = dist >= (1.0 + state.delta) * d[:, None] * g_rx * g_tx
-    elif config.model == "pairwise":
-        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=False)
-        ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
-            d[:, None] ** alpha
-        )
-    else:
-        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=False)
-        # dist vanishes at excluded (self/receiver) entries; keep them out of the sum.
-        safe = np.where(excl, 1.0, dist)
-        term = np.where(excl, 0.0, f_int * g_rx * g_tx) * safe ** (-alpha)
-        interference = term.sum(axis=1)
-        signal = (f_sig if rayleigh else np.ones(n_links)) * d ** (-alpha)
-        return signal >= config.sir0 * interference
+    rayleigh = config.fading == "rayleigh"
+    guard_only = config.model == "pairwise" and not rayleigh
+    back = torus_delta(pos[rx], pos[tx])  # R_i -> T_i, the receiver's boresight
+    if guard_only:
+        # Interferer j can break link i only within (1+Delta) d_i G*_rx G*_tx
+        # <= (1+Delta) d_i of R_i, since G* <= 1: query that reach, padded.
+        reach = (1.0 + state.delta) * d + _REACH_PAD
+        tx_tree = cKDTree(pos[tx], boxsize=1.0)
 
-    return np.all(ok | excl, axis=1)
+    def gains(i, j, starred):
+        """(g_rx, g_tx, dist) of link i against transmitter j, elementwise over
+        broadcast index arrays; a gain is scalar 1.0 when its side is omni."""
+        disp = torus_delta(pos[rx[i]], pos[tx[j]])  # R_i -> T_j
+        dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
+        g_rx = _gain(config.rx_pattern, back[i], disp, alpha, starred)
+        # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
+        # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
+        g_tx = _gain(config.tx_pattern, back[j], disp, alpha, starred)
+        return g_rx, g_tx, dist
+
+    _, inv = np.unique(rx, return_inverse=True)
+    order = np.argsort(inv, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(inv))])  # per receiver, into order
+    cap = max(1, _PAIR_BUDGET // state.n)
+    u = 0
+    while u < len(starts) - 1:
+        v = max(u + 1, int(np.searchsorted(starts, starts[u] + cap, side="right")) - 1)
+        rows = order[starts[u] : starts[v]]
+        if guard_only:
+            near = cKDTree(pos[rx[rows]], boxsize=1.0).sparse_distance_matrix(
+                tx_tree, float(reach[rows].max()), output_type="ndarray"
+            )
+            i, j = rows[near["i"]], near["j"]
+            # Drop j == T_i (self) and j == R_i, and pairs beyond link i's own reach.
+            keep = (j != i) & (tx[j] != rx[i]) & (near["v"] <= reach[i])
+            i, j = i[keep], j[keep]
+            g_rx, g_tx, dist = gains(i, j, starred=True)
+            success[i[dist < (1.0 + state.delta) * d[i] * g_rx * g_tx]] = False
+        else:
+            if rayleigh:
+                fades = rng.standard_exponential((v - u, state.n))
+                f_sig = fades[inv[rows] - u, tx[rows]]
+                f_int = fades[inv[rows, None] - u, tx]
+            else:
+                f_sig = f_int = 1.0
+            i, j = rows[:, None], np.arange(n_links)[None, :]
+            excl = (j == i) | (tx[j] == rx[i])  # j == T_i (self) and j == R_i
+            g_rx, g_tx, dist = gains(i, j, starred=False)
+            if config.model == "pairwise":
+                ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
+                    d[i] ** alpha
+                )
+                success[rows] = np.all(ok | excl, axis=1)
+            else:
+                # dist vanishes at excluded (self/receiver) entries; keep them out of the sum.
+                safe = np.where(excl, 1.0, dist)
+                term = np.where(excl, 0.0, f_int * g_rx * g_tx) * safe ** (-alpha)
+                signal = f_sig * d[rows] ** (-alpha)
+                success[rows] = signal >= config.sir0 * term.sum(axis=1)
+        u = v
+    return success
 
 
 def run_slot(state: NetworkState, config: NetworkConfig, slot_seed) -> SlotOutcome:
@@ -226,67 +261,6 @@ def run_slot(state: NetworkState, config: NetworkConfig, slot_seed) -> SlotOutco
         # No capture under directional reception: a contested receiver loses all.
         success &= np.bincount(rx, minlength=state.n)[rx] < 2
     return SlotOutcome(tx=tx, rx=rx, d=d, success=success)
-
-
-def pairwise_success(link, active_links, state: NetworkState, config: NetworkConfig) -> bool:
-    """Guard-zone test of one link against every other active transmitter.
-
-    `link` and `active_links` entries are (tx_node, rx_node) pairs; the inclusive
-    inequality keeps an interferer sitting exactly on the guard boundary harmless.
-    """
-    ti, ri = link
-    pos = state.positions
-    d_i = float(torus_distance(pos[ti], pos[ri]))
-    scale = (1.0 + state.delta) * d_i
-    v1 = torus_delta(pos[ri], pos[ti])
-    for tj, rj in active_links:
-        if tj == ti or tj == ri:
-            continue
-        w = torus_delta(pos[ri], pos[tj])
-        dist = math.hypot(w[0], w[1])
-        y = 1.0
-        if config.rx_pattern.kind != "omni":
-            theta = math.atan2(v1[0] * w[1] - v1[1] * w[0], v1[0] * w[0] + v1[1] * w[1])
-            y = float(config.rx_pattern.gain_starred(theta, config.alpha))
-        z = 1.0
-        if config.tx_pattern.kind != "omni":
-            v2 = torus_delta(pos[tj], pos[rj])
-            u = -w
-            phi = math.atan2(v2[0] * u[1] - v2[1] * u[0], v2[0] * u[0] + v2[1] * u[1])
-            z = float(config.tx_pattern.gain_starred(phi, config.alpha))
-        if dist < scale * y * z:
-            return False
-    return True
-
-
-def multi_rayleigh_success(
-    link, active_links, state: NetworkState, config: NetworkConfig, fades: np.ndarray
-) -> bool:
-    """Cumulative-SIR test of one link; `fades[k]` is the channel fade between
-    the link's receiver and node k (use ones for the no-fading variant)."""
-    ti, ri = link
-    pos = state.positions
-    d_i = float(torus_distance(pos[ti], pos[ri]))
-    signal = float(fades[ti]) / d_i**config.alpha
-    v1 = torus_delta(pos[ri], pos[ti])
-    total = 0.0
-    for tk, rk in active_links:
-        if tk == ti or tk == ri:
-            continue
-        w = torus_delta(pos[ri], pos[tk])
-        dist = math.hypot(w[0], w[1])
-        g_rx = 1.0
-        if config.rx_pattern.kind != "omni":
-            theta = math.atan2(v1[0] * w[1] - v1[1] * w[0], v1[0] * w[0] + v1[1] * w[1])
-            g_rx = float(config.rx_pattern.gain(theta))
-        g_tx = 1.0
-        if config.tx_pattern.kind != "omni":
-            v2 = torus_delta(pos[tk], pos[rk])
-            u = -w
-            phi = math.atan2(v2[0] * u[1] - v2[1] * u[0], v2[0] * u[0] + v2[1] * u[1])
-            g_tx = float(config.tx_pattern.gain(phi))
-        total += float(fades[tk]) * g_rx * g_tx / dist**config.alpha
-    return signal >= config.sir0 * total
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,132 @@
+"""Reference evaluators for the slot engine in `beamnet.netsim`.
+
+`dense_evaluate_slot` is the engine as it stood before the interference cutoff
+and the receiver blocks: every (link, transmitter) pair of a slot as L x L
+arrays.  `pairwise_success` and `multi_rayleigh_success` test one link at a time
+with scalar arithmetic.  Tests compare the engine against all three.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from beamnet.netsim import NetworkConfig, NetworkState, _gain, torus_delta, torus_distance
+
+
+def _link_gains(state, config, tx, rx, starred):
+    """Per (link i, transmitter j) receive/transmit gains from actual geometry.
+
+    Returns (g_rx, g_tx, dist) with shapes (L, L); scalars 1.0 when a side is omni.
+    """
+    pos = state.positions
+    pt, pr = pos[tx], pos[rx]
+    disp = torus_delta(pr[:, None, :], pt[None, :, :])  # R_i -> T_j
+    dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
+    back = torus_delta(pr, pt)  # R_i -> T_i, the receiver's boresight
+    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred)
+    # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
+    # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
+    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred)
+    return g_rx, g_tx, dist
+
+
+def dense_evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
+    """Success flags for all candidate links of one slot under the configured model."""
+    n_links = len(tx)
+    if n_links == 0:
+        return np.zeros(0, dtype=bool)
+    # j == T_i (self) and j == R_i are excluded from the interferer set.
+    excl = (tx[None, :] == tx[:, None]) | (tx[None, :] == rx[:, None])
+    rayleigh = config.fading == "rayleigh"
+
+    if rayleigh:
+        uniq, inv = np.unique(rx, return_inverse=True)
+        fades = rng.standard_exponential((len(uniq), state.n))
+        f_sig = fades[inv, tx]
+        f_int = fades[inv[:, None], tx[None, :]]
+    else:
+        f_sig = 1.0
+        f_int = 1.0
+
+    alpha = config.alpha
+    if config.model == "pairwise" and not rayleigh:
+        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=True)
+        ok = dist >= (1.0 + state.delta) * d[:, None] * g_rx * g_tx
+    elif config.model == "pairwise":
+        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=False)
+        ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
+            d[:, None] ** alpha
+        )
+    else:
+        g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=False)
+        # dist vanishes at excluded (self/receiver) entries; keep them out of the sum.
+        safe = np.where(excl, 1.0, dist)
+        term = np.where(excl, 0.0, f_int * g_rx * g_tx) * safe ** (-alpha)
+        interference = term.sum(axis=1)
+        signal = (f_sig if rayleigh else np.ones(n_links)) * d ** (-alpha)
+        return signal >= config.sir0 * interference
+
+    return np.all(ok | excl, axis=1)
+
+
+def pairwise_success(link, active_links, state: NetworkState, config: NetworkConfig) -> bool:
+    """Guard-zone test of one link against every other active transmitter.
+
+    `link` and `active_links` entries are (tx_node, rx_node) pairs; the inclusive
+    inequality keeps an interferer sitting exactly on the guard boundary harmless.
+    """
+    ti, ri = link
+    pos = state.positions
+    d_i = float(torus_distance(pos[ti], pos[ri]))
+    scale = (1.0 + state.delta) * d_i
+    v1 = torus_delta(pos[ri], pos[ti])
+    for tj, rj in active_links:
+        if tj == ti or tj == ri:
+            continue
+        w = torus_delta(pos[ri], pos[tj])
+        dist = math.hypot(w[0], w[1])
+        y = 1.0
+        if config.rx_pattern.kind != "omni":
+            theta = math.atan2(v1[0] * w[1] - v1[1] * w[0], v1[0] * w[0] + v1[1] * w[1])
+            y = float(config.rx_pattern.gain_starred(theta, config.alpha))
+        z = 1.0
+        if config.tx_pattern.kind != "omni":
+            v2 = torus_delta(pos[tj], pos[rj])
+            u = -w
+            phi = math.atan2(v2[0] * u[1] - v2[1] * u[0], v2[0] * u[0] + v2[1] * u[1])
+            z = float(config.tx_pattern.gain_starred(phi, config.alpha))
+        if dist < scale * y * z:
+            return False
+    return True
+
+
+def multi_rayleigh_success(
+    link, active_links, state: NetworkState, config: NetworkConfig, fades: np.ndarray
+) -> bool:
+    """Cumulative-SIR test of one link; `fades[k]` is the channel fade between
+    the link's receiver and node k (use ones for the no-fading variant)."""
+    ti, ri = link
+    pos = state.positions
+    d_i = float(torus_distance(pos[ti], pos[ri]))
+    signal = float(fades[ti]) / d_i**config.alpha
+    v1 = torus_delta(pos[ri], pos[ti])
+    total = 0.0
+    for tk, rk in active_links:
+        if tk == ti or tk == ri:
+            continue
+        w = torus_delta(pos[ri], pos[tk])
+        dist = math.hypot(w[0], w[1])
+        g_rx = 1.0
+        if config.rx_pattern.kind != "omni":
+            theta = math.atan2(v1[0] * w[1] - v1[1] * w[0], v1[0] * w[0] + v1[1] * w[1])
+            g_rx = float(config.rx_pattern.gain(theta))
+        g_tx = 1.0
+        if config.tx_pattern.kind != "omni":
+            v2 = torus_delta(pos[tk], pos[rk])
+            u = -w
+            phi = math.atan2(v2[0] * u[1] - v2[1] * u[0], v2[0] * u[0] + v2[1] * u[1])
+            g_tx = float(config.tx_pattern.gain(phi))
+        total += float(fades[tk]) * g_rx * g_tx / dist**config.alpha
+    return signal >= config.sir0 * total

@@ -1,6 +1,6 @@
 """Acceptance gate: one test per criterion, printed as a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The file takes about 5 minutes
+Run with `pytest tests/test_acceptance.py -v -s`.  The file takes about 3 minutes
 on a shared 2-vCPU machine; the sweep-heavy checks reuse module-scoped fixtures.
 
 Criteria 4 and 5 each contain one sub-check that this implementation measures

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +20,12 @@ from beamnet.netsim import (
     interference_free_activity_bound,
     link_success_probability,
     multi_rayleigh_prediction,
-    multi_rayleigh_success,
-    pairwise_success,
     run_slot,
     torus_distance,
     total_throughput_rule,
 )
-from beamnet.patterns import esnla, omni, sector
+from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
+from netsim_reference import dense_evaluate_slot, multi_rayleigh_success, pairwise_success
 
 
 def make_config(**kw):
@@ -51,6 +52,9 @@ def make_state(positions, r=0.3, sir0=10.0, alpha=4.0):
 
 def slot_seed(cfg, t):
     return np.random.SeedSequence([cfg.seed, 1, t])
+
+
+MODEL_FADINGS = [(m, f) for m in netsim.MODELS for f in netsim.FADINGS]
 
 
 # --- configuration and geometry ---------------------------------------------
@@ -174,6 +178,70 @@ def test_two_node_link_succeeds_when_receiver_silent():
     p = successes / attempts
     se = math.sqrt(p * (1 - p) / attempts)
     assert abs(p - (1 - cfg.p_t)) <= 3 * se
+
+
+# --- slot engine vs the dense reference -------------------------------------
+
+SPECS = ("omni", "sector:0.25", "esnla:4:0.5")
+# (n, r); at SIR0 = 10, alpha = 4 the guard reach (1 + Delta) r passes 1/2 from r = 0.282.
+ORACLE_NETWORKS = ((2, math.sqrt(2) / 2), (3, 0.5), (40, 0.12), (40, 0.3),
+                   (300, 0.08), (300, math.sqrt(2) / 2))
+
+
+@pytest.mark.parametrize("model,fading", MODEL_FADINGS)
+@pytest.mark.parametrize("rx_spec", SPECS)
+@pytest.mark.parametrize("tx_spec", SPECS)
+def test_slot_engine_matches_dense_reference(tx_spec, rx_spec, model, fading, monkeypatch):
+    """run_slot's flags equal the dense L x L evaluator's bit for bit, slot by slot:
+    even slots at the default pair budget, odd ones at 3 links per block."""
+    for (n, r), p_t in itertools.product(ORACLE_NETWORKS, (0.05, 0.5)):
+        cfg = make_config(
+            n=n, r=r, p_t=p_t, tx_pattern=parse_pattern_spec(tx_spec),
+            rx_pattern=parse_pattern_spec(rx_spec), model=model, fading=fading, seed=n,
+        )
+        state = generate_network(cfg)
+        for t in range(4):
+            with monkeypatch.context() as m:
+                m.setattr(netsim, "_PAIR_BUDGET", netsim._PAIR_BUDGET if t % 2 == 0 else 3 * n)
+                got = run_slot(state, cfg, slot_seed(cfg, t))
+                m.setattr(netsim, "_evaluate_slot", dense_evaluate_slot)
+                want = run_slot(state, cfg, slot_seed(cfg, t))
+            assert np.array_equal(got.tx, want.tx), (n, r, p_t, t)
+            assert np.array_equal(got.success, want.success), (n, r, p_t, t)
+
+
+def test_slot_guard_boundary_is_inclusive():
+    # SIR0 = 16, alpha = 4 make (1 + Delta) exactly 2: link 0 -> 1 has d = 0.25, so
+    # its guard radius is 0.5, and transmitter 2 (of link 2 -> 3) sits at distance y - 0.25.
+    cfg = make_config(n=4, sir0=16.0)
+    tx, rx = np.array([0, 2]), np.array([1, 3])
+    for y, harmless in ((0.75, True), (np.nextafter(0.75, 0.0), False)):
+        state = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, y), (0.25, 0.95)], sir0=16.0)
+        d = torus_distance(state.positions[tx], state.positions[rx])
+        assert (1.0 + state.delta) * d[0] == 0.5
+        for evaluate in (netsim._evaluate_slot, dense_evaluate_slot):
+            ok = evaluate(state, cfg, tx, rx, d, np.random.default_rng(0))
+            assert ok[0] == harmless, (y, evaluate.__name__)
+
+
+@pytest.mark.parametrize("model,fading", MODEL_FADINGS)
+def test_slot_memory_is_bounded_at_large_n(model, fading):
+    """One slot at n = 10^4, p_t = 1/2 (L ~ 5000 links) stays under 1 GB; an
+    L x L float64 array alone takes 200 MB.  Omni for the multi models keeps it quick."""
+    n = 10_000
+    p_t, r = total_throughput_rule(n)
+    pattern = esnla(4, 0.5) if model == "pairwise" else omni()
+    cfg = make_config(n=n, r=r, p_t=p_t, tx_pattern=pattern, rx_pattern=pattern,
+                      model=model, fading=fading, seed=43)
+    state = generate_network(cfg)
+    tracemalloc.start()
+    try:
+        out = run_slot(state, cfg, slot_seed(cfg, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.tx) > 4000
+    assert peak < 2**30, peak
 
 
 # --- scalar interference operations on crafted geometry -----------------------
@@ -364,12 +432,19 @@ def test_transport_below_range_times_total():
 
 
 def test_throughput_deterministic_and_thread_invariant():
-    cfg = make_config(n=120, r=0.15, p_t=0.3, slots=60, seed=19)
-    state = generate_network(cfg)
-    s1 = estimate_throughput(state, cfg)
-    s2 = estimate_throughput(state, cfg)
-    s3 = estimate_throughput(state, cfg, threads=3)
-    assert (s1.eta_tt, s1.eta_tr) == (s2.eta_tt, s2.eta_tr) == (s3.eta_tt, s3.eta_tr)
+    base = make_config(n=120, r=0.15, p_t=0.3, rx_pattern=esnla(2, 0.5), slots=60, seed=19)
+    state = generate_network(base)
+
+    def summary(stats):
+        bins = [(b.links, b.successes) for b in stats.bins]
+        return stats.eta_tt, stats.eta_tr, bins
+
+    for model, fading in MODEL_FADINGS:
+        cfg = replace(base, model=model, fading=fading)
+        runs = [summary(estimate_throughput(state, cfg, w_b_effective=1.0, threads=k))
+                for k in (1, 1, 3)]
+        assert runs[0] == runs[1] == runs[2], (model, fading)
+        assert sum(links for links, _ in runs[0][2]) > 0
 
 
 def test_bin_table_structure():
