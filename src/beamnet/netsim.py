@@ -25,8 +25,9 @@ forms its own block):
     O(L log L + pairs within reach) time.
   * the other three models have no cutoff (a fade, or the sum, lets any
     transmitter matter), so every (link, transmitter) pair is evaluated:
-    O(L^2) time.  Rayleigh fades are rows of a (unique rx) x n matrix drawn
-    block by block, the same stream as one draw of the whole matrix.
+    O(L^2) time.  Rayleigh fades are rows of a (unique rx) x L matrix, one
+    Exp(1) fade per (receiver, transmitter) pair, drawn block by block: the
+    same stream as one draw of the whole matrix.
 """
 
 from __future__ import annotations
@@ -216,9 +217,10 @@ def _evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
             success[i[dist < (1.0 + state.delta) * d[i] * g_rx * g_tx]] = False
         else:
             if rayleigh:
-                fades = rng.standard_exponential((v - u, state.n))
-                f_sig = fades[inv[rows] - u, tx[rows]]
-                f_int = fades[inv[rows, None] - u, tx]
+                # This block's receivers' rows of the (unique rx) x L fade matrix
+                # (column j for link j's transmitter), repeated to one row per link.
+                f_int = rng.standard_exponential((v - u, n_links))[inv[rows] - u]
+                f_sig = f_int[np.arange(len(rows)), rows]
             else:
                 f_sig = f_int = 1.0
             i, j = rows[:, None], np.arange(n_links)[None, :]
@@ -243,7 +245,8 @@ def run_slot(state: NetworkState, config: NetworkConfig, slot_seed) -> SlotOutco
     """Draw one slot (activation, receiver choice, fades) and evaluate every link.
 
     Draw order: activation uniforms (n), receiver-choice uniforms (one per
-    active non-isolated node), then fade draws when fading is enabled.
+    active non-isolated node), then, under Rayleigh fading, the (unique rx) x L
+    fade matrix: rows by receiver id ascending, column j for link j.
     """
     rng = np.random.default_rng(slot_seed)
     transmitting = (rng.random(state.n) < config.p_t) & (state.k_pr > 0)
@@ -429,9 +432,6 @@ def capacity_curve(
 # at it).
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 14
-
-
 def _forced_link_tables(state, config, tx_node, rx_node):
     """Per (node k, receiver choice m) interference factors toward rx_node.
 
@@ -468,6 +468,36 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     return nodes, offsets, plain, starred, d_i
 
 
+def _bernoulli_cells(rng, size: int, p: float) -> np.ndarray:
+    """Indices, ascending, of the successes among `size` i.i.d. Bernoulli(p) cells.
+
+    The gaps between successes, floor(E / -ln(1 - p)) + 1 with E ~ Exp(1), are
+    Geometric(p).  They are drawn one at a time until their running sum passes
+    the last cell; none are drawn when size or p is 0.  For speed they come in
+    batches of the expected number still to come; once a batch passes the last
+    cell, the stream is rewound and exactly the gaps used are drawn again, so
+    the stream does not depend on the batch sizes.
+    """
+    if size == 0 or p == 0.0:
+        return np.zeros(0, dtype=np.int64)
+    scale = -1.0 / math.log1p(-p)
+    found = []
+    last = -1
+    while True:
+        k = int((size - 1 - last) * p) + 1
+        saved = rng.bit_generator.state
+        gaps = np.minimum(np.floor(rng.standard_exponential(k) * scale), size)
+        pos = last + np.cumsum(gaps.astype(np.int64) + 1)
+        t = int(np.searchsorted(pos, size))  # pos[t] is the first gap past the last cell
+        if t < k:
+            rng.bit_generator.state = saved
+            rng.standard_exponential(t + 1)
+            found.append(pos[:t])
+            return np.concatenate(found)
+        found.append(pos)
+        last = int(pos[-1])
+
+
 def link_success_probability(
     state: NetworkState,
     config: NetworkConfig,
@@ -480,42 +510,50 @@ def link_success_probability(
 
     The designated transmitter is active toward rx_node every slot; all other
     nodes activate, aim, and fade per the protocol.  Returns (p_hat, stderr).
+
+    Trials run in chunks of c = _PAIR_BUDGET // m rows over the m eligible
+    nodes, and only active (trial, node) cells are drawn.  Draw order per chunk:
+    receiver-busy uniforms (c), the active cells of the flattened c x m grid
+    (`_bernoulli_cells`), one receiver-choice uniform per active cell, then
+    under Rayleigh fading one interference fade per active cell and the c
+    signal fades.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     nodes, offsets, plain, starred, d_i = _forced_link_tables(state, config, tx_node, rx_node)
+    m = len(nodes)
     counts = state.k_pr[nodes].astype(np.int64)
     base = offsets[:-1]
     rayleigh = config.fading == "rayleigh"
     pairwise = config.model == "pairwise"
     sir_d = config.sir0 * d_i**config.alpha
     rx_can_transmit = state.k_pr[rx_node] > 0
+    chunk = max(1, _PAIR_BUDGET // max(1, m))
 
     hits = 0
     done = 0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 5]))
     while done < slots:
-        c = min(_CHUNK, slots - done)
+        c = min(chunk, slots - done)
         rx_busy = (rng.random(c) < config.p_t) & rx_can_transmit
-        zeta = rng.random((c, len(nodes))) < config.p_t
-        pick = np.minimum(
-            (rng.random((c, len(nodes))) * counts).astype(np.int64), counts - 1
-        )
+        # Cell index = trial * m + node (m = 0 leaves no cells to divide).
+        trial, k = np.divmod(_bernoulli_cells(rng, c * m, config.p_t), max(1, m))
+        pick = np.minimum((rng.random(len(k)) * counts[k]).astype(np.int64), counts[k] - 1)
+        sel = base[k] + pick
         if rayleigh:
-            f_int = rng.standard_exponential((c, len(nodes)))
+            f_int = rng.standard_exponential(len(k))
             f_sig = rng.standard_exponential(c)
         else:
-            f_int = np.ones((c, len(nodes)))
-            f_sig = np.ones(c)
+            f_int, f_sig = 1.0, np.ones(c)
 
-        sel = base[None, :] + pick
-        if pairwise and not rayleigh:
-            clear = np.all(~zeta | (starred[sel] >= 0.0), axis=1)
-        elif pairwise:
-            ok = f_sig[:, None] >= sir_d * plain[sel] * f_int
-            clear = np.all(~zeta | ok, axis=1)
+        if pairwise:
+            if rayleigh:
+                broken = f_sig[trial] < sir_d * plain[sel] * f_int
+            else:
+                broken = starred[sel] < 0.0
+            clear = np.bincount(trial[broken], minlength=c) == 0
         else:
-            interference = np.sum(zeta * f_int * plain[sel], axis=1)
+            interference = np.bincount(trial, weights=f_int * plain[sel], minlength=c)
             clear = f_sig >= sir_d * interference
         hits += int(np.count_nonzero(clear & ~rx_busy))
         done += c

@@ -4,6 +4,9 @@
 and the receiver blocks: every (link, transmitter) pair of a slot as L x L
 arrays.  `pairwise_success` and `multi_rayleigh_success` test one link at a time
 with scalar arithmetic.  Tests compare the engine against all three.
+`pairwise_link_prediction` is the exact fixed-link law of the two pairwise
+models, the oracle for `link_success_probability` beside the library's
+`multi_rayleigh_prediction`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ import math
 
 import numpy as np
 
-from beamnet.netsim import NetworkConfig, NetworkState, _gain, torus_delta, torus_distance
+from beamnet.netsim import (
+    NetworkConfig,
+    NetworkState,
+    _forced_link_tables,
+    _gain,
+    torus_delta,
+    torus_distance,
+)
 
 
 def _link_gains(state, config, tx, rx, starred):
@@ -42,10 +52,11 @@ def dense_evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
     rayleigh = config.fading == "rayleigh"
 
     if rayleigh:
+        # One fade per (receiver, transmitter) pair: row by receiver, column j for link j.
         uniq, inv = np.unique(rx, return_inverse=True)
-        fades = rng.standard_exponential((len(uniq), state.n))
-        f_sig = fades[inv, tx]
-        f_int = fades[inv[:, None], tx[None, :]]
+        fades = rng.standard_exponential((len(uniq), n_links))
+        f_sig = fades[inv, np.arange(n_links)]
+        f_int = fades[inv]
     else:
         f_sig = 1.0
         f_int = 1.0
@@ -130,3 +141,41 @@ def multi_rayleigh_success(
             g_tx = float(config.tx_pattern.gain(phi))
         total += float(fades[tk]) * g_rx * g_tx / dist**config.alpha
     return signal >= config.sir0 * total
+
+
+def pairwise_link_prediction(
+    state: NetworkState, config: NetworkConfig, tx_node: int, rx_node: int, step: float = 0.1
+) -> float:
+    """Exact success probability of the designated link of
+    `link_success_probability` under the pairwise model.
+
+    Nodes act independently, so it is Pr(receiver silent) times the product over
+    eligible nodes k of (1 - p_t) + p_t * mean_m q_km, where q_km is the chance
+    that k, aiming at m, leaves the link clear: 1{starred_km >= 0} without
+    fading; with Rayleigh fading, given the signal fade s,
+    1 - exp(-s / (SIR0 d_i^alpha plain_km)), and the product is integrated over
+    s ~ Exp(1).
+
+    The factors switch on at s ~ SIR0 d_i^alpha plain_km, which spans many
+    decades (down to 1e-12 in the tests' networks), so Gauss-Laguerre in s
+    misses them by 2e-4 to 5e-4 even at 180 points.  In ln s every factor is a
+    smooth step of unit width, and the trapezoid rule with `step` over
+    ln s in [-40, 4] is accurate to far below the Monte Carlo error.
+    """
+    if config.model != "pairwise":
+        raise ValueError("prediction applies to the pairwise model only")
+    nodes, offsets, plain, starred, d_i = _forced_link_tables(state, config, tx_node, rx_node)
+    p_t = config.p_t
+    silent = (1.0 - p_t) if state.k_pr[rx_node] > 0 else 1.0
+
+    def product(clear):
+        mean = np.add.reduceat(clear, offsets[:-1], axis=-1) / np.diff(offsets)
+        return np.prod((1.0 - p_t) + p_t * mean, axis=-1)
+
+    if config.fading == "none":
+        return silent * float(product((starred >= 0.0).astype(float)))
+    s = np.exp(np.arange(-40.0, 4.0, step))
+    weight = step * s * np.exp(-s)  # Exp(1) density times ds = s d(ln s)
+    with np.errstate(divide="ignore"):  # plain = 0 (a null) never breaks the link
+        clear = -np.expm1(-s[:, None] / (config.sir0 * d_i**config.alpha * plain))
+    return silent * float(weight @ product(clear))

@@ -25,7 +25,12 @@ from beamnet.netsim import (
     total_throughput_rule,
 )
 from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
-from netsim_reference import dense_evaluate_slot, multi_rayleigh_success, pairwise_success
+from netsim_reference import (
+    dense_evaluate_slot,
+    multi_rayleigh_success,
+    pairwise_link_prediction,
+    pairwise_success,
+)
 
 
 def make_config(**kw):
@@ -353,6 +358,32 @@ def test_forced_link_two_nodes_gives_receiver_silence():
     assert abs(p - 0.75) <= 3 * se
 
 
+@pytest.mark.parametrize("p", [0.05, 0.4, 0.5])
+def test_bernoulli_cells_match_one_gap_at_a_time(p):
+    """The batched draw takes the same cells as geometric gaps drawn one at a time
+    until one passes the last cell, and leaves the generator where they do."""
+    scale = -1.0 / math.log1p(-p)
+    for size, seed in itertools.product((0, 1, 7, 500), range(10)):
+        batched = np.random.default_rng(seed)
+        got = netsim._bernoulli_cells(batched, size, p)
+        rng = np.random.default_rng(seed)
+        want, pos = [], -1
+        while size:
+            pos += math.floor(rng.standard_exponential() * scale) + 1
+            if pos >= size:
+                break
+            want.append(pos)
+        assert got.tolist() == want, (size, seed)
+        assert batched.random() == rng.random(), (size, seed)
+
+
+def test_forced_link_zero_activity_always_succeeds():
+    cfg = make_config(p_t=0.0, model="multi", fading="rayleigh", seed=3)
+    state = generate_network(cfg)
+    a, b = nearest_neighbor_link(state)
+    assert link_success_probability(state, cfg, a, b, 1000, seed=1) == (1.0, 0.0)
+
+
 def test_forced_link_matches_scalar_replay():
     cfg = make_config(
         n=12, r=0.35, p_t=0.4, tx_pattern=esnla(4, 0.5),
@@ -363,27 +394,38 @@ def test_forced_link_matches_scalar_replay():
     slots = 64
     p_hat, _ = link_success_probability(state, cfg, a, b, slots, seed=9)
 
-    nodes, offsets, plain, starred, d_i = netsim._forced_link_tables(state, cfg, a, b)
-    counts = state.k_pr[nodes]
+    # One chunk: busy uniforms, geometric gaps one at a time over the slots x m
+    # grid of (trial, eligible node) cells, one pick per active cell, one fade per
+    # active cell, then the signal fades.
+    nodes = netsim._forced_link_tables(state, cfg, a, b)[0]
+    m = len(nodes)
     rng = np.random.default_rng(np.random.SeedSequence([9, 5]))
     rx_busy = (rng.random(slots) < cfg.p_t) & (state.k_pr[b] > 0)
-    zeta = rng.random((slots, len(nodes))) < cfg.p_t
-    pick = np.minimum((rng.random((slots, len(nodes))) * counts).astype(np.int64), counts - 1)
-    f_int = rng.standard_exponential((slots, len(nodes)))
-    f_sig = rng.standard_exponential(slots)
+    scale = -1.0 / math.log1p(-cfg.p_t)
+    cells, pos = [], -1
+    while True:
+        pos += math.floor(rng.standard_exponential() * scale) + 1
+        if pos >= slots * m:
+            break
+        cells.append(divmod(pos, m))
+    picks = [min(int(rng.random() * state.k_pr[nodes[k]]), state.k_pr[nodes[k]] - 1)
+             for _, k in cells]
+    f_int = [rng.standard_exponential() for _ in cells]
+    f_sig = [rng.standard_exponential() for _ in range(slots)]
 
     hits = 0
     for s in range(slots):
         active = [(int(a), int(b))]
         fades = np.ones(cfg.n)
         fades[a] = f_sig[s]
-        for j, k in enumerate(nodes):
-            if zeta[s, j]:
-                m = state.neighbors[state.neighbor_offsets[k] + pick[s, j]]
-                active.append((int(k), int(m)))
-                fades[k] = f_int[s, j]
+        for (t, k), pick, fade in zip(cells, picks, f_int):
+            if t == s:
+                node = nodes[k]
+                active.append((int(node), int(state.neighbors[state.neighbor_offsets[node] + pick])))
+                fades[node] = fade
         ok = multi_rayleigh_success((a, b), active, state, cfg, fades)
         hits += int(ok and not rx_busy[s])
+    assert len(cells) > 0
     assert hits / slots == p_hat
 
 
@@ -397,6 +439,39 @@ def test_rayleigh_product_identity_small():
     pred = multi_rayleigh_prediction(state, cfg, a, b)
     p_hat, se = link_success_probability(state, cfg, a, b, 2 * 10**5, seed=99)
     assert abs(p_hat - pred) <= 3 * se
+
+
+@pytest.mark.parametrize("fading", netsim.FADINGS)
+def test_pairwise_fixed_link_matches_exact_product(fading):
+    cfg = make_config(
+        n=10, r=0.35, p_t=0.3, tx_pattern=esnla(4, 0.5),
+        model="pairwise", fading=fading, seed=3,
+    )
+    state = generate_network(cfg)
+    a, b = nearest_neighbor_link(state)
+    pred = pairwise_link_prediction(state, cfg, a, b)
+    assert abs(pred - pairwise_link_prediction(state, cfg, a, b, step=0.05)) < 1e-12
+    assert pred < (1.0 - cfg.p_t) - 0.1  # interferers matter, not only the busy receiver
+    p_hat, se = link_success_probability(state, cfg, a, b, 2 * 10**5, seed=99)
+    assert abs(p_hat - pred) <= 3 * se
+
+
+def test_forced_link_memory_is_bounded_at_large_n():
+    """2000 trials at n = 10^4, p_t = 1/2 stay under 128 MiB: trials run in chunks
+    of about _PAIR_BUDGET cells, and only the active ones are drawn."""
+    n = 10_000
+    p_t, r = total_throughput_rule(n)
+    cfg = make_config(n=n, r=r, p_t=p_t, model="multi", fading="rayleigh", seed=44)
+    state = generate_network(cfg)
+    a, b = nearest_neighbor_link(state)
+    tracemalloc.start()
+    try:
+        p_hat, _ = link_success_probability(state, cfg, a, b, 2000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < p_hat < 1.0
+    assert peak < 128 * 2**20, peak
 
 
 def test_prediction_requires_rayleigh_multi():
