@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+
+from .patterns import check_alpha
 
 # Asymptotic root of the transport-radius stationarity condition (valid n >= 100).
 TRANSPORT_ROOT_COEFF = 1.256
@@ -22,8 +24,7 @@ def guard_zone(sir0: float, alpha: float) -> tuple[float, float]:
     """Guard zone Delta = SIR0**(1/alpha) - 1 and area constant c1 = pi*(1+Delta)**2."""
     if not sir0 > 1.0:
         raise ValueError(f"SIR0 must exceed 1, got {sir0}")
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
     delta = sir0 ** (1.0 / alpha) - 1.0
     return delta, math.pi * (1.0 + delta) ** 2
 
@@ -32,8 +33,7 @@ def f_alpha(alpha: float) -> float:
     """Rayleigh fade-ratio moment E[(F1/F2)**(2/alpha)] = (2pi/alpha)/sin(2pi/alpha).
 
     Diverges for alpha <= 2 (returns math.inf)."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
     if alpha <= 2.0:
         return math.inf
     x = 2.0 * math.pi / alpha
@@ -46,29 +46,6 @@ def f_alpha_monte_carlo(alpha: float, samples: int = 10**6, seed: int = 0) -> fl
     f1 = rng.standard_exponential(samples)
     f2 = rng.standard_exponential(samples)
     return float(np.mean((f1 / f2) ** (2.0 / alpha)))
-
-
-@dataclass(frozen=True)
-class RatioCheckReport:
-    ks_stat: float
-    p_value: float
-    median: float
-    passed: bool
-
-
-def ratio_distribution_check(samples: int = 10**6, seed: int = 0) -> RatioCheckReport:
-    """KS test (1% level) that V = F1/F2 for Exp(1) pairs has CDF v/(1+v)."""
-    if samples < 10**5:
-        raise ValueError(f"need at least 1e5 samples, got {samples}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFB]))
-    v = rng.standard_exponential(samples) / rng.standard_exponential(samples)
-    res = stats.kstest(v, lambda t: t / (1.0 + t))
-    return RatioCheckReport(
-        ks_stat=float(res.statistic),
-        p_value=float(res.pvalue),
-        median=float(np.median(v)),
-        passed=bool(res.pvalue >= 0.01),
-    )
 
 
 def _bracket_power(n: int, x: float) -> float:

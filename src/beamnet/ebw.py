@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import derive_seed, run_indexed, shard_rng, shard_sizes
-from .patterns import TWO_PI, AntennaPattern
+from .patterns import TWO_PI, AntennaPattern, check_alpha
 
 DEFAULT_SAMPLES = 10**6
 
@@ -117,8 +117,7 @@ def _bernoulli_estimate(count_fn, samples: int, seed: int, threads: int) -> tupl
 
 
 def _check_inputs(alpha: float, samples: int) -> None:
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
 
@@ -175,8 +174,7 @@ def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) 
     the beam fraction); arrays use the periodic trapezoid rule on EXACT_GRID
     angles (Trefethen & Weideman, SIAM Review 56, 2014).
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    check_alpha(alpha)
     if pattern.kind == "omni":
         return 1.0
     if pattern.kind == "sector":
@@ -235,39 +233,3 @@ def verify_bounds(
         passed=bool(lo_ok and hi_ok),
     )
 
-
-def ebw_monotonicity_scan(
-    pattern: AntennaPattern,
-    alpha_star_list=None,
-    h_list=None,
-    alpha: float = 4.0,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    threads: int = 1,
-) -> list[tuple[float, EbwEstimate]]:
-    """W_B across effective path-loss exponents alpha* (realized as alpha = 2*alpha*,
-    h = 2) or across basis orders h at fixed alpha.  W_B increases with alpha* and
-    decreases with h."""
-    if (alpha_star_list is None) == (h_list is None):
-        raise ValueError("provide exactly one of alpha_star_list or h_list")
-    rows: list[tuple[float, EbwEstimate]] = []
-    if alpha_star_list is not None:
-        params = [float(a) for a in alpha_star_list]
-        if params != sorted(params) or any(a <= 0 for a in params):
-            raise ValueError("alpha_star_list must be a sorted positive list")
-        for i, a_star in enumerate(params):
-            est = effective_beam_width(
-                pattern, BasisDistribution(2.0), 2.0 * a_star, samples,
-                derive_seed(seed, 3, i), threads,
-            )
-            rows.append((a_star, est))
-    else:
-        params = [float(h) for h in h_list]
-        if params != sorted(params) or any(h <= 0 for h in params):
-            raise ValueError("h_list must be a sorted positive list")
-        for i, h in enumerate(params):
-            est = effective_beam_width(
-                pattern, BasisDistribution(h), alpha, samples, derive_seed(seed, 3, i), threads
-            )
-            rows.append((h, est))
-    return rows

@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 
 from ._parallel import derive_seed, run_indexed
 from .analytic import guard_zone
-from .patterns import AntennaPattern, omni
+from .patterns import AntennaPattern, check_alpha, omni
 
 MAX_LINK_LENGTH = math.sqrt(2.0) / 2.0
 
@@ -71,8 +71,7 @@ class NetworkConfig:
             raise ValueError(
                 f"p_t must lie in [0, 0.5] (optimal region is (0, 1/2]), got {self.p_t}"
             )
-        if self.alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.sir0 > 1.0:
             raise ValueError(f"SIR0 must exceed 1, got {self.sir0}")
         if self.model not in MODELS:

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import windows
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +23,12 @@ DEFAULT_GRID = 1 << 20
 
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
 NULL_CLAMP = 1e-300
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a path-loss exponent alpha that is not finite and >= 1, NaN included."""
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
 
 
 def _wrap_pi(theta: np.ndarray) -> np.ndarray:
@@ -85,8 +89,7 @@ class AntennaPattern:
 
     def gain_starred(self, theta, alpha: float) -> np.ndarray | float:
         """G*(theta) = G(theta)**(1/alpha), the path-loss-adjusted gain."""
-        if alpha < 1.0:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
+        check_alpha(alpha)
         g = self.gain(theta)
         return np.power(g, 1.0 / alpha) if np.ndim(theta) else float(g) ** (1.0 / alpha)
 
@@ -152,12 +155,6 @@ def esnla(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     return _array_pattern(coeffs, d_ratio, f"esnla({n},{float(d_ratio):g})", roots=roots)
 
 
-def esnla_null_set(n: int) -> np.ndarray:
-    """Full null set {s*pi/(N+1), |s| = 1..N} of the raw ESNLA factor."""
-    s = np.concatenate([np.arange(-n, 0), np.arange(1, n + 1)])
-    return s * np.pi / (n + 1)
-
-
 def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     """Binomial-taper linear array: a_k = C(N, k)."""
     if n < 1:
@@ -169,18 +166,22 @@ def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
 def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     """Dolph-Chebyshev array with main-lobe-to-side-lobe field ratio R_MS.
 
-    Sidelobes sit at equal power level 1/R_MS**2 relative to the main beam.
+    Sidelobes sit at equal power level 1/R_MS**2 relative to the main beam.  The
+    factor is T_N(x0 cos(psi/2)) with x0 = cosh(arccosh(R_MS)/N) in the phase
+    psi = 2*pi*(D/lambda)*sin(theta), so its nulls are Dolph's closed form
+    psi_k = 2 arccos(cos((2k-1)pi/2N)/x0), k = 1..N (Proc. IRE 34, 1946).
     """
     if n < 1:
         raise ValueError(f"chebyshev degree must be >= 1, got {n}")
-    if not r_ms > 1.0:
-        raise ValueError(f"r_ms must exceed 1, got {r_ms}")
-    with warnings.catch_warnings():
-        # chebwin warns below 45 dB attenuation; harmless for pattern synthesis.
-        warnings.simplefilter("ignore", UserWarning)
-        coeffs = windows.chebwin(n + 1, at=20.0 * math.log10(r_ms), sym=True)
-    return from_coefficients(
-        coeffs, d_ratio, f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})"
+    if not 1.0 < r_ms < math.inf:
+        raise ValueError(f"r_ms must be finite and exceed 1, got {r_ms}")
+    x0 = math.cosh(math.acosh(r_ms) / n)
+    psi = 2.0 * np.arccos(np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)) / x0)
+    # The nulls come in conjugate pairs, so the sign of psi in the roots is immaterial.
+    roots = np.exp(1j * psi)
+    return _array_pattern(
+        npoly.polyfromroots(roots), d_ratio,
+        f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})", roots=roots,
     )
 
 

@@ -93,8 +93,8 @@ def sweep(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if alpha_star <= 0:
-        raise ValueError(f"alpha_star must be positive, got {alpha_star}")
+    if not 0.0 < alpha_star < math.inf:
+        raise ValueError(f"alpha_star must be finite and positive, got {alpha_star}")
     alpha = 2.0 * alpha_star
     n_list = [int(n) for n in n_list]
 

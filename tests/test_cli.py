@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beamnet
 from beamnet.cli import main
 
 
@@ -110,6 +115,36 @@ def test_netsim_rejects_zero_bins(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "bins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd,option",
+    [
+        (["ebw", "--family", "esnla", "--samples", "100", "--alpha", "nan"], "alpha"),
+        (["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--alpha", "nan"], "alpha"),
+        (["analytic", "--alpha", "nan"], "alpha"),
+        (["pattern", "--family", "omni", "--rows", "8", "--alpha", "nan"], "alpha"),
+        (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "nan"], "alpha_star"),
+        (["ebw", "--family", "omni", "--samples", "100", "--alpha", "inf"], "alpha"),
+        (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "inf"], "alpha_star"),
+    ],
+    ids=["ebw", "netsim", "analytic", "pattern", "scan", "ebw-inf", "scan-inf"],
+)
+def test_non_finite_path_loss_exponent_is_usage_error(tmp_path, capsys, cmd, option):
+    assert main(cmd + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_import_leaves_scipy_signal_and_stats_unloaded():
+    # `import beamnet` is most of every command's start-up time; keep it to the SciPy it uses.
+    src = str(Path(beamnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, beamnet; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_analytic_json(capsys):

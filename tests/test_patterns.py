@@ -1,17 +1,18 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import windows
 
 from beamnet import patterns
 from beamnet.patterns import (
     binomial_array,
     chebyshev_array,
     esnla,
-    esnla_null_set,
     from_coefficients,
     omni,
     sector,
@@ -73,9 +74,8 @@ def test_esnla_placed_null():
 
 def test_esnla_full_null_set_n2():
     p = esnla(2, 0.5)
-    expected = np.array([-2, -1, 1, 2]) * math.pi / 3
-    assert np.allclose(np.sort(esnla_null_set(2)), np.sort(expected))
-    for t in expected:
+    # the full null set {s*pi/(N+1), |s| = 1..N}
+    for t in np.array([-2, -1, 1, 2]) * math.pi / 3:
         assert p.array_factor(t) < 1e-9
         assert raw_esnla_product(t, 2, 0.5) < 1e-9
 
@@ -151,10 +151,25 @@ def test_chebyshev_limit_is_binomial():
 
 
 def test_chebyshev_validation():
-    with pytest.raises(ValueError):
-        chebyshev_array(0, 0.5, 30.0)
-    with pytest.raises(ValueError):
-        chebyshev_array(4, 0.5, 1.0)
+    for n, r_ms in [(0, 30.0), (4, 1.0), (4, 0.5), (4, math.inf), (4, math.nan)]:
+        with pytest.raises(ValueError):
+            chebyshev_array(n, 0.5, r_ms)
+
+
+@pytest.mark.parametrize("d", [1 / 16, 1 / 8, 1 / 4, 1 / 2])
+def test_chebyshev_nulls_match_chebwin_taper(d):
+    # Independent oracle: scipy's Dolph-Chebyshev window as the taper of a coefficient array.
+    theta = np.arange(1 << 14) * (TWO_PI / (1 << 14))
+    for n in range(1, 41):
+        for r_ms in (1.5, 30.0, 1e4):
+            with warnings.catch_warnings():
+                # chebwin warns below 45 dB attenuation.
+                warnings.simplefilter("ignore", UserWarning)
+                taper = windows.chebwin(n + 1, at=20.0 * math.log10(r_ms))
+            want = from_coefficients(taper, d, "chebwin").gain(theta)
+            p = chebyshev_array(n, d, r_ms)
+            assert np.max(np.abs(p.gain(theta) - want)) <= 1e-12, (n, r_ms)
+            assert p.gain(0.0) == 1.0
 
 
 def test_starred_power_rule():
@@ -167,8 +182,9 @@ def test_starred_power_rule():
 
 
 def test_gain_starred_rejects_small_alpha():
-    with pytest.raises(ValueError):
-        omni().gain_starred(0.0, 0.5)
+    for alpha in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            omni().gain_starred(0.0, alpha)
 
 
 def test_threshold_widths_sector():
