@@ -234,7 +234,6 @@ def test_monotone_in_alpha_star():
     basis = BasisDistribution(2.0)
     widths = [exact_beam_width(esnla(4, 0.5), basis, 2.0 * a) for a in ALPHA_STARS]
     assert all(b > a for a, b in zip(widths, widths[1:]))
-    assert all(exact_beam_width(omni(), basis, 2.0 * a) == 1.0 for a in ALPHA_STARS)
 
 
 def test_monotone_decreasing_in_h():
@@ -242,6 +241,14 @@ def test_monotone_decreasing_in_h():
     widths = [exact_beam_width(esnla(4, 0.5), BasisDistribution(h), 4.0) for h in ORDERS]
     assert all(b < a for a, b in zip(widths, widths[1:]))
     assert all(exact_beam_width(omni(), BasisDistribution(h), 4.0) == 1.0 for h in ORDERS)
+
+
+def test_scan_omni_constant():
+    # G* = 1 everywhere, so every interferer is reached whatever alpha*: W_B = 1 on both routes
+    basis = BasisDistribution(2.0)
+    for a in ALPHA_STARS:
+        assert exact_beam_width(omni(), basis, 2.0 * a) == 1.0
+        assert effective_beam_width(omni(), basis, 2.0 * a, 10**4, seed=0).value == 1.0
 
 
 def test_fixed_seed_reproducible():
