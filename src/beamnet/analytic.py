@@ -20,10 +20,15 @@ from .patterns import check_alpha
 TRANSPORT_ROOT_COEFF = 1.256
 
 
+def check_sir0(sir0: float) -> None:
+    """Reject an SIR threshold that is not finite and > 1, NaN included."""
+    if not 1.0 < sir0 < math.inf:
+        raise ValueError(f"SIR0 must be finite and exceed 1, got {sir0}")
+
+
 def guard_zone(sir0: float, alpha: float) -> tuple[float, float]:
     """Guard zone Delta = SIR0**(1/alpha) - 1 and area constant c1 = pi*(1+Delta)**2."""
-    if not sir0 > 1.0:
-        raise ValueError(f"SIR0 must exceed 1, got {sir0}")
+    check_sir0(sir0)
     check_alpha(alpha)
     delta = sir0 ** (1.0 / alpha) - 1.0
     return delta, math.pi * (1.0 + delta) ** 2

@@ -38,8 +38,8 @@ class BasisDistribution:
     order: float
 
     def __post_init__(self):
-        if not self.order > 0.0:
-            raise ValueError(f"order must be positive, got {self.order}")
+        if not 0.0 < self.order < math.inf:
+            raise ValueError(f"order must be finite and positive, got {self.order}")
 
     def cdf(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** self.order
@@ -65,10 +65,11 @@ class MixtureDistribution:
     def __post_init__(self):
         if len(self.weights) == 0 or len(self.weights) != len(self.orders):
             raise ValueError("mixture needs matching, nonempty weights and orders")
-        if any(w < 0.0 for w in self.weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if any(h <= 0.0 for h in self.orders):
-            raise ValueError("mixture orders must be positive")
+        # Written so that NaN fails each test.
+        if not all(0.0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"mixture weights must be finite and nonnegative, got {self.weights}")
+        if not all(0.0 < h < math.inf for h in self.orders):
+            raise ValueError(f"mixture orders must be finite and positive, got {self.orders}")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {sum(self.weights)!r}")
 

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._parallel import derive_seed, run_indexed
-from .analytic import guard_zone
+from .analytic import check_sir0, guard_zone
 from .patterns import AntennaPattern, check_alpha, omni
 
 MAX_LINK_LENGTH = math.sqrt(2.0) / 2.0
@@ -72,8 +72,7 @@ class NetworkConfig:
                 f"p_t must lie in [0, 0.5] (optimal region is (0, 1/2]), got {self.p_t}"
             )
         check_alpha(self.alpha)
-        if not self.sir0 > 1.0:
-            raise ValueError(f"SIR0 must exceed 1, got {self.sir0}")
+        check_sir0(self.sir0)
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.fading not in FADINGS:
@@ -151,15 +150,30 @@ class SlotOutcome:
     success: np.ndarray
 
 
-def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: bool):
+def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: bool,
+          lengths=None):
     """Gain, plain or starred, toward `direction` of `pattern` aimed along
-    `boresight` (vectors along the last axis); scalar 1.0 when omni."""
+    `boresight` (vectors along the last axis); scalar 1.0 when omni.
+
+    An array pattern depends on the angle only through its sine, taken as
+    cross / (|boresight| |direction|).  Pass `lengths`, the pair of norms, when
+    they are known; else they are computed, and a zero vector reads as angle 0.
+    """
     if pattern.kind == "omni":
         return 1.0
     vx, vy = boresight[..., 0], boresight[..., 1]
     wx, wy = direction[..., 0], direction[..., 1]
-    theta = np.arctan2(vx * wy - vy * wx, vx * wx + vy * wy)  # signed angle from v to w
-    return pattern.gain_starred(theta, alpha) if starred else pattern.gain(theta)
+    cross = vx * wy - vy * wx
+    if pattern.kind == "array":
+        if lengths is None:
+            norm = np.hypot(vx, vy) * np.hypot(wx, wy)
+            norm = np.where(norm > 0.0, norm, 1.0)
+        else:
+            norm = lengths[0] * lengths[1]
+        g = pattern.gain_from_sine(cross / norm)
+    else:
+        g = pattern.gain(np.arctan2(cross, vx * wx + vy * wy))  # signed angle from v to w
+    return np.power(g, 1.0 / alpha) if starred else g
 
 
 # Pairs (link, node) held at once by one block of links; bounds a slot's memory.
@@ -185,15 +199,20 @@ def _evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
         reach = (1.0 + state.delta) * d + _REACH_PAD
         tx_tree = cKDTree(pos[tx], boxsize=1.0)
 
-    def gains(i, j, starred):
+    def gains(i, j, starred, excl=None):
         """(g_rx, g_tx, dist) of link i against transmitter j, elementwise over
-        broadcast index arrays; a gain is scalar 1.0 when its side is omni."""
+        broadcast index arrays; a gain is scalar 1.0 when its side is omni.
+        Where `excl` is set, dist reads 1 (it vanishes at j == R_i) and the
+        gains are meaningless."""
         disp = torus_delta(pos[rx[i]], pos[tx[j]])  # R_i -> T_j
         dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
-        g_rx = _gain(config.rx_pattern, back[i], disp, alpha, starred)
+        if excl is not None:
+            dist[excl] = 1.0
+        # Link lengths d are |R_i -> T_i|, the boresight lengths.
+        g_rx = _gain(config.rx_pattern, back[i], disp, alpha, starred, (d[i], dist))
         # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
         # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
-        g_tx = _gain(config.tx_pattern, back[j], disp, alpha, starred)
+        g_tx = _gain(config.tx_pattern, back[j], disp, alpha, starred, (d[j], dist))
         return g_rx, g_tx, dist
 
     _, inv = np.unique(rx, return_inverse=True)
@@ -224,16 +243,14 @@ def _evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
                 f_sig = f_int = 1.0
             i, j = rows[:, None], np.arange(n_links)[None, :]
             excl = (j == i) | (tx[j] == rx[i])  # j == T_i (self) and j == R_i
-            g_rx, g_tx, dist = gains(i, j, starred=False)
+            g_rx, g_tx, dist = gains(i, j, starred=False, excl=excl)
             if config.model == "pairwise":
                 ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
                     d[i] ** alpha
                 )
                 success[rows] = np.all(ok | excl, axis=1)
             else:
-                # dist vanishes at excluded (self/receiver) entries; keep them out of the sum.
-                safe = np.where(excl, 1.0, dist)
-                term = np.where(excl, 0.0, f_int * g_rx * g_tx) * safe ** (-alpha)
+                term = np.where(excl, 0.0, f_int * g_rx * g_tx) * dist ** (-alpha)
                 signal = f_sig * d[rows] ** (-alpha)
                 success[rows] = signal >= config.sir0 * term.sum(axis=1)
         u = v
@@ -449,20 +466,20 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     counts = state.k_pr[nodes]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     ks = np.repeat(nodes, counts)
-    ms = state.neighbors[np.repeat(keep, state.k_pr)]  # CSR rows of the kept nodes
+    csr = np.repeat(keep, state.k_pr)  # CSR entries of the kept nodes
+    ms = state.neighbors[csr]
 
     w = torus_delta(ri, pos[ks])  # R_i -> k
     dist = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
     u = -w  # k -> R_i
-    v2 = torus_delta(pos[ks], pos[ms])  # k -> chosen receiver m
+    v2 = torus_delta(pos[ks], pos[ms])  # k -> chosen receiver m, of length neighbor_dist
 
     alpha = config.alpha
-    g_rx = _gain(config.rx_pattern, v1, w, alpha, starred=False)
-    g_tx = _gain(config.tx_pattern, v2, u, alpha, starred=False)
+    g_rx = _gain(config.rx_pattern, v1, w, alpha, False, (d_i, dist))
+    g_tx = _gain(config.tx_pattern, v2, u, alpha, False, (state.neighbor_dist[csr], dist))
     plain = g_rx * g_tx * dist ** (-alpha) * np.ones(len(ks))
-
-    gs_rx = _gain(config.rx_pattern, v1, w, alpha, starred=True)
-    gs_tx = _gain(config.tx_pattern, v2, u, alpha, starred=True)
+    # G* = G**(1/alpha), as gain_starred computes it.
+    gs_rx, gs_tx = np.power(g_rx, 1.0 / alpha), np.power(g_tx, 1.0 / alpha)
     starred = dist - (1.0 + state.delta) * d_i * gs_rx * gs_tx * np.ones(len(ks))
     return nodes, offsets, plain, starred, d_i
 

@@ -1,10 +1,20 @@
 """Normalized azimuthal antenna power patterns and threshold-based beam widths.
 
 Every pattern exposes a gain G(theta) in [0, 1] with G(0) = 1 at boresight,
-2*pi-periodic in theta.  Linear-array patterns are built from taper
-coefficients a_k via the array factor |sum_k a_k exp(-2*pi*i*k*(D/lambda)*sin(theta))|,
-whose main beam lies at theta = 0 by construction, and are normalized by
-their power there.
+2*pi-periodic in theta.  A linear array of N + 1 elements with taper a_k has the
+array factor AF = sum_k a_k z^k, z = exp(-i psi), in the phase
+psi = 2*pi*(D/lambda)*sin(theta); its main beam lies at theta = 0.
+
+Arrays built from their nulls (ESNLA, binomial, Dolph-Chebyshev) have every
+null on the unit circle, in conjugate pairs r, conj(r) = exp(+-i psi_k) plus m
+lone nulls at psi = pi.  With u = sin^2(psi/2) and u_k = sin^2(psi_k/2), a pair
+contributes |z - r| |z - conj(r)| = 4 |u - u_k| and a lone null 2 |cos(psi/2)|,
+so in real arithmetic, with one sine of the phase per angle,
+
+    G(theta) = prod_pairs (1 - u/u_k)^2 * cos(psi/2)^(2m),
+
+and G(0) = 1 exactly.  Arrays given by an arbitrary taper (`from_coefficients`)
+evaluate the polynomial at z and are normalized by their power at theta = 0.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ DEFAULT_GRID = 1 << 20
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
 NULL_CLAMP = 1e-300
 
+# Angles per block of the null-product kernel; its temporaries then stay in cache.
+_BLOCK = 1 << 14
+
 
 def check_alpha(alpha: float) -> None:
     """Reject a path-loss exponent alpha that is not finite and >= 1, NaN included."""
@@ -36,17 +49,33 @@ def _wrap_pi(theta: np.ndarray) -> np.ndarray:
     return np.mod(theta + np.pi, TWO_PI) - np.pi
 
 
-def _factor_magnitude(theta, d_ratio, coeffs, roots):
-    """|AF| at theta.  Patterns built from placed nulls evaluate as the root
-    product, which stays accurate where the expanded polynomial cancels
-    catastrophically (large N with small spacing)."""
-    z = np.exp(-2j * np.pi * d_ratio * np.sin(theta))
-    if roots is not None:
-        out = np.ones_like(z)
-        for r in roots:
-            out = out * (z - r)
-        return np.abs(out)
-    return np.abs(npoly.polyval(z, coeffs))
+def _unit_clamp(g: np.ndarray) -> np.ndarray:
+    """Clamp power gains into [0, 1] in place, zeroing those below NULL_CLAMP."""
+    np.minimum(g, 1.0, out=g)
+    g[g < NULL_CLAMP] = 0.0
+    return g
+
+
+def _taper_factor(sin_theta, d_ratio, coeffs):
+    """|AF| of a taper, the polynomial evaluated at z = exp(-i psi)."""
+    return np.abs(npoly.polyval(np.exp(-2j * np.pi * d_ratio * sin_theta), coeffs))
+
+
+def _null_factor(sin_theta, d_ratio, null_u, lone_nulls):
+    """AF(theta)/AF(0) up to sign for nulls on the unit circle, in real arithmetic
+    (module docstring).  Lone-null factors are cos(psi/2), not sqrt(1 - u), which
+    would lose relative accuracy next to the null at psi = pi."""
+    half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2
+    f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
+    if len(null_u):
+        u = np.sin(half)
+        u *= u
+        t = np.empty_like(u)
+        for c in -1.0 / null_u:
+            np.multiply(u, c, out=t)
+            t += 1.0
+            f *= t
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,23 +85,56 @@ class AntennaPattern:
     kind: str  # "omni" | "sector" | "array"
     label: str
     beam_fraction: float = 1.0  # sector only
-    coeffs: np.ndarray | None = None  # array only: a_k, k = 0..N (ascending)
-    roots: np.ndarray | None = None  # array only: placed factor roots, if built from nulls
     d_ratio: float = 0.5  # array only: element spacing D/lambda
-    peak_power: float = 1.0  # AF(0)**2, the main-beam power
+    # Arrays built from their nulls: u_k = sin^2(psi_k/2) per conjugate null pair,
+    # and the number of lone nulls at psi = pi.
+    null_u: np.ndarray | None = None
+    lone_nulls: int = 0
+    # Arrays given by a taper: a_k, k = 0..N (ascending), and AF(0)**2, the main-beam power.
+    taper: np.ndarray | None = None
+    peak_power: float = 1.0
+
+    @property
+    def coeffs(self) -> np.ndarray | None:
+        """Taper a_k, k = 0..N (ascending), of an array; for one built from its
+        nulls, the monic polynomial with those roots.  None for non-arrays."""
+        if self.null_u is None:
+            return self.taper
+        e = np.exp(2j * np.arcsin(np.sqrt(self.null_u)))  # exp(i psi_k)
+        return npoly.polyfromroots(np.concatenate([e, e.conj(), -np.ones(self.lone_nulls)]))
 
     @property
     def degree(self) -> int:
         """Degree N of the array factor (number of nulls); 0 for non-arrays."""
-        return 0 if self.coeffs is None else len(self.coeffs) - 1
+        if self.null_u is not None:
+            return 2 * len(self.null_u) + self.lone_nulls
+        return 0 if self.taper is None else len(self.taper) - 1
 
     def array_factor(self, theta) -> np.ndarray | float:
         """Raw (unnormalized) array factor magnitude."""
-        if self.coeffs is None:
+        if self.kind != "array":
             raise ValueError(f"pattern {self.label!r} has no array factor")
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        af = _factor_magnitude(th, self.d_ratio, self.coeffs, self.roots)
+        s = np.sin(np.atleast_1d(np.asarray(theta, dtype=float)))
+        if self.null_u is None:
+            af = _taper_factor(s, self.d_ratio, self.taper)
+        else:
+            peak = float(np.prod(4.0 * self.null_u)) * 2.0**self.lone_nulls  # |AF(0)|
+            af = np.abs(_null_factor(s, self.d_ratio, self.null_u, self.lone_nulls)) * peak
         return af if np.ndim(theta) else float(af[0])
+
+    def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
+        """Normalized gain of an array pattern at angles given by their sines (an
+        array factor depends on theta only through sin(theta))."""
+        s = np.asarray(sin_theta, dtype=float)
+        if self.null_u is None:
+            return _unit_clamp(_taper_factor(s, self.d_ratio, self.taper) ** 2 / self.peak_power)
+        g = np.empty(s.shape)
+        flat, out = s.reshape(-1), g.reshape(-1)
+        for a in range(0, flat.size, _BLOCK):
+            f = _null_factor(flat[a : a + _BLOCK], self.d_ratio, self.null_u, self.lone_nulls)
+            f *= f
+            out[a : a + _BLOCK] = _unit_clamp(f)
+        return g
 
     def gain(self, theta) -> np.ndarray | float:
         """Normalized power gain G(theta) in [0, 1]."""
@@ -82,9 +144,7 @@ class AntennaPattern:
         elif self.kind == "sector":
             g = (np.abs(_wrap_pi(th)) <= np.pi * self.beam_fraction + 1e-15).astype(float)
         else:
-            af = _factor_magnitude(th, self.d_ratio, self.coeffs, self.roots)
-            g = np.clip(af * af / self.peak_power, 0.0, 1.0)
-            g = np.where(g < NULL_CLAMP, 0.0, g)
+            g = self.gain_from_sine(np.sin(th))
         return g if np.ndim(theta) else float(g[0])
 
     def gain_starred(self, theta, alpha: float) -> np.ndarray | float:
@@ -116,29 +176,29 @@ def sector(beam_fraction: float) -> AntennaPattern:
     return AntennaPattern(kind="sector", label=f"sector({f:g})", beam_fraction=f)
 
 
-def _array_pattern(coeffs: np.ndarray, d_ratio: float, label: str, roots=None) -> AntennaPattern:
-    """Array pattern normalized by its power at theta = 0, where the main beam lies."""
+def _array_pattern(d_ratio, label, **fields) -> AntennaPattern:
+    """Array pattern at element spacing D/lambda in (0, 1/2], which keeps grating
+    lobes out of the visible phases."""
     d = float(d_ratio)
     if not 0.0 < d <= 0.5:
         raise ValueError(f"d_ratio must lie in (0, 1/2], got {d_ratio}")
-    # The same 1-d evaluation gain() performs, so gain(0) == 1 exactly.
-    peak = float(_factor_magnitude(np.zeros(1), d, coeffs, roots)[0] ** 2)
-    return AntennaPattern(
-        kind="array", label=label, coeffs=coeffs, roots=roots, d_ratio=d, peak_power=peak
-    )
+    return AntennaPattern(kind="array", label=label, d_ratio=d, **fields)
 
 
 def from_coefficients(coeffs, d_ratio: float, label: str) -> AntennaPattern:
     """Build a normalized array pattern from a real, nonnegative taper a_0..a_N.
 
-    Such a taper peaks at theta = 0: |sum a_k z^k| <= sum a_k, attained at z = 1.
+    Such a taper peaks at theta = 0: |sum a_k z^k| <= sum a_k, attained at z = 1,
+    where the pattern is normalized.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or len(c) < 2:
         raise ValueError("need at least two coefficients")
     if not (np.all(c.imag == 0.0) and np.all(c.real >= 0.0) and c.real.sum() > 0.0):
         raise ValueError("taper must be real and nonnegative, and not all zero")
-    return _array_pattern(c, d_ratio, label)
+    # The same 1-d evaluation gain() performs, so gain(0) == 1 exactly.
+    peak = float(_taper_factor(np.zeros(1), float(d_ratio), c)[0] ** 2)
+    return _array_pattern(d_ratio, label, taper=c, peak_power=peak)
 
 
 def esnla(n: int, d_ratio: float = 0.5) -> AntennaPattern:
@@ -149,18 +209,19 @@ def esnla(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     # the factor tends to the Dirichlet kernel |sin((N+1)theta) / ((N+1) sin theta)|,
     # which peaks there, and a grid scan over N <= 80 and D/lambda in (0, 1/2]
     # finds no angle where |AF| exceeds |AF(0)|.
-    null_angles = TWO_PI * np.arange(1, n + 1) / (n + 1)
-    roots = np.exp(-2j * np.pi * float(d_ratio) * np.sin(null_angles))
-    coeffs = npoly.polyfromroots(roots)
-    return _array_pattern(coeffs, d_ratio, f"esnla({n},{float(d_ratio):g})", roots=roots)
+    # Nulls s and N + 1 - s form a conjugate pair, u_s = sin^2(pi (D/lambda) sin(2 pi s/(N+1))).
+    s = np.arange(1, n // 2 + 1)
+    null_u = np.sin(np.pi * float(d_ratio) * np.sin(TWO_PI * s / (n + 1))) ** 2
+    return _array_pattern(d_ratio, f"esnla({n},{float(d_ratio):g})", null_u=null_u)
 
 
 def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
-    """Binomial-taper linear array: a_k = C(N, k)."""
+    """Binomial-taper linear array, a_k = C(N, k): all N nulls at psi = pi, so
+    G = cos^(2N)(pi (D/lambda) sin(theta))."""
     if n < 1:
         raise ValueError(f"binomial degree must be >= 1, got {n}")
-    coeffs = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    return from_coefficients(coeffs, d_ratio, f"binomial({n},{float(d_ratio):g})")
+    label = f"binomial({n},{float(d_ratio):g})"
+    return _array_pattern(d_ratio, label, null_u=np.zeros(0), lone_nulls=n)
 
 
 def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
@@ -169,20 +230,22 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     Sidelobes sit at equal power level 1/R_MS**2 relative to the main beam.  The
     factor is T_N(x0 cos(psi/2)) with x0 = cosh(arccosh(R_MS)/N) in the phase
     psi = 2*pi*(D/lambda)*sin(theta), so its nulls are Dolph's closed form
-    psi_k = 2 arccos(cos((2k-1)pi/2N)/x0), k = 1..N (Proc. IRE 34, 1946).
+    psi_k = 2 arccos(c_k/x0), c_k = cos((2k-1)pi/2N), k = 1..N (Proc. IRE 34,
+    1946): conjugate pairs k, N + 1 - k with u_k = 1 - c_k^2/x0^2, and a lone
+    null at psi = pi when N is odd.
     """
     if n < 1:
         raise ValueError(f"chebyshev degree must be >= 1, got {n}")
     if not 1.0 < r_ms < math.inf:
         raise ValueError(f"r_ms must be finite and exceed 1, got {r_ms}")
-    x0 = math.cosh(math.acosh(r_ms) / n)
-    psi = 2.0 * np.arccos(np.cos((2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)) / x0)
-    # The nulls come in conjugate pairs, so the sign of psi in the roots is immaterial.
-    roots = np.exp(1j * psi)
-    return _array_pattern(
-        npoly.polyfromroots(roots), d_ratio,
-        f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})", roots=roots,
-    )
+    t = math.acosh(r_ms) / n
+    x0 = math.cosh(t)
+    a = (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / (2 * n)
+    # 1 - c^2/x0^2 = (x0 - c)(x0 + c)/x0^2 with x0 - c = 2 sinh^2(t/2) + 2 sin^2(a/2),
+    # free of cancellation when x0 and c are both near 1.
+    null_u = 2.0 * (math.sinh(t / 2) ** 2 + np.sin(a / 2) ** 2) * (x0 + np.cos(a)) / x0**2
+    label = f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})"
+    return _array_pattern(d_ratio, label, null_u=null_u, lone_nulls=n % 2)
 
 
 def threshold_widths(

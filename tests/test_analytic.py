@@ -43,6 +43,9 @@ def test_guard_zone_validation():
         guard_zone(1.0, 4.0)
     with pytest.raises(ValueError):
         guard_zone(10.0, 0.5)
+    for sir0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="SIR0"):
+            guard_zone(sir0, 4.0)
 
 
 def test_f_alpha_reference_points():

@@ -110,6 +110,28 @@ def test_netsim_precondition_exit_code(tmp_path, capsys):
     assert "SIR0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cmd,message",
+    [
+        (["netsim", "--n", "50", "--r", "0.15", "--pt", "0.2", "--slots", "5", "--sir0", "inf"],
+         "SIR0"),
+        (["netsim", "--n", "50", "--r", "0.15", "--pt", "0.2", "--slots", "5", "--sir0", "nan"],
+         "SIR0"),
+        (["analytic", "--sir0", "inf"], "SIR0"),
+        (["ebw", "--family", "esnla", "--mixture", "nan:2", "--samples", "1000"], "weights"),
+        (["ebw", "--family", "esnla", "--mixture", "1:inf", "--samples", "1000"], "orders"),
+        (["ebw", "--family", "esnla", "--h", "inf", "--samples", "1000"], "order"),
+    ],
+    ids=["netsim-sir0-inf", "netsim-sir0-nan", "analytic-sir0-inf", "ebw-nan-weight",
+         "ebw-inf-order", "ebw-inf-h"],
+)
+def test_non_finite_sir0_and_distribution_are_usage_errors(tmp_path, capsys, cmd, message):
+    assert main(cmd + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_netsim_rejects_zero_bins(tmp_path, capsys):
     code = main(["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--bins", "0",
                  "--out", str(tmp_path / "x.csv")])

@@ -56,6 +56,9 @@ def test_basis_distribution_validation():
         BasisDistribution(0.0)
     with pytest.raises(ValueError):
         BasisDistribution(-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="order"):
+            BasisDistribution(bad)
 
 
 def test_basis_cdf_endpoints():
@@ -80,7 +83,9 @@ def test_h3_matches_radial_ball_law():
 
 @pytest.mark.parametrize(
     "weights,orders",
-    [((), ()), ((0.5, 0.6), (1.0, 2.0)), ((-0.1, 1.1), (1.0, 2.0)), ((0.5, 0.5), (1.0, -2.0))],
+    [((), ()), ((0.5, 0.6), (1.0, 2.0)), ((-0.1, 1.1), (1.0, 2.0)), ((0.5, 0.5), (1.0, -2.0)),
+     ((math.nan,), (2.0,)), ((0.5, math.nan), (1.0, 2.0)), ((1.0,), (math.inf,)),
+     ((0.5, 0.5), (1.0, math.nan))],
 )
 def test_mixture_validation(weights, orders):
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -77,6 +78,8 @@ MODEL_FADINGS = [(m, f) for m in netsim.MODELS for f in netsim.FADINGS]
         dict(model="protocol"),
         dict(fading="rician"),
         dict(n=1),
+        dict(sir0=math.inf),
+        dict(sir0=math.nan),
     ],
 )
 def test_config_validation(kw):
@@ -213,6 +216,24 @@ def test_slot_engine_matches_dense_reference(tx_spec, rx_spec, model, fading, mo
                 want = run_slot(state, cfg, slot_seed(cfg, t))
             assert np.array_equal(got.tx, want.tx), (n, r, p_t, t)
             assert np.array_equal(got.success, want.success), (n, r, p_t, t)
+
+
+@pytest.mark.parametrize("model,fading", MODEL_FADINGS)
+def test_array_patterns_evaluate_without_warnings(model, fading):
+    """The engine takes sin(theta) as cross / (|v| |w|); the excluded self and
+    receiver entries (where |w| = 0) must not divide by zero, in slots or in
+    the fixed-link tables."""
+    cfg = make_config(
+        n=300, r=0.3, p_t=0.5, tx_pattern=parse_pattern_spec("esnla:4:0.5"),
+        rx_pattern=parse_pattern_spec("chebyshev:7:0.5:30"), model=model, fading=fading,
+    )
+    state = generate_network(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        links = sum(len(run_slot(state, cfg, slot_seed(cfg, t)).tx) for t in range(3))
+        a, b = nearest_neighbor_link(state)
+        p_hat, _ = link_success_probability(state, cfg, a, b, 200, seed=3)
+    assert links > 0 and 0.0 <= p_hat <= 1.0
 
 
 def test_slot_guard_boundary_is_inclusive():

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +248,49 @@ def test_gain_is_exactly_one_at_boresight():
     builders = (esnla, binomial_array, lambda n, d: chebyshev_array(n, d, 30.0))
     grid = (build(n, d) for build in builders for n in GRID_DEGREES for d in GRID_SPACINGS)
     assert [p.label for p in grid if p.gain(0.0) != 1.0] == []
+
+
+def mp_gains(family, n, d, theta, r_ms=30.0):
+    """Independent oracle at 40 digits: G(theta) from each family's definition,
+    the ESNLA root product over all N nulls, cos^(2N)(psi/2) for the binomial
+    array and (T_N(x0 cos(psi/2))/R_MS)^2 for the Dolph-Chebyshev array."""
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        dm = mp.mpf(d)
+        nulls = (mp.sin(2 * mp.pi * s / (n + 1)) for s in range(1, n + 1))
+        roots = [mp.expj(-2 * mp.pi * dm * x) for x in nulls]
+        peak = abs(mp.fprod(1 - r for r in roots))  # |AF(0)|
+        x0 = mp.cosh(mp.acosh(r_ms) / n)
+        out = []
+        for t in theta:
+            half = mp.pi * dm * mp.sin(mp.mpf(float(t)))  # psi/2
+            if family == "esnla":
+                z = mp.expj(-2 * half)
+                g = (abs(mp.fprod(z - r for r in roots)) / peak) ** 2
+            elif family == "binomial":
+                g = mp.cos(half) ** (2 * n)
+            else:
+                g = (mp.chebyt(n, x0 * mp.cos(half)) / r_ms) ** 2
+            out.append(float(g))
+    return np.array(out)
+
+
+ORACLE_PATTERNS = (
+    [("esnla", n, d) for n in (2, 4, 20, 200) for d in (1 / 16, 1 / 2)]
+    + [("binomial", n, 0.5) for n in (3, 20)]
+    + [("chebyshev", n, 0.5) for n in (7, 8, 20)]
+)
+
+
+@pytest.mark.parametrize("family,n,d", ORACLE_PATTERNS)
+def test_gain_matches_mpmath_oracle(family, n, d):
+    p = patterns.build_pattern(family, n=n, d_ratio=d, r_ms=30.0)
+    theta = np.random.default_rng(n).uniform(0.0, TWO_PI, 2000)
+    want = mp_gains(family, n, d, theta)
+    g = p.gain(theta)
+    assert np.max(np.abs(g - want)) <= 1e-14
+    big = want >= 1e-12
+    assert np.max(np.abs(g[big] / want[big] - 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize(
