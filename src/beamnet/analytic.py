@@ -2,8 +2,8 @@
 
 These serve as oracles for the slot simulator: the guard zone converts the SIR
 threshold into a distance criterion, F(alpha) is the Rayleigh fade-ratio
-correction, and the bracket expressions for total/transport throughput predict
-how the simulator's averages move with (n, p_t, r, W_B).
+correction, and the total-throughput bracket and the transport-radius root
+predict how the simulator's averages move with (n, p_t, r, W_B).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import optimize
 
 from .patterns import check_alpha
@@ -45,14 +44,6 @@ def f_alpha(alpha: float) -> float:
     return x / math.sin(x)
 
 
-def f_alpha_monte_carlo(alpha: float, samples: int = 10**6, seed: int = 0) -> float:
-    """Sampling oracle for f_alpha: mean of (F1/F2)**(2/alpha) over Exp(1) pairs."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xFA]))
-    f1 = rng.standard_exponential(samples)
-    f2 = rng.standard_exponential(samples)
-    return float(np.mean((f1 / f2) ** (2.0 / alpha)))
-
-
 def _bracket_power(n: int, x: float) -> float:
     """1 - (1 - x)**(n-1), computed stably for tiny x."""
     return -math.expm1((n - 1) * math.log1p(-x))
@@ -69,21 +60,6 @@ def analytic_total_throughput(n: int, p_t: float, r: float, w_b: float, c1: floa
     if x >= 1.0:
         raise ValueError(f"c1*p_t*r^2*W_B = {x:.4g} must stay below 1")
     return n * (1.0 - p_t) * _bracket_power(n, x) / (c1 * (n - 1) * r * r * w_b)
-
-
-def transport_bounds(
-    n: int, p_t: float, r: float, w_b: float, c1: float
-) -> tuple[float, float]:
-    """Lower/upper brackets for expected total transport throughput.
-
-    Upper bound is r times the total-throughput bracket; lower bound is
-    2 n p_t (1-p_t) r (1 - c1 p_t r^2 W_B)^(n-2) / 3."""
-    x = c1 * p_t * r * r * w_b
-    if x >= 1.0:
-        raise ValueError(f"c1*p_t*r^2*W_B = {x:.4g} must stay below 1")
-    lower = 2.0 * n * p_t * (1.0 - p_t) * r * (1.0 - x) ** (n - 2) / 3.0
-    upper = r * analytic_total_throughput(n, p_t, r, w_b, c1)
-    return lower, upper
 
 
 def transport_root(n: int) -> float:
@@ -160,36 +136,4 @@ def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityReg
         r=max(r0, floor),
         pt_clamped=False,
         r_clamped=r0 < floor,
-    )
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    all_strict: bool  # eta1 at p_t0 < eta1 at 1-p_t0 over the whole (1/2, 1) grid
-    argmax_p_t: float  # grid argmax of eta1 over (0, 1)
-    max_gap: float  # largest eta1(p_t0) - eta1(1-p_t0) observed (should be < 0)
-
-
-def per_link_throughput_factor(p_t, n: int, w_b: float, c1: float, d: float):
-    """eta1(p_t) = p_t (1-p_t) (1 - p_t c1 d^2 W_B)^(n-2), the per-link rate shape."""
-    p = np.asarray(p_t, dtype=float)
-    return p * (1.0 - p) * (1.0 - p * c1 * d * d * w_b) ** (n - 2)
-
-
-def optimality_region_check(
-    n: int, w_b: float, c1: float, d: float, grid: int = 10**4
-) -> OptimalityReport:
-    """Confirm the per-link throughput factor peaks at p_t <= 1/2."""
-    if not 0.0 < c1 * d * d * w_b < 1.0:
-        raise ValueError("need 0 < c1*d^2*W_B < 1 for a valid throughput factor")
-    p_hi = np.linspace(0.5, 1.0, 200, endpoint=False)[1:]
-    hi = per_link_throughput_factor(p_hi, n, w_b, c1, d)
-    lo = per_link_throughput_factor(1.0 - p_hi, n, w_b, c1, d)
-    gaps = hi - lo
-    p = np.linspace(0.0, 1.0, grid, endpoint=False)[1:]
-    argmax = float(p[np.argmax(per_link_throughput_factor(p, n, w_b, c1, d))])
-    return OptimalityReport(
-        all_strict=bool(np.all(gaps < 0.0)),
-        argmax_p_t=argmax,
-        max_gap=float(gaps.max()),
     )

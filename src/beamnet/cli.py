@@ -5,8 +5,8 @@ Common flags: --seed, --out, --threads, --emit-plot, --config (a file of
 `key = value` lines, keyed by option destination; explicit flags win).
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
-written, 3 numerical failure.  netsim's bracket takes the exact W_B of both
-patterns.
+written, 3 numerical failure.  ebw reports the exact W_B, and netsim's
+bracket takes the exact W_B of both patterns.
 
 Every output CSV starts with a comment line recording the tool version, the
 resolved configuration, and the seed; identical configurations produce
@@ -21,6 +21,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, analytic, ebw, netsim, patterns, scaling
 
@@ -157,9 +159,13 @@ def _emit_plot(kind: str, csv_path) -> Path:
 def _parse_mixture(spec: str) -> ebw.MixtureDistribution:
     weights, orders = [], []
     for part in spec.split(","):
-        w, h = part.split(":")
-        weights.append(float(w))
-        orders.append(float(h))
+        w, _, h = part.partition(":")
+        try:
+            weights.append(float(w))
+            orders.append(float(h))
+        except ValueError:
+            raise ValueError(f"bad mixture part {part!r} in {spec!r}: expected w:h, "
+                             "e.g. 0.5:1,0.5:4") from None
     return ebw.MixtureDistribution(weights=tuple(weights), orders=tuple(orders))
 
 
@@ -170,9 +176,11 @@ def _parse_n_list(spec: str) -> list[int]:
 def cmd_pattern(args) -> int:
     p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
                                beam_fraction=args.beam_fraction, r_ms=args.rms)
+    theta = np.linspace(0.0, patterns.TWO_PI, args.rows, endpoint=False)
     out = args.out or "pattern.csv"
-    patterns.write_pattern_csv(p, args.alpha, _make_parent(out), rows=args.rows,
-                               comment=_comment("pattern", args))
+    _write_csv(out, ["theta_rad", "gain", "gain_starred"],
+               zip(theta, p.gain(theta), p.gain_starred(theta, args.alpha)),
+               _comment("pattern", args))
     print(f"wrote {out} ({args.rows} rows, pattern {p.label})")
     if args.emit_plot:
         print(f"wrote {_emit_plot('pattern', out)}")
@@ -186,20 +194,17 @@ def cmd_ebw(args) -> int:
         dist = _parse_mixture(args.mixture)
     else:
         dist = ebw.BasisDistribution(args.h)
-    est = ebw.effective_beam_width(p, dist, args.alpha, args.samples, args.seed, args.threads)
+    w_b = ebw.exact_beam_width(p, dist, args.alpha)
     out = args.out or "ebw.csv"
-    _write_csv(
-        out,
-        ["pattern_id", "alpha", "h_or_mixture", "W_B", "stderr", "samples", "seed"],
-        [[p.label, args.alpha, dist.describe(), est.value, est.stderr, est.samples, est.seed]],
-        _comment("ebw", args),
-    )
-    print(f"{p.label}: W_B = {est.value:.6f} +- {est.stderr:.2g} ({est.samples} samples)")
+    _write_csv(out, ["pattern_id", "alpha", "h_or_mixture", "W_B"],
+               [[p.label, args.alpha, dist.describe(), w_b]], _comment("ebw", args))
+    print(f"{p.label}: W_B = {_fmt(w_b)}")
     print(f"wrote {out}")
     return 0
 
 
 SWEEP_COLUMNS = ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"]
+FIT_COLUMNS = ["family", "alpha_star", "d_ratio", "b1", "gamma", "r2"]
 
 
 def _sweep_rows(table: scaling.SweepTable):
@@ -232,6 +237,18 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _write_fits(path, tables, comment: str) -> list:
+    """Fit each sweep table, write one fit CSV and print one line per fit."""
+    fits = [scaling.fit_power_law(t) for t in tables]
+    _write_csv(path, FIT_COLUMNS,
+               [[t.family, t.alpha_star, t.d_ratio, f.b1, f.gamma, f.r2]
+                for t, f in zip(tables, fits)], comment)
+    for t, f in zip(tables, fits):
+        print(f"{t.family} alpha*={t.alpha_star:g} D/lambda={t.d_ratio:g}: "
+              f"b1={f.b1:.4f} gamma={f.gamma:.4f} R2={f.r2:.5f}")
+    return fits
+
+
 def cmd_fit(args) -> int:
     records = _read_csv(args.infile, SWEEP_COLUMNS)
     groups: dict[tuple, list] = {}
@@ -240,19 +257,13 @@ def cmd_fit(args) -> int:
         groups.setdefault(key, []).append(
             scaling.SweepRow(n=int(rec["N"]), w_b=float(rec["W_B"]), stderr=float(rec["stderr"]))
         )
-    rows = []
-    for (family, a_star, d_ratio), sweep_rows in sorted(groups.items()):
-        table = scaling.SweepTable(
-            family=family, alpha_star=a_star, d_ratio=d_ratio,
-            rows=tuple(sorted(sweep_rows, key=lambda r: r.n)),
-        )
-        fit = scaling.fit_power_law(table)
-        rows.append([family, a_star, d_ratio, fit.b1, fit.gamma, fit.r2])
-        print(f"{family} alpha*={a_star:g} D/lambda={d_ratio:g}: "
-              f"b1={fit.b1:.4f} gamma={fit.gamma:.4f} R2={fit.r2:.5f}")
+    tables = [
+        scaling.SweepTable(family=family, alpha_star=a_star, d_ratio=d_ratio,
+                           rows=tuple(sorted(sweep_rows, key=lambda r: r.n)))
+        for (family, a_star, d_ratio), sweep_rows in sorted(groups.items())
+    ]
     out = args.out or "fit.csv"
-    _write_csv(out, ["family", "alpha_star", "d_ratio", "b1", "gamma", "r2"], rows,
-               _comment("fit", args))
+    _write_fits(out, tables, _comment("fit", args))
     print(f"wrote {out}")
     return 0
 
@@ -270,17 +281,8 @@ def _reproduce_bundle(args, curves, out_dir):
     sweep_csv = out_dir / f"{args.figure}_sweep.csv"
     _write_csv(sweep_csv, SWEEP_COLUMNS, rows,
                _comment(f"reproduce {args.figure}", args))
-    fits = [scaling.fit_power_law(t) for t in tables]
-    fit_rows = [
-        [t.family, t.alpha_star, t.d_ratio, f.b1, f.gamma, f.r2]
-        for t, f in zip(tables, fits)
-    ]
-    _write_csv(out_dir / f"{args.figure}_fit.csv",
-               ["family", "alpha_star", "d_ratio", "b1", "gamma", "r2"], fit_rows,
-               _comment(f"reproduce {args.figure}", args))
-    for t, f in zip(tables, fits):
-        print(f"{t.family} alpha*={t.alpha_star:g} D/lambda={t.d_ratio:g}: "
-              f"b1={f.b1:.4f} gamma={f.gamma:.4f} R2={f.r2:.5f}")
+    fits = _write_fits(out_dir / f"{args.figure}_fit.csv", tables,
+                       _comment(f"reproduce {args.figure}", args))
     if args.emit_plot:
         print(f"wrote {_emit_plot('sweep', sweep_csv)}")
     return tables, fits
@@ -384,6 +386,8 @@ def cmd_analytic(args) -> int:
     delta, c1 = analytic.guard_zone(args.sir0, args.alpha)
     regime = analytic.optimal_params(args.n, args.wb, args.objective, c1)
     fade = analytic.f_alpha(args.alpha)
+    # The bracket is defined only while c1*p_t*r^2*W_B < 1 (analytic_total_throughput).
+    x = c1 * regime.p_t * regime.r * regime.r * args.wb
     report = {
         "sir0": args.sir0,
         "alpha": args.alpha,
@@ -400,12 +404,14 @@ def cmd_analytic(args) -> int:
         "r_clamped": regime.r_clamped,
         "total_throughput_bracket": analytic.analytic_total_throughput(
             args.n, regime.p_t, regime.r, args.wb, c1
-        ),
+        ) if x < 1.0 else None,
     }
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
         for k, v in report.items():
+            if v is None:
+                v = f"undefined (c1*p_t*r^2*W_B = {x:.4g} >= 1)"
             print(f"{k}: {_fmt(v) if isinstance(v, float) else v}")
     return 0
 
@@ -439,12 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=cmd_pattern)
 
-    sp = sub.add_parser("ebw", help="estimate an effective beam width")
+    sp = sub.add_parser("ebw", help="compute an effective beam width")
     _add_pattern_family(sp)
     sp.add_argument("--alpha", type=float, default=4.0)
     sp.add_argument("--h", type=float, default=2.0, help="basis distribution order")
     sp.add_argument("--mixture", default=None, help="w:h,w:h,... mixture spec")
-    sp.add_argument("--samples", type=int, default=10**6)
     _add_common(sp)
     sp.set_defaults(func=cmd_ebw)
 

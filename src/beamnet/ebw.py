@@ -41,9 +41,6 @@ class BasisDistribution:
         if not 0.0 < self.order < math.inf:
             raise ValueError(f"order must be finite and positive, got {self.order}")
 
-    def cdf(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** self.order
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size) ** (1.0 / self.order)
 
@@ -73,10 +70,6 @@ class MixtureDistribution:
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {sum(self.weights)!r}")
 
-    def cdf(self, x) -> np.ndarray:
-        xc = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return sum(w * xc**h for w, h in zip(self.weights, self.orders))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         cum = np.cumsum(self.weights)
         cum[-1] = 1.0
@@ -103,7 +96,6 @@ class EbwEstimate:
     value: float
     stderr: float
     samples: int
-    seed: int
 
 
 def _bernoulli_estimate(count_fn, samples: int, seed: int, threads: int) -> tuple[float, float]:
@@ -140,7 +132,7 @@ def effective_beam_width(
         return int(np.count_nonzero(pattern.gain_starred(phi, alpha) > x))
 
     value, se = _bernoulli_estimate(count, samples, seed, threads)
-    return EbwEstimate(value=value, stderr=se, samples=samples, seed=seed)
+    return EbwEstimate(value=value, stderr=se, samples=samples)
 
 
 def interference_probability(
@@ -164,7 +156,7 @@ def interference_probability(
         return int(np.count_nonzero(yz > x))
 
     value, se = _bernoulli_estimate(count, samples, seed, threads)
-    return EbwEstimate(value=value, stderr=se, samples=samples, seed=seed)
+    return EbwEstimate(value=value, stderr=se, samples=samples)
 
 
 def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:

@@ -19,7 +19,6 @@ evaluate the polynomial at z and are normalized by their power at theta = 0.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -93,34 +92,6 @@ class AntennaPattern:
     # Arrays given by a taper: a_k, k = 0..N (ascending), and AF(0)**2, the main-beam power.
     taper: np.ndarray | None = None
     peak_power: float = 1.0
-
-    @property
-    def coeffs(self) -> np.ndarray | None:
-        """Taper a_k, k = 0..N (ascending), of an array; for one built from its
-        nulls, the monic polynomial with those roots.  None for non-arrays."""
-        if self.null_u is None:
-            return self.taper
-        e = np.exp(2j * np.arcsin(np.sqrt(self.null_u)))  # exp(i psi_k)
-        return npoly.polyfromroots(np.concatenate([e, e.conj(), -np.ones(self.lone_nulls)]))
-
-    @property
-    def degree(self) -> int:
-        """Degree N of the array factor (number of nulls); 0 for non-arrays."""
-        if self.null_u is not None:
-            return 2 * len(self.null_u) + self.lone_nulls
-        return 0 if self.taper is None else len(self.taper) - 1
-
-    def array_factor(self, theta) -> np.ndarray | float:
-        """Raw (unnormalized) array factor magnitude."""
-        if self.kind != "array":
-            raise ValueError(f"pattern {self.label!r} has no array factor")
-        s = np.sin(np.atleast_1d(np.asarray(theta, dtype=float)))
-        if self.null_u is None:
-            af = _taper_factor(s, self.d_ratio, self.taper)
-        else:
-            peak = float(np.prod(4.0 * self.null_u)) * 2.0**self.lone_nulls  # |AF(0)|
-            af = np.abs(_null_factor(s, self.d_ratio, self.null_u, self.lone_nulls)) * peak
-        return af if np.ndim(theta) else float(af[0])
 
     def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
         """Normalized gain of an array pattern at angles given by their sines (an
@@ -258,26 +229,6 @@ def threshold_widths(
     gs = pattern.gain_starred(theta, alpha)
     null = float(np.count_nonzero(gs <= beta)) / grid
     return ThresholdWidth(threshold=float(beta), null_width=null, beam_width=1.0 - null)
-
-
-def write_pattern_csv(
-    pattern: AntennaPattern,
-    alpha: float,
-    path,
-    rows: int = 1 << 12,
-    comment: str | None = None,
-) -> None:
-    """Dump (theta_rad, gain, gain_starred) samples for plotting."""
-    theta = np.linspace(0.0, TWO_PI, rows, endpoint=False)
-    g = pattern.gain(theta)
-    gs = pattern.gain_starred(theta, alpha)
-    with open(path, "w", newline="") as f:
-        if comment:
-            f.write(f"# {comment}\n")
-        w = csv.writer(f)
-        w.writerow(["theta_rad", "gain", "gain_starred"])
-        for row in zip(theta, g, gs):
-            w.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}"])
 
 
 # Pattern families: name -> (constructor, its parameters as (name, type, default)),

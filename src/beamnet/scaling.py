@@ -71,9 +71,6 @@ class PowerLawFit:
         """b = lg b1, the log-log regression intercept."""
         return math.log10(self.b1)
 
-    def predict(self, n) -> np.ndarray:
-        return self.b1 / np.asarray(n, dtype=float) ** self.gamma
-
 
 def sweep(
     family: str,

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from beamnet import analytic
 from beamnet.analytic import (
     analytic_total_throughput,
     f_alpha,
-    f_alpha_monte_carlo,
     guard_zone,
     optimal_params,
-    optimality_region_check,
-    per_link_throughput_factor,
-    transport_bounds,
     transport_root,
     transport_root_value,
 )
+from analytic_reference import f_alpha_monte_carlo
 
 C1_REF = guard_zone(10.0, 4.0)[1]
 
@@ -107,23 +103,6 @@ def test_total_throughput_decreasing_in_wb(w_hi, r, n):
     assert hi >= lo
 
 
-def test_transport_bounds_zero_at_pt_zero():
-    assert transport_bounds(1000, 0.0, 0.05, 0.5, C1_REF) == (0.0, 0.0)
-
-
-def test_transport_upper_is_r_times_total():
-    n, p_t, r, w = 500, 0.3, 0.06, 0.4
-    _, hi = transport_bounds(n, p_t, r, w, C1_REF)
-    assert hi == r * analytic_total_throughput(n, p_t, r, w, C1_REF)
-
-
-@given(st.floats(0.05, 0.5), st.floats(0.02, 0.09), st.floats(0.05, 1.0))
-@settings(max_examples=40, deadline=None)
-def test_transport_lower_below_upper(p_t, r, w):
-    lo, hi = transport_bounds(800, p_t, r, w, C1_REF)
-    assert lo <= hi
-
-
 def test_transport_root_matches_asymptote():
     for n in (10**3, 10**4, 10**5):
         w = transport_root(n)
@@ -194,30 +173,3 @@ def test_optimal_params_validation():
         optimal_params(100, 0.0, "total", C1_REF)
     with pytest.raises(ValueError):
         optimal_params(100, 0.5, "both", C1_REF)
-
-
-def test_optimality_region():
-    rep = optimality_region_check(1000, 0.3, C1_REF, 0.05)
-    assert rep.all_strict
-    assert rep.argmax_p_t <= 0.5
-    assert rep.max_gap < 0.0
-
-
-def test_optimality_gap_vanishes_at_half():
-    n, w_b, d = 1000, 0.3, 0.05
-    eps = 1e-6
-    hi = per_link_throughput_factor(0.5 + eps, n, w_b, C1_REF, d)
-    lo = per_link_throughput_factor(0.5 - eps, n, w_b, C1_REF, d)
-    assert hi == pytest.approx(lo, rel=1e-3)
-
-
-def test_throughput_factor_ordering_example():
-    n, w_b, d = 1000, 0.3, 0.05
-    assert per_link_throughput_factor(0.9, n, w_b, C1_REF, d) < per_link_throughput_factor(
-        0.1, n, w_b, C1_REF, d
-    )
-
-
-def test_optimality_region_validation():
-    with pytest.raises(ValueError):
-        optimality_region_check(1000, 1.0, C1_REF, 0.5)

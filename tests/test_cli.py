@@ -10,6 +10,8 @@ import pytest
 
 import beamnet
 from beamnet.cli import main
+from beamnet.ebw import BasisDistribution, MixtureDistribution, exact_beam_width
+from beamnet.patterns import esnla, sector
 
 
 def read_rows(path):
@@ -46,13 +48,13 @@ def test_unknown_family_is_usage_error(tmp_path):
 
 def test_ebw_single_row_and_determinism(tmp_path):
     args = ["ebw", "--family", "esnla", "--n", "4", "--d", "0.5", "--alpha", "4",
-            "--h", "2", "--samples", "20000", "--seed", "3"]
+            "--h", "2", "--seed", "3"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     header, rows = read_rows(out1)
-    assert header == ["pattern_id", "alpha", "h_or_mixture", "W_B", "stderr", "samples", "seed"]
+    assert header == ["pattern_id", "alpha", "h_or_mixture", "W_B"]
     assert len(rows) == 1
     assert rows[0][0] == "esnla(4,0.5)"
     assert 0.0 < float(rows[0][3]) < 1.0
@@ -61,10 +63,40 @@ def test_ebw_single_row_and_determinism(tmp_path):
 def test_ebw_mixture_flag(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["ebw", "--family", "sector", "--beam-fraction", "0.25",
-                 "--mixture", "0.5:1,0.5:4", "--samples", "20000", "--out", str(out)]) == 0
+                 "--mixture", "0.5:1,0.5:4", "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert rows[0][2] == "0.5*h1+0.5*h4"
-    assert float(rows[0][3]) == pytest.approx(0.25, abs=0.02)
+    assert float(rows[0][3]) == 0.25
+
+
+@pytest.mark.parametrize(
+    "flags,pattern,dist",
+    [
+        (["--family", "esnla", "--n", "4", "--h", "2"], esnla(4, 0.5), BasisDistribution(2.0)),
+        (["--family", "sector", "--beam-fraction", "0.3", "--mixture", "0.25:1,0.75:3"],
+         sector(0.3), MixtureDistribution((0.25, 0.75), (1.0, 3.0))),
+    ],
+    ids=["esnla-h2", "sector-mixture"],
+)
+def test_ebw_reports_exact_beam_width(tmp_path, capsys, flags, pattern, dist):
+    want = f"{exact_beam_width(pattern, dist, 4.0):.12g}"
+    rows = []
+    for i, extra in enumerate((["--seed", "0", "--threads", "1"], ["--seed", "7", "--threads", "4"])):
+        out = tmp_path / f"e{i}.csv"
+        assert main(["ebw", *flags, "--alpha", "4", *extra, "--out", str(out)]) == 0
+        rows.append(read_rows(out)[1])
+        assert f"W_B = {want}\n" in capsys.readouterr().out
+    assert rows[0] == rows[1]
+    assert rows[0][0][3] == want
+
+
+@pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
+def test_ebw_bad_mixture_part_is_named(tmp_path, capsys, spec):
+    out = tmp_path / "x.csv"
+    assert main(["ebw", "--family", "esnla", "--mixture", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad mixture part") and "expected w:h" in err
+    assert not out.exists()
 
 
 def test_scan_fit_roundtrip(tmp_path):
@@ -118,9 +150,9 @@ def test_netsim_precondition_exit_code(tmp_path, capsys):
         (["netsim", "--n", "50", "--r", "0.15", "--pt", "0.2", "--slots", "5", "--sir0", "nan"],
          "SIR0"),
         (["analytic", "--sir0", "inf"], "SIR0"),
-        (["ebw", "--family", "esnla", "--mixture", "nan:2", "--samples", "1000"], "weights"),
-        (["ebw", "--family", "esnla", "--mixture", "1:inf", "--samples", "1000"], "orders"),
-        (["ebw", "--family", "esnla", "--h", "inf", "--samples", "1000"], "order"),
+        (["ebw", "--family", "esnla", "--mixture", "nan:2"], "weights"),
+        (["ebw", "--family", "esnla", "--mixture", "1:inf"], "orders"),
+        (["ebw", "--family", "esnla", "--h", "inf"], "order"),
     ],
     ids=["netsim-sir0-inf", "netsim-sir0-nan", "analytic-sir0-inf", "ebw-nan-weight",
          "ebw-inf-order", "ebw-inf-h"],
@@ -142,12 +174,12 @@ def test_netsim_rejects_zero_bins(tmp_path, capsys):
 @pytest.mark.parametrize(
     "cmd,option",
     [
-        (["ebw", "--family", "esnla", "--samples", "100", "--alpha", "nan"], "alpha"),
+        (["ebw", "--family", "esnla", "--alpha", "nan"], "alpha"),
         (["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--alpha", "nan"], "alpha"),
         (["analytic", "--alpha", "nan"], "alpha"),
         (["pattern", "--family", "omni", "--rows", "8", "--alpha", "nan"], "alpha"),
         (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "nan"], "alpha_star"),
-        (["ebw", "--family", "omni", "--samples", "100", "--alpha", "inf"], "alpha"),
+        (["ebw", "--family", "omni", "--alpha", "inf"], "alpha"),
         (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "inf"], "alpha_star"),
     ],
     ids=["ebw", "netsim", "analytic", "pattern", "scan", "ebw-inf", "scan-inf"],
@@ -185,6 +217,17 @@ def test_analytic_divergent_fade(capsys):
     assert rep["f_alpha"] == "divergent"
 
 
+def test_analytic_undefined_bracket_at_small_n(capsys):
+    # At n = 10 the defaults pick p_t = 1/2, r = sqrt(ln n / n), so c1 p_t r^2 W_B = 1.144.
+    assert main(["analytic", "--n", "10", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["total_throughput_bracket"] is None
+    assert rep["p_t"] == 0.5
+    assert main(["analytic", "--n", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "total_throughput_bracket: undefined (c1*p_t*r^2*W_B = 1.144 >= 1)" in out
+
+
 def test_reproduce_smoke(tmp_path, capsys):
     code = main(["reproduce", "tableC", "--samples", "20000", "--n-list", "2,4,6",
                  "--out", str(tmp_path)])
@@ -218,12 +261,12 @@ def test_emit_plot_script(tmp_path):
 def test_config_file_defaults_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 12345\nseed = 9\n")
-    out = tmp_path / "e.csv"
-    assert main(["ebw", "--family", "omni", "--config", str(cfg), "--seed", "4",
-                 "--out", str(out)]) == 0
-    _, rows = read_rows(out)
-    assert rows[0][5] == "12345"  # config file applied
-    assert rows[0][6] == "4"  # explicit flag wins
+    out = tmp_path / "s.csv"
+    assert main(["scan", "--family", "omni", "--n-list", "2,4", "--config", str(cfg),
+                 "--seed", "4", "--out", str(out)]) == 0
+    resolved = out.read_text().splitlines()[0].split()
+    assert "samples=12345" in resolved  # config file applied
+    assert "seed=4" in resolved  # explicit flag wins
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
@@ -236,7 +279,8 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 def test_threads_flag_identical_output(tmp_path):
-    base = ["ebw", "--family", "esnla", "--n", "4", "--samples", "3000000", "--seed", "6"]
+    base = ["scan", "--family", "esnla", "--n-list", "2,4,6,8", "--samples", "200000",
+            "--seed", "6"]
     a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(base + ["--threads", "1", "--out", str(a)]) == 0
     assert main(base + ["--threads", "4", "--out", str(b)]) == 0
@@ -264,7 +308,7 @@ def test_config_file_values_take_the_option_type(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples = 1e4\n")
     with pytest.raises(SystemExit) as exc:
-        main(["ebw", "--family", "omni", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        main(["scan", "--family", "omni", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert "--samples" in capsys.readouterr().err
 

@@ -62,10 +62,12 @@ def test_basis_distribution_validation():
 
 
 def test_basis_cdf_endpoints():
+    # the law F_X(x) = x^h on [0, 1]: its one component, and a KS test of its sampler
     d = BasisDistribution(2.5)
-    assert d.cdf(0.0) == 0.0
-    assert d.cdf(1.0) == 1.0
-    assert d.cdf(0.5) == pytest.approx(0.5**2.5)
+    assert d.components == ((1.0, 2.5),)
+    x = d.sample(np.random.default_rng(7), 10**5)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert stats.kstest(x, lambda t: np.clip(t, 0.0, 1.0) ** 2.5).pvalue >= 0.01
 
 
 @given(st.floats(0.2, 8.0))
@@ -94,8 +96,9 @@ def test_mixture_validation(weights, orders):
 
 def test_mixture_cdf_is_weighted_sum():
     m = MixtureDistribution((0.25, 0.75), (1.0, 3.0))
-    x = np.linspace(0, 1, 11)
-    assert np.allclose(m.cdf(x), 0.25 * x + 0.75 * x**3)
+    assert m.components == ((0.25, 1.0), (0.75, 3.0))
+    x = m.sample(np.random.default_rng(8), 10**5)
+    assert stats.kstest(x, lambda t: 0.25 * t + 0.75 * t**3).pvalue >= 0.01
 
 
 def test_omni_beam_width_is_one():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.signal import windows
 
 from beamnet import patterns
+from beamnet.cli import main
 from beamnet.patterns import (
     binomial_array,
     chebyshev_array,
@@ -42,6 +44,25 @@ def raw_esnla_product(theta, n, d_ratio):
     return np.abs(out)
 
 
+def array_factor(p, theta):
+    """Raw |AF| of an array built from its nulls: 4 |u - u_k| per null pair and
+    2 |cos(psi/2)| per lone null, u = sin^2(psi/2)."""
+    half = np.pi * p.d_ratio * np.sin(np.asarray(theta, dtype=float))
+    u = np.sin(half)[..., None] ** 2
+    lone = np.abs(2.0 * np.cos(half)) ** p.lone_nulls
+    return np.prod(4.0 * np.abs(u - p.null_u), axis=-1) * lone
+
+
+def array_polynomial(p):
+    """The monic polynomial whose roots are an array's nulls exp(+-i psi_k) and -1."""
+    e = np.exp(2j * np.arcsin(np.sqrt(p.null_u)))  # exp(i psi_k)
+    return npoly.polyfromroots(np.concatenate([e, e.conj(), -np.ones(p.lone_nulls)]))
+
+
+def degree(p):
+    return 2 * len(p.null_u) + p.lone_nulls
+
+
 def test_omni_is_unity():
     p = omni()
     for theta in (1.234, 0.0, math.pi):
@@ -69,7 +90,7 @@ def test_sector_rejects_bad_fraction(bad):
 
 def test_esnla_placed_null():
     p = esnla(4, 0.5)
-    assert p.array_factor(2 * math.pi / 5) < 1e-9
+    assert array_factor(p, 2 * math.pi / 5) < 1e-9
     assert p.gain(0.0) == 1.0
 
 
@@ -77,22 +98,22 @@ def test_esnla_full_null_set_n2():
     p = esnla(2, 0.5)
     # the full null set {s*pi/(N+1), |s| = 1..N}
     for t in np.array([-2, -1, 1, 2]) * math.pi / 3:
-        assert p.array_factor(t) < 1e-9
+        assert array_factor(p, t) < 1e-9
         assert raw_esnla_product(t, 2, 0.5) < 1e-9
 
 
 @pytest.mark.parametrize("n,d", [(2, 0.5), (4, 0.5), (6, 0.25), (10, 0.4)])
 def test_esnla_coefficients_match_product_form(n, d):
-    # the stored Vieta expansion and the null-product factor agree pointwise
-    from numpy.polynomial import polynomial as npoly
-
+    # the Vieta expansion of the stored nulls, their product and the gain agree pointwise
     p = esnla(n, d)
     theta = np.random.default_rng(0).uniform(0, TWO_PI, 200)
     z = np.exp(-2j * np.pi * d * np.sin(theta))
-    from_coeffs = np.abs(npoly.polyval(z, p.coeffs))
+    from_coeffs = np.abs(npoly.polyval(z, array_polynomial(p)))
     want = raw_esnla_product(theta, n, d)
-    assert np.allclose(p.array_factor(theta), want, rtol=1e-10, atol=1e-10)
+    assert np.allclose(array_factor(p, theta), want, rtol=1e-10, atol=1e-10)
     assert np.allclose(from_coeffs, want, rtol=1e-8, atol=1e-8)
+    assert np.allclose(p.gain(theta), (want / raw_esnla_product(0.0, n, d)) ** 2,
+                       rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad_n", [1, 3, 0, -2])
@@ -109,7 +130,7 @@ def test_array_rejects_bad_spacing(bad_d):
 
 def test_binomial_coefficients():
     p = binomial_array(2, 0.5)
-    assert np.allclose(p.coeffs.real, [1, 2, 1])
+    assert np.allclose(array_polynomial(p).real, [1, 2, 1])
     assert p.gain(0.0) == 1.0
 
 
@@ -145,7 +166,7 @@ def test_chebyshev_equal_sidelobes():
 
 def test_chebyshev_limit_is_binomial():
     for n in (4, 6):
-        cheb = chebyshev_array(n, 0.5, 1e6).coeffs.real
+        cheb = array_polynomial(chebyshev_array(n, 0.5, 1e6)).real
         bino = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
         diff = np.max(np.abs(cheb / cheb.max() - bino / bino.max()))
         assert diff < 0.02
@@ -241,7 +262,7 @@ def test_boresight_is_grid_argmax(n, d):
     # The ESNLA taper takes both signs, so its main beam at theta = 0 is checked against
     # a scan of the null-product oracle; the factor depends on theta only through sin.
     theta = np.arcsin(np.linspace(-1.0, 1.0, 1 << 15))
-    assert esnla(n, d).array_factor(0.0) >= raw_esnla_product(theta, n, d).max() * (1 - 1e-12)
+    assert array_factor(esnla(n, d), 0.0) >= raw_esnla_product(theta, n, d).max() * (1 - 1e-12)
 
 
 def test_gain_is_exactly_one_at_boresight():
@@ -311,7 +332,8 @@ def test_gain_always_in_unit_interval(theta):
 
 def test_pattern_csv_export(tmp_path):
     out = tmp_path / "p.csv"
-    patterns.write_pattern_csv(esnla(4, 0.5), 4.0, out, rows=256, comment="test")
+    assert main(["pattern", "--family", "esnla", "--n", "4", "--rows", "256",
+                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "theta_rad,gain,gain_starred"
@@ -324,9 +346,9 @@ def test_parse_pattern_spec():
     assert patterns.parse_pattern_spec("omni").kind == "omni"
     assert patterns.parse_pattern_spec("sector:0.3").beam_fraction == 0.3
     p = patterns.parse_pattern_spec("esnla:4:0.5")
-    assert p.degree == 4 and p.d_ratio == 0.5
-    assert patterns.parse_pattern_spec("binomial:6").degree == 6
-    assert patterns.parse_pattern_spec("chebyshev:8:0.5:50").degree == 8
+    assert degree(p) == 4 and p.d_ratio == 0.5
+    assert degree(patterns.parse_pattern_spec("binomial:6")) == 6
+    assert degree(patterns.parse_pattern_spec("chebyshev:8:0.5:50")) == 8
     with pytest.raises(ValueError):
         patterns.parse_pattern_spec("yagi:3")
     with pytest.raises(ValueError):
