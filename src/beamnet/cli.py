@@ -1,16 +1,18 @@
 """Command-line front end: patterns -> beam widths -> scaling fits -> network sims.
 
 Subcommands: pattern, ebw, scan, fit, reproduce, netsim, analytic.
-Common flags: --seed, --out, --threads, --emit-plot, --config (a file of
-`key = value` lines, keyed by option destination; explicit flags win).
+Common flags: --out, --emit-plot, --config (a file of `key = value` lines,
+keyed by option destination; explicit flags win).  scan, reproduce and netsim,
+which draw random numbers and can run in parallel, also take --seed and
+--threads.
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
 written, 3 numerical failure.  ebw reports the exact W_B, and netsim's
 bracket takes the exact W_B of both patterns.
 
-Every output CSV starts with a comment line recording the tool version, the
-resolved configuration, and the seed; identical configurations produce
-bit-identical files.
+Every output CSV starts with a comment line recording the tool version and the
+resolved configuration, the seed included where the command takes one;
+identical configurations produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -416,10 +418,14 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _add_common(sp, out_default=None):
+def _add_seed_and_threads(sp):
+    """Flags of the subcommands that draw random numbers and can run in parallel."""
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=out_default)
     sp.add_argument("--threads", type=int, default=1)
+
+
+def _add_common(sp):
+    sp.add_argument("--out", default=None)
     sp.add_argument("--emit-plot", action="store_true")
     sp.add_argument("--config", default=None, help="key=value file; flags override")
 
@@ -459,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=float, default=0.5)
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
     sp.add_argument("--samples", type=int, default=10**6)
+    _add_seed_and_threads(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_scan)
 
@@ -471,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("figure", choices=["fig4", "fig5", "fig6", "tableC"])
     sp.add_argument("--samples", type=int, default=10**6)
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
+    _add_seed_and_threads(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_reproduce, seed=REPRODUCE_SEED)
 
@@ -486,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rx-pattern", default="omni")
     sp.add_argument("--slots", type=int, default=1000)
     sp.add_argument("--bins", type=int, default=16)
+    _add_seed_and_threads(sp)
     _add_common(sp)
     sp.set_defaults(func=cmd_netsim)
 

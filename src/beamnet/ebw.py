@@ -7,28 +7,52 @@ of such laws).  The joint interference probability of a receiver/transmitter
 pair is Pr(Y*Z > X), which factors into a product of beam widths for any
 single-order law.
 
-exact_beam_width evaluates W_B deterministically as a periodic integral; the
-Monte Carlo estimators sample the same probabilities with a standard error.
+exact_beam_width evaluates W_B deterministically; the Monte Carlo estimators
+sample the same probabilities with a standard error.  Since Pr(G* > X) =
+E[F_X(G*)], W_B = sum_h w_h mean_theta G(theta)^e with e = h/alpha, and G
+depends on theta only through sin(theta), so the mean is (2/pi) times the
+integral of G^e over [0, pi/2].
+
+That integral is taken by a null-split Gauss-Jacobi rule (Golub & Welsch, Math.
+Comp. 23, 1969; Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  An array
+built from its nulls knows them in closed form (AntennaPattern.null_sines), and
+at a null of multiplicity mu, G^e has a cusp |theta - theta_k|^(2 mu e) (at the
+horizon theta = pi/2, |pi/2 - theta|^(4 mu e)).  The rule splits [0, pi/2] at
+the visible nulls and gives each piece a Gauss-Jacobi weight that carries the
+fractional part of the order at each end; the integer part stays in the
+integrand, which is then analytic on the piece.  A piece is bisected while it
+is more than SPLIT_RATIO times as long as its distance to the nearest zero of G
+off its ends: the mirrored nulls -theta_k and pi - theta_k, and the complex
+zeros pi/2 +- i arccosh(s') of nulls past the horizon (sin(theta) = s' > 1).
+The integrand is then analytic inside a Bernstein ellipse of rho >= 1 + sqrt(2)
+around each piece, and the piece's node count grows with the phase it spans.
+Against 40-digit quadrature the rule agrees to about 1e-13 for ESNLA, binomial
+and Chebyshev arrays up to N = 200.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from ._parallel import derive_seed, run_indexed, shard_rng, shard_sizes
 from .patterns import TWO_PI, AntennaPattern, check_alpha
 
 DEFAULT_SAMPLES = 10**6
 
-# Angles of the periodic trapezoid rule in exact_beam_width.  Unless 2h/alpha is
-# an even integer, G**(h/alpha) has a cusp at every null and the rule converges
-# only algebraically.  Against 2**22 angles (ESNLA, binomial and Chebyshev arrays,
-# N = 2..20, D/lambda = 1/2) the error is at rounding level for h/alpha in {1, 2},
-# <= 6e-8 at 1/2, <= 4e-6 at 1/4 and <= 3e-5 at 1/8.
-EXACT_GRID = 1 << 14
+HALF_PI = 0.5 * math.pi
+
+# The null-split rule (module docstring): each piece is at most SPLIT_RATIO times as
+# long as its distance to the nearest zero of G off its ends, and gets NODES_PER_PIECE
+# nodes plus NODE_SCALE * sqrt(e N) per radian of phase it spans.
+SPLIT_RATIO = 2.0
+NODES_PER_PIECE = 12
+NODE_SCALE = 2.0
 
 
 @dataclass(frozen=True)
@@ -159,21 +183,90 @@ def interference_probability(
     return EbwEstimate(value=value, stderr=se, samples=samples)
 
 
-def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
-    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha).
+@functools.lru_cache(maxsize=256)
+def _jacobi_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule for the weight (1 - x)^a (1 + x)^b on [-1, 1], as 1 + x and
+    the weights divided by that weight function: sum_i v_i f(x_i) integrates
+    f(x) = (1 - x)^a (1 + x)^b g(x), g smooth.  Read-only: every caller shares them."""
+    x, w = roots_jacobi(nodes, a, b)
+    xp1, v = 1.0 + x, w / ((1.0 - x) ** a * (1.0 + x) ** b)
+    xp1.flags.writeable = v.flags.writeable = False
+    return xp1, v
 
-    Pr(G* > X) = E[F_X(G*)] and F_X(x) = x**h, so W_B is a one-dimensional
-    periodic integral.  Omni and sector patterns use their closed forms (1 and
-    the beam fraction); arrays use the periodic trapezoid rule on EXACT_GRID
-    angles (Trefethen & Weideman, SIAM Review 56, 2014).
+
+def _null_split(pattern: AntennaPattern) -> list[tuple[float, float, float, float]]:
+    """Pieces of [0, pi/2] in theta as (lo, hi, order at lo, order at hi): the order
+    of G's zero at an end, as a power of the distance per unit of e = h/alpha."""
+    s, mult = pattern.null_sines()
+    visible = s < 1.0
+    nulls = np.arcsin(s[visible]).tolist()
+    horizon = 4.0 * float(mult[s == 1.0].sum())
+    ends = [0.0, *nulls, HALF_PI]
+    orders = [0.0, *(2.0 * mult[visible]).tolist(), horizon]
+    # Zeros of G off the pieces' ends: the visible nulls, their mirrors -theta_k
+    # and pi - theta_k, the horizon, and pi/2 +- i arccosh(s') for each s' > 1 with
+    # u(s') = u_k (the invisible nulls and the aliases 1/(D/lambda) - s_k).
+    mirrors = nulls[::-1]
+    real = [-math.inf, *(-t for t in mirrors), *nulls, *([HALF_PI] if horizon else []),
+            *(math.pi - t for t in mirrors), math.inf]
+    beyond = np.concatenate([s, 1.0 / pattern.d_ratio - s])
+    beyond = beyond[beyond > 1.0]
+    tau = math.acosh(beyond.min()) if beyond.size else math.inf
+
+    pieces = []
+    todo = list(zip(ends[:-1], ends[1:], orders[:-1], orders[1:]))[::-1]
+    while todo:
+        lo, hi, o_lo, o_hi = todo.pop()
+        reach = min(lo - real[bisect.bisect_left(real, lo) - 1],
+                    real[bisect.bisect_right(real, hi)] - hi,
+                    math.hypot(HALF_PI - hi, tau))
+        if hi - lo > SPLIT_RATIO * reach:
+            mid = 0.5 * (lo + hi)
+            todo += [(mid, hi, 0.0, o_hi), (lo, mid, o_lo, 0.0)]
+        else:
+            pieces.append((lo, hi, o_lo, o_hi))
+    return pieces
+
+
+def _quadrature(pattern: AntennaPattern, pieces, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angles in [0, pi/2] and weights v with int_0^{pi/2} G^e = sum v G^e."""
+    degree = 2 * len(pattern.null_u) + pattern.lone_nulls
+    per_sine = NODE_SCALE * math.sqrt(e * degree) * 2.0 * math.pi * pattern.d_ratio
+    groups: dict[tuple, list] = {}
+    for lo, hi, o_lo, o_hi in pieces:
+        nodes = NODES_PER_PIECE + math.ceil(per_sine * (math.sin(hi) - math.sin(lo)))
+        # (hi - theta)^(o_hi e) is (hi - theta)^a times an integer power, which is
+        # analytic: the weight carries only the fractional part of each order.
+        groups.setdefault((nodes, o_hi * e % 1.0, o_lo * e % 1.0), []).append((lo, hi))
+    angles, weights = [], []
+    for key, ends in groups.items():
+        xp1, v = _jacobi_rule(*key)
+        lo, hi = np.array(ends).T
+        half = 0.5 * (hi - lo)[:, None]
+        angles.append((lo[:, None] + half * xp1).ravel())
+        weights.append((half * v).ravel())
+    return np.concatenate(angles), np.concatenate(weights)
+
+
+def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
+    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha) (module docstring).
+
+    Omni and sector patterns use their closed forms (1 and the beam fraction);
+    arrays use the null-split Gauss-Jacobi rule.  An array given by its taper
+    has no null set, and raises ValueError.
     """
     check_alpha(alpha)
     if pattern.kind == "omni":
         return 1.0
     if pattern.kind == "sector":
         return pattern.beam_fraction
-    g = pattern.gain(np.arange(EXACT_GRID) * (TWO_PI / EXACT_GRID))
-    return float(sum(w * np.mean(g ** (h / alpha)) for w, h in dist.components))
+    pieces = _null_split(pattern)
+    total = 0.0
+    for w, h in dist.components:
+        e = h / alpha
+        theta, v = _quadrature(pattern, pieces, e)
+        total += w * float(np.dot(v, pattern.gain_from_sine(np.sin(theta)) ** e))
+    return total / HALF_PI
 
 
 @dataclass(frozen=True)

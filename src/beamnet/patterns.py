@@ -13,7 +13,11 @@ so in real arithmetic, with one sine of the phase per angle,
 
     G(theta) = prod_pairs (1 - u/u_k)^2 * cos(psi/2)^(2m),
 
-and G(0) = 1 exactly.  Arrays given by an arbitrary taper (`from_coefficients`)
+and G(0) = 1 exactly.  Where |psi| > pi/2, u is above 1/2 and 1 - u/u_k would
+lose relative accuracy next to a null with psi_k near pi; there the factors
+come from c = cos^2(psi/2) and c_k = cos^2(psi_k/2) instead, as (c_k - c)/u_k.
+The sine is of |psi/2| folded into [0, pi/4], which gives u or c, whichever is
+at most 1/2.  Arrays given by an arbitrary taper (`from_coefficients`)
 evaluate the polynomial at z and are normalized by their power at theta = 0.
 """
 
@@ -60,20 +64,29 @@ def _taper_factor(sin_theta, d_ratio, coeffs):
     return np.abs(npoly.polyval(np.exp(-2j * np.pi * d_ratio * sin_theta), coeffs))
 
 
-def _null_factor(sin_theta, d_ratio, null_u, lone_nulls):
+def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls):
     """AF(theta)/AF(0) up to sign for nulls on the unit circle, in real arithmetic
     (module docstring).  Lone-null factors are cos(psi/2), not sqrt(1 - u), which
     would lose relative accuracy next to the null at psi = pi."""
-    half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2
+    half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2, in [-pi/2, pi/2]
     f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
-    if len(null_u):
-        u = np.sin(half)
-        u *= u
-        t = np.empty_like(u)
-        for c in -1.0 / null_u:
-            np.multiply(u, c, out=t)
-            t += 1.0
-            f *= t
+    if not len(null_u):
+        return f
+    # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair factor is
+    # 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
+    a = np.abs(half)
+    y = np.minimum(a, 0.5 * math.pi - a)
+    np.sin(y, out=y)
+    y *= y
+    high = (a > 0.25 * math.pi).astype(float)
+    low = 1.0 - high
+    t, t2 = np.empty_like(y), np.empty_like(y)
+    for r, b in zip(-1.0 / null_u, null_c / null_u):
+        np.multiply(y, r, out=t)
+        t += low
+        np.multiply(high, b, out=t2)
+        t += t2
+        f *= t
     return f
 
 
@@ -85,9 +98,11 @@ class AntennaPattern:
     label: str
     beam_fraction: float = 1.0  # sector only
     d_ratio: float = 0.5  # array only: element spacing D/lambda
-    # Arrays built from their nulls: u_k = sin^2(psi_k/2) per conjugate null pair,
-    # and the number of lone nulls at psi = pi.
+    # Arrays built from their nulls: u_k = sin^2(psi_k/2) and c_k = cos^2(psi_k/2)
+    # per conjugate null pair, each from its constructor's closed form, and the
+    # number of lone nulls at psi = pi.
     null_u: np.ndarray | None = None
+    null_c: np.ndarray | None = None
     lone_nulls: int = 0
     # Arrays given by a taper: a_k, k = 0..N (ascending), and AF(0)**2, the main-beam power.
     taper: np.ndarray | None = None
@@ -102,10 +117,27 @@ class AntennaPattern:
         g = np.empty(s.shape)
         flat, out = s.reshape(-1), g.reshape(-1)
         for a in range(0, flat.size, _BLOCK):
-            f = _null_factor(flat[a : a + _BLOCK], self.d_ratio, self.null_u, self.lone_nulls)
+            f = _null_factor(flat[a : a + _BLOCK], self.d_ratio, self.null_u, self.null_c,
+                              self.lone_nulls)
             f *= f
             out[a : a + _BLOCK] = _unit_clamp(f)
         return g
+
+    def null_sines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where an array built from its nulls vanishes, as s = sin(theta) >= 0, and
+        the multiplicity of each null of the array factor: s_k = psi_k/(2 pi D/lambda)
+        once per null pair, ascending, then s = 1/(2 D/lambda) for the lone nulls
+        (multiplicity m).  A null with s < 1 is visible at theta = arcsin(s) and
+        pi - arcsin(s); s = 1 is the horizon theta = pi/2; s > 1 is not visible."""
+        if self.null_u is None:
+            raise ValueError(f"{self.label} has no null set (null_u): it is given by its taper")
+        s = np.sort(np.arctan2(np.sqrt(self.null_u), np.sqrt(self.null_c)))
+        s /= math.pi * self.d_ratio
+        mult = np.ones(len(s), dtype=int)
+        if self.lone_nulls:
+            s = np.append(s, 0.5 / self.d_ratio)
+            mult = np.append(mult, self.lone_nulls)
+        return s, mult
 
     def gain(self, theta) -> np.ndarray | float:
         """Normalized power gain G(theta) in [0, 1]."""
@@ -181,9 +213,13 @@ def esnla(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     # which peaks there, and a grid scan over N <= 80 and D/lambda in (0, 1/2]
     # finds no angle where |AF| exceeds |AF(0)|.
     # Nulls s and N + 1 - s form a conjugate pair, u_s = sin^2(pi (D/lambda) sin(2 pi s/(N+1))).
+    # sin(2 pi s/(N+1)) = sin(pi r/(N+1)) with r = min(2s, N+1-2s): an argument in
+    # (0, pi/2], where the sine keeps its relative accuracy (near pi it would not).
     s = np.arange(1, n // 2 + 1)
-    null_u = np.sin(np.pi * float(d_ratio) * np.sin(TWO_PI * s / (n + 1))) ** 2
-    return _array_pattern(d_ratio, f"esnla({n},{float(d_ratio):g})", null_u=null_u)
+    r = np.minimum(2 * s, n + 1 - 2 * s)
+    half = np.pi * float(d_ratio) * np.sin(np.pi * r / (n + 1))  # psi_s/2
+    return _array_pattern(d_ratio, f"esnla({n},{float(d_ratio):g})",
+                          null_u=np.sin(half) ** 2, null_c=np.cos(half) ** 2)
 
 
 def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
@@ -192,7 +228,7 @@ def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
     if n < 1:
         raise ValueError(f"binomial degree must be >= 1, got {n}")
     label = f"binomial({n},{float(d_ratio):g})"
-    return _array_pattern(d_ratio, label, null_u=np.zeros(0), lone_nulls=n)
+    return _array_pattern(d_ratio, label, null_u=np.zeros(0), null_c=np.zeros(0), lone_nulls=n)
 
 
 def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
@@ -202,8 +238,8 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     factor is T_N(x0 cos(psi/2)) with x0 = cosh(arccosh(R_MS)/N) in the phase
     psi = 2*pi*(D/lambda)*sin(theta), so its nulls are Dolph's closed form
     psi_k = 2 arccos(c_k/x0), c_k = cos((2k-1)pi/2N), k = 1..N (Proc. IRE 34,
-    1946): conjugate pairs k, N + 1 - k with u_k = 1 - c_k^2/x0^2, and a lone
-    null at psi = pi when N is odd.
+    1946): conjugate pairs k, N + 1 - k with cos^2(psi_k/2) = c_k^2/x0^2 and
+    u_k = 1 - c_k^2/x0^2, and a lone null at psi = pi when N is odd.
     """
     if n < 1:
         raise ValueError(f"chebyshev degree must be >= 1, got {n}")
@@ -215,8 +251,9 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     # 1 - c^2/x0^2 = (x0 - c)(x0 + c)/x0^2 with x0 - c = 2 sinh^2(t/2) + 2 sin^2(a/2),
     # free of cancellation when x0 and c are both near 1.
     null_u = 2.0 * (math.sinh(t / 2) ** 2 + np.sin(a / 2) ** 2) * (x0 + np.cos(a)) / x0**2
+    null_c = (np.cos(a) / x0) ** 2
     label = f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})"
-    return _array_pattern(d_ratio, label, null_u=null_u, lone_nulls=n % 2)
+    return _array_pattern(d_ratio, label, null_u=null_u, null_c=null_c, lone_nulls=n % 2)
 
 
 def threshold_widths(

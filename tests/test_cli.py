@@ -48,7 +48,7 @@ def test_unknown_family_is_usage_error(tmp_path):
 
 def test_ebw_single_row_and_determinism(tmp_path):
     args = ["ebw", "--family", "esnla", "--n", "4", "--d", "0.5", "--alpha", "4",
-            "--h", "2", "--seed", "3"]
+            "--h", "2"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -80,14 +80,22 @@ def test_ebw_mixture_flag(tmp_path):
 )
 def test_ebw_reports_exact_beam_width(tmp_path, capsys, flags, pattern, dist):
     want = f"{exact_beam_width(pattern, dist, 4.0):.12g}"
-    rows = []
-    for i, extra in enumerate((["--seed", "0", "--threads", "1"], ["--seed", "7", "--threads", "4"])):
-        out = tmp_path / f"e{i}.csv"
-        assert main(["ebw", *flags, "--alpha", "4", *extra, "--out", str(out)]) == 0
-        rows.append(read_rows(out)[1])
-        assert f"W_B = {want}\n" in capsys.readouterr().out
-    assert rows[0] == rows[1]
-    assert rows[0][0][3] == want
+    out = tmp_path / "e.csv"
+    assert main(["ebw", *flags, "--alpha", "4", "--out", str(out)]) == 0
+    assert f"W_B = {want}\n" in capsys.readouterr().out
+    assert read_rows(out)[1][0][3] == want
+    assert "seed" not in out.read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("cmd", [["ebw", "--family", "omni"], ["pattern", "--family", "omni"],
+                                 ["fit", "--in", "s.csv"], ["analytic"]])
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_deterministic_commands_take_no_seed_or_threads(tmp_path, capsys, cmd, flag):
+    # Only scan, reproduce and netsim draw random numbers or run in parallel.
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + [flag, "1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
@@ -191,14 +199,20 @@ def test_non_finite_path_loss_exponent_is_usage_error(tmp_path, capsys, cmd, opt
 
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
-    # `import beamnet` is most of every command's start-up time; keep it to the SciPy it uses.
+    # `import beamnet` is most of every command's start-up time; keep it to the SciPy it
+    # uses.  scipy.optimize and scipy.spatial bring in the rest of this set; scipy.signal,
+    # scipy.stats and scipy.integrate, among others, stay out.
     src = str(Path(beamnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, beamnet; "
-             "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+             "print(' '.join(sorted(m[6:] for m, mod in list(sys.modules.items()) "
+             "if m.startswith('scipy.') and m.count('.') == 1 and not m[6:].startswith('_') "
+             "and hasattr(mod, '__path__'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = set(out.stdout.split())
+    assert "optimize" in loaded
+    assert loaded <= {"constants", "fft", "linalg", "optimize", "sparse", "spatial", "special"}
 
 
 def test_analytic_json(capsys):

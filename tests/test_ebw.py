@@ -1,9 +1,11 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 from scipy import stats
 
 from beamnet.ebw import (
@@ -14,7 +16,16 @@ from beamnet.ebw import (
     interference_probability,
     verify_bounds,
 )
-from beamnet.patterns import TWO_PI, binomial_array, chebyshev_array, esnla, omni, sector
+from beamnet.patterns import (
+    TWO_PI,
+    binomial_array,
+    build_pattern,
+    chebyshev_array,
+    esnla,
+    from_coefficients,
+    omni,
+    sector,
+)
 
 SAMPLES = 2 * 10**5
 
@@ -42,9 +53,80 @@ def sorted_quadrature_beam_width(pattern, dist, alpha, x_points=1 << 16, phi_gri
                for w, h in dist.components)
 
 
-def trapezoid_beam_width(pattern, h, alpha, points):
-    theta = np.arange(points) * (TWO_PI / points)
-    return float(np.mean(pattern.gain(theta) ** (h / alpha)))
+# Exponents e = h/alpha of the quadrature oracles: 2e even, odd and fractional.
+EXPONENTS = (2.0, 1.0, 0.5, 0.25, 0.125)
+
+
+def _powers(g):
+    """g**e for each of EXPONENTS, by squaring and square roots."""
+    r = mp.sqrt(g)
+    return g * g, g, r, mp.sqrt(r), mp.sqrt(mp.sqrt(r))
+
+
+def _tanh_sinh(h):
+    """Tanh-sinh rule on [-1, 1] (Takahasi & Mori, Publ. RIMS 9, 1974) as pairs
+    (1 - |x|, weight) for x >= 0, 1 - |x| kept exact near the ends; weights below
+    1e-20 are dropped."""
+    rule, j = [], 0
+    while True:
+        u = mp.pi / 2 * mp.sinh(j * h)
+        w = h * mp.pi / 2 * mp.cosh(j * h) / mp.cosh(u) ** 2
+        if w < 1e-20:
+            return rule
+        rule.append((1 / (mp.exp(u) * mp.cosh(u)), w))
+        j += 1
+
+
+def mp_beam_widths(family, n, d, r_ms=30.0):
+    """Independent oracle at 40 digits: W_B = (2/pi) int_0^{pi/2} G^e for each e of
+    EXPONENTS, by tanh-sinh quadrature (step 1/8) split at the visible nulls and
+    into parts of at most 0.1 rad.  G comes from each family's definition: the
+    ESNLA's N/2 null pairs at theta = pi m/(N+1), m = 1..N/2, whatever D/lambda;
+    cos^(2N)(psi/2) for the binomial array; (T_N(x0 cos(psi/2))/R_MS)^2 for the
+    Dolph-Chebyshev array.  The ESNLA's product over its null pairs runs in
+    40-digit decimal arithmetic, which is faster than mpmath's."""
+    with mp.workdps(40):
+        dm = mpf(d)
+        if family == "esnla":
+            nulls = [mp.pi * m / (n + 1) for m in range(1, n // 2 + 1)]
+            digits = Context(prec=40)
+            null_u = [Decimal(str(mp.sin(mp.pi * dm * mp.sin(t)) ** 2)) for t in nulls]
+            with localcontext(digits):
+                norm = mpf(str(1 / math.prod(null_u)))
+
+            def gain(t):  # prod_m ((u_m - u)/u_m)^2, u = sin^2(psi/2)
+                u = Decimal(str(mp.sin(mp.pi * dm * mp.sin(t)) ** 2))
+                with localcontext(digits):
+                    f = math.prod(u_m - u for u_m in null_u)
+                return (mpf(str(f)) * norm) ** 2
+        elif family == "binomial":
+            nulls = []
+
+            def gain(t):
+                return mp.cos(mp.pi * dm * mp.sin(t)) ** (2 * n)
+        else:
+            x0 = mp.cosh(mp.acosh(r_ms) / n)
+            sines = [mp.acos(mp.cos((2 * k - 1) * mp.pi / (2 * n)) / x0) / (mp.pi * dm)
+                     for k in range(1, n // 2 + 1)]
+            nulls = sorted(mp.asin(s) for s in sines if s < 1)
+
+            def gain(t):
+                x = x0 * mp.cos(mp.pi * dm * mp.sin(t))
+                t_n = mp.cos(n * mp.acos(x)) if x <= 1 else mp.cosh(n * mp.acosh(x))
+                return (t_n / r_ms) ** 2
+        ends = [mpf(0), *nulls, mp.pi / 2]
+        rule = _tanh_sinh(mpf(1) / 8)
+        sums = [mpf(0)] * len(EXPONENTS)
+        for a, b in zip(ends[:-1], ends[1:]):
+            parts = int(mp.ceil((b - a) * 10))
+            for i in range(parts):
+                lo, hi = a + (b - a) * i / parts, a + (b - a) * (i + 1) / parts
+                half = (hi - lo) / 2
+                for j, (gap, w) in enumerate(rule):
+                    for t in [lo + half * gap, hi - half * gap][: 1 if j == 0 else 2]:
+                        for k, g_e in enumerate(_powers(gain(t))):
+                            sums[k] += half * w * g_e
+        return [float(s / (mp.pi / 2)) for s in sums]
 
 
 def combined_se(*ests):
@@ -144,9 +226,43 @@ def test_exact_matches_sorted_quadrature_oracle(p, h):
 
 @pytest.mark.parametrize("p", ORACLE_PATTERNS, ids=lambda p: p.label)
 def test_exact_matches_fine_trapezoid(p):
-    # h/alpha = 1/2: |AF| to the first power has a cusp at every null
-    fine = trapezoid_beam_width(p, 2.0, 4.0, 1 << 20)
-    assert abs(exact_beam_width(p, BasisDistribution(2.0), 4.0) - fine) <= 1e-7
+    # The periodic trapezoid rule on 2**22 angles, T, taken on [0, pi/2] by symmetry.
+    # G is smooth, so for e = 1 T is exact to rounding.  For fractional e, G**e has a
+    # cusp at each null, and T errs by O(h**(1 + 2e)) with a constant that depends on
+    # where the nulls fall on the grid; its gaps to the rule on every other angle and
+    # to the midpoint rule M bound that error.
+    m = 1 << 20
+    g = p.gain_from_sine(np.sin(np.arange(2 * m + 1) * (math.pi / 4 / m)))
+    for e in (1.0, 0.5, 0.25, 0.125):
+        g_e = g**e
+        ends = 0.5 * (g_e[0] + g_e[-1])
+        fine = (g_e[::2].sum() - ends) / m
+        coarse = (g_e[::4].sum() - ends) / (m // 2)
+        mid = g_e[1::2].sum() / m
+        own_error = 0.0 if e == 1.0 else max(abs(fine - coarse), abs(fine - mid))
+        exact = exact_beam_width(p, BasisDistribution(e), 1.0)
+        assert abs(exact - fine) <= own_error + 1e-14, e
+
+
+@pytest.mark.parametrize(
+    "family,n,d,r_ms",
+    [(f, n, d, 30.0) for f in ("esnla", "binomial", "chebyshev") for n in (4, 20, 200)
+     for d in (0.5, 1 / 16)]
+    # a null just past the horizon (sin(theta) = 1.0003), and lone nulls at 1.02
+    + [("chebyshev", 200, 1 / 16, 1.5), ("binomial", 7, 0.49, 30.0)],
+)
+def test_exact_matches_mpmath_quadrature(family, n, d, r_ms):
+    p = build_pattern(family, n=n, d_ratio=d, r_ms=r_ms)
+    want = mp_beam_widths(family, n, d, r_ms)
+    got = [exact_beam_width(p, BasisDistribution(e), 1.0) for e in EXPONENTS]
+    assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-12
+
+
+def test_exact_rejects_taper_patterns():
+    # A taper has no null set for the null-split rule to split at.
+    taper = from_coefficients([1.0, 2.0, 1.0], 0.5, "taper")
+    with pytest.raises(ValueError, match=r"taper has no null set \(null_u\)"):
+        exact_beam_width(taper, BasisDistribution(2.0), 4.0)
 
 
 @pytest.mark.parametrize(

@@ -309,9 +309,22 @@ def test_gain_matches_mpmath_oracle(family, n, d):
     theta = np.random.default_rng(n).uniform(0.0, TWO_PI, 2000)
     want = mp_gains(family, n, d, theta)
     g = p.gain(theta)
-    assert np.max(np.abs(g - want)) <= 1e-14
+    assert np.max(np.abs(g - want)) <= 5e-15
     big = want >= 1e-12
-    assert np.max(np.abs(g[big] / want[big] - 1.0)) <= 1e-9
+    assert np.max(np.abs(g[big] / want[big] - 1.0)) <= 2e-10
+
+
+@pytest.mark.parametrize("family,n", [("esnla", 20), ("esnla", 200), ("chebyshev", 7),
+                                      ("chebyshev", 20)])
+def test_gain_next_to_null_near_pi_matches_mpmath(family, n):
+    # Between the visible null nearest the horizon and theta = pi/2, u = sin^2(psi/2) lies
+    # within 1 - u_k of 1.  The pair factors there come from cos^2(psi/2), which keeps
+    # their relative accuracy: from u, ESNLA(200) erred by 1e-6 relative.
+    p = patterns.build_pattern(family, n=n, d_ratio=0.5, r_ms=30.0)
+    s_k = np.max(np.arcsin(np.sqrt(p.null_u))) / (math.pi / 2)
+    theta = np.arcsin(s_k + (1.0 - s_k) * np.linspace(0.05, 0.95, 19))
+    want = mp_gains(family, n, 0.5, theta)
+    assert np.max(np.abs(p.gain(theta) / want - 1.0)) <= 5e-10
 
 
 @pytest.mark.parametrize(
