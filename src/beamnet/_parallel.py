@@ -32,7 +32,9 @@ def derive_seed(seed: int, *key: int) -> int:
 
 def run_indexed(fn, count: int, threads: int = 1) -> list:
     """Evaluate fn(i) for i in range(count), results in index order."""
-    if threads <= 1 or count <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, range(count)))

@@ -1,17 +1,21 @@
 """Command-line front end: patterns -> beam widths -> scaling fits -> network sims.
 
 Subcommands: pattern, ebw, scan, fit, reproduce, netsim, analytic.
-Common flags: --out, --emit-plot, --config (a file of `key = value` lines,
-keyed by option destination; explicit flags win).  scan, reproduce and netsim,
-which draw random numbers and can run in parallel, also take --seed and
---threads.
+Every subcommand takes --config (a file of `key = value` lines, keyed by option
+destination; explicit flags win), and all but analytic take --out; pattern,
+scan, reproduce and netsim also take --emit-plot.  A pattern is one spec
+string such as esnla:4:0.5 (pattern and ebw --pattern, netsim --tx-pattern and
+--rx-pattern), and ebw's --h takes a distance-law order (2) or mixture
+(0.5:1,0.5:4).  scan, reproduce and netsim, which draw random numbers and can
+run in parallel, also take --seed and --threads (at least 1).
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
 written, 3 numerical failure.  ebw reports the exact W_B, and netsim's
 bracket takes the exact W_B of both patterns.
 
 Every output CSV starts with a comment line recording the tool version and the
-resolved configuration, the seed included where the command takes one;
+resolved configuration, patterns as the spec given and the seed where the
+command takes one;
 identical configurations produce bit-identical files.
 """
 
@@ -158,7 +162,16 @@ def _emit_plot(kind: str, csv_path) -> Path:
     return script
 
 
-def _parse_mixture(spec: str) -> ebw.MixtureDistribution:
+def _parse_law(spec: str) -> ebw.BasisDistribution | ebw.MixtureDistribution:
+    """The distance law of `ebw --h`: an order h (`2`) or a mixture
+    w:h,w:h,... (`0.5:1,0.5:4`)."""
+    if ":" not in spec and "," not in spec:
+        try:
+            order = float(spec)
+        except ValueError:
+            raise ValueError(f"bad --h {spec!r}: expected an order h or a mixture w:h,..., "
+                             "e.g. 2 or 0.5:1,0.5:4") from None
+        return ebw.BasisDistribution(order)
     weights, orders = [], []
     for part in spec.split(","):
         w, _, h = part.partition(":")
@@ -176,8 +189,7 @@ def _parse_n_list(spec: str) -> list[int]:
 
 
 def cmd_pattern(args) -> int:
-    p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
-                               beam_fraction=args.beam_fraction, r_ms=args.rms)
+    p = patterns.parse_pattern_spec(args.pattern)
     theta = np.linspace(0.0, patterns.TWO_PI, args.rows, endpoint=False)
     out = args.out or "pattern.csv"
     _write_csv(out, ["theta_rad", "gain", "gain_starred"],
@@ -190,12 +202,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_ebw(args) -> int:
-    p = patterns.build_pattern(args.family, n=args.n, d_ratio=args.d,
-                               beam_fraction=args.beam_fraction, r_ms=args.rms)
-    if args.mixture:
-        dist = _parse_mixture(args.mixture)
-    else:
-        dist = ebw.BasisDistribution(args.h)
+    p = patterns.parse_pattern_spec(args.pattern)
+    dist = _parse_law(args.h)
     w_b = ebw.exact_beam_width(p, dist, args.alpha)
     out = args.out or "ebw.csv"
     _write_csv(out, ["pattern_id", "alpha", "h_or_mixture", "W_B"],
@@ -424,19 +432,14 @@ def _add_seed_and_threads(sp):
     sp.add_argument("--threads", type=int, default=1)
 
 
-def _add_common(sp):
+def _add_out(sp, plot: bool):
+    """--out, and --emit-plot for the commands that have a plot template."""
     sp.add_argument("--out", default=None)
-    sp.add_argument("--emit-plot", action="store_true")
-    sp.add_argument("--config", default=None, help="key=value file; flags override")
+    if plot:
+        sp.add_argument("--emit-plot", action="store_true")
 
 
-def _add_pattern_family(sp):
-    sp.add_argument("--family", required=True, choices=list(patterns.PATTERN_FAMILIES))
-    sp.add_argument("--n", type=int, default=4, help="array factor degree")
-    sp.add_argument("--d", type=float, default=0.5, help="element spacing D/lambda")
-    sp.add_argument("--beam-fraction", type=float, default=0.25)
-    sp.add_argument("--rms", type=float, default=30.0,
-                    help="chebyshev main-lobe-to-side-lobe ratio")
+_PATTERN_HELP = "pattern spec: omni, sector:F, esnla:N[:D], binomial:N[:D], chebyshev:N[:D[:RMS]]"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,18 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("pattern", help="export a pattern's G and G* curves")
-    _add_pattern_family(sp)
+    sp.add_argument("--pattern", required=True, help=_PATTERN_HELP)
     sp.add_argument("--alpha", type=float, default=4.0)
     sp.add_argument("--rows", type=int, default=1 << 12)
-    _add_common(sp)
+    _add_out(sp, plot=True)
     sp.set_defaults(func=cmd_pattern)
 
     sp = sub.add_parser("ebw", help="compute an effective beam width")
-    _add_pattern_family(sp)
+    sp.add_argument("--pattern", required=True, help=_PATTERN_HELP)
     sp.add_argument("--alpha", type=float, default=4.0)
-    sp.add_argument("--h", type=float, default=2.0, help="basis distribution order")
-    sp.add_argument("--mixture", default=None, help="w:h,w:h,... mixture spec")
-    _add_common(sp)
+    sp.add_argument("--h", default="2", help="distance law: an order h or a mixture w:h,w:h,...")
+    _add_out(sp, plot=False)
     sp.set_defaults(func=cmd_ebw)
 
     sp = sub.add_parser("scan", help="sweep W_B over array degree N")
@@ -466,12 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
     sp.add_argument("--samples", type=int, default=10**6)
     _add_seed_and_threads(sp)
-    _add_common(sp)
+    _add_out(sp, plot=True)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("fit", help="fit lg W_B = -gamma lg N + b to a sweep CSV")
     sp.add_argument("--in", dest="infile", required=True)
-    _add_common(sp)
+    _add_out(sp, plot=False)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("reproduce", help="run a pinned sweep/fit recipe")
@@ -479,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10**6)
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
     _add_seed_and_threads(sp)
-    _add_common(sp)
+    _add_out(sp, plot=True)
     sp.set_defaults(func=cmd_reproduce, seed=REPRODUCE_SEED)
 
     sp = sub.add_parser("netsim", help="slotted-ALOHA torus network simulation")
@@ -490,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sir0", type=float, default=10.0)
     sp.add_argument("--model", choices=["pairwise", "multi"], default="pairwise")
     sp.add_argument("--fading", choices=["none", "rayleigh"], default="none")
-    sp.add_argument("--tx-pattern", default="omni")
-    sp.add_argument("--rx-pattern", default="omni")
+    sp.add_argument("--tx-pattern", default="omni", help=_PATTERN_HELP)
+    sp.add_argument("--rx-pattern", default="omni", help=_PATTERN_HELP)
     sp.add_argument("--slots", type=int, default=1000)
     sp.add_argument("--bins", type=int, default=16)
     _add_seed_and_threads(sp)
-    _add_common(sp)
+    _add_out(sp, plot=True)
     sp.set_defaults(func=cmd_netsim)
 
     sp = sub.add_parser("analytic", help="closed-form report for a parameter point")
@@ -505,8 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--wb", type=float, default=1.0)
     sp.add_argument("--objective", choices=["total", "transport"], default="total")
     sp.add_argument("--json", action="store_true")
-    _add_common(sp)
     sp.set_defaults(func=cmd_analytic)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--config", default=None, help="key=value file; flags override")
     return ap
 
 

@@ -151,13 +151,12 @@ class SlotOutcome:
 
 
 def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: bool,
-          lengths=None):
+          lengths):
     """Gain, plain or starred, toward `direction` of `pattern` aimed along
     `boresight` (vectors along the last axis); scalar 1.0 when omni.
 
     An array pattern depends on the angle only through its sine, taken as
-    cross / (|boresight| |direction|).  Pass `lengths`, the pair of norms, when
-    they are known; else they are computed, and a zero vector reads as angle 0.
+    cross / (|boresight| |direction|) with `lengths` the pair of norms.
     """
     if pattern.kind == "omni":
         return 1.0
@@ -165,12 +164,7 @@ def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: 
     wx, wy = direction[..., 0], direction[..., 1]
     cross = vx * wy - vy * wx
     if pattern.kind == "array":
-        if lengths is None:
-            norm = np.hypot(vx, vy) * np.hypot(wx, wy)
-            norm = np.where(norm > 0.0, norm, 1.0)
-        else:
-            norm = lengths[0] * lengths[1]
-        g = pattern.gain_from_sine(cross / norm)
+        g = pattern.gain_from_sine(cross / (lengths[0] * lengths[1]))
     else:
         g = pattern.gain(np.arctan2(cross, vx * wx + vy * wy))  # signed angle from v to w
     return np.power(g, 1.0 / alpha) if starred else g

@@ -284,8 +284,10 @@ PATTERN_FAMILIES = {
 
 
 def build_pattern(family: str, **params) -> AntennaPattern:
-    """Build a pattern of a named family.  Parameters the family does not take
-    are ignored; a missing or None parameter takes the family's default."""
+    """Build a pattern of a named family.  A missing or None parameter takes
+    the family's default.  Parameters the family does not take are ignored, so
+    that `scaling.sweep` can pass n and d_ratio to its omni cells;
+    `parse_pattern_spec` passes only the family's own fields."""
     if family not in PATTERN_FAMILIES:
         raise ValueError(f"unknown pattern family {family!r}")
     constructor, fields = PATTERN_FAMILIES[family]

@@ -35,10 +35,15 @@ def _link_gains(state, config, tx, rx, starred):
     disp = torus_delta(pr[:, None, :], pt[None, :, :])  # R_i -> T_j
     dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
     back = torus_delta(pr, pt)  # R_i -> T_i, the receiver's boresight
-    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred)
+    d = np.sqrt(back[:, 0] ** 2 + back[:, 1] ** 2)
+    # dist vanishes at j == R_i; a unit norm there reads that entry as angle 0.
+    norm = np.where(dist > 0.0, dist, 1.0)
+    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred,
+                 (d[:, None], norm))
     # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
     # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
-    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred)
+    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred,
+                 (d[None, :], norm))
     return g_rx, g_tx, dist
 
 

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beamnet
-from beamnet.cli import main
+from beamnet.cli import build_parser, main
 from beamnet.ebw import BasisDistribution, MixtureDistribution, exact_beam_width
-from beamnet.patterns import esnla, sector
+from beamnet.patterns import TWO_PI, chebyshev_array, esnla, omni, sector
 
 
 def read_rows(path):
@@ -22,8 +23,7 @@ def read_rows(path):
 
 def test_pattern_csv(tmp_path, capsys):
     out = tmp_path / "p.csv"
-    code = main(["pattern", "--family", "esnla", "--n", "4", "--d", "0.5",
-                 "--alpha", "4", "--out", str(out)])
+    code = main(["pattern", "--pattern", "esnla:4:0.5", "--alpha", "4", "--out", str(out)])
     assert code == 0
     header, rows = read_rows(out)
     assert header == ["theta_rad", "gain", "gain_starred"]
@@ -35,20 +35,43 @@ def test_pattern_csv(tmp_path, capsys):
 
 def test_pattern_omni_constant(tmp_path):
     out = tmp_path / "o.csv"
-    assert main(["pattern", "--family", "omni", "--rows", "64", "--out", str(out)]) == 0
+    assert main(["pattern", "--pattern", "omni", "--rows", "64", "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert all(float(r[1]) == 1.0 for r in rows)
 
 
-def test_unknown_family_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["pattern", "--family", "helix", "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+def test_unknown_family_is_usage_error(tmp_path, capsys):
+    assert main(["pattern", "--pattern", "helix", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "unknown pattern family 'helix'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_missing_spec_field_is_named(tmp_path, capsys):
+    # No family default stands in for a field the spec leaves out.
+    assert main(["ebw", "--pattern", "sector", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad pattern spec 'sector': sector pattern needs beam_fraction\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+SPECS = {"omni": omni(), "sector:0.3": sector(0.3), "esnla:4": esnla(4, 0.5),
+         "chebyshev:8:0.5:30": chebyshev_array(8, 0.5, 30.0)}
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_pattern_rows_match_library(tmp_path, spec):
+    p, out = SPECS[spec], tmp_path / "p.csv"
+    assert main(["pattern", "--pattern", spec, "--alpha", "4", "--rows", "256",
+                 "--out", str(out)]) == 0
+    theta = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+    want = [[f"{v:.12g}" for v in row]
+            for row in zip(theta, p.gain(theta), p.gain_starred(theta, 4.0))]
+    assert read_rows(out)[1] == want
+    assert out.read_text().splitlines()[0].endswith(f"pattern={spec} rows=256")
 
 
 def test_ebw_single_row_and_determinism(tmp_path):
-    args = ["ebw", "--family", "esnla", "--n", "4", "--d", "0.5", "--alpha", "4",
-            "--h", "2"]
+    args = ["ebw", "--pattern", "esnla:4:0.5", "--alpha", "4", "--h", "2"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
@@ -62,49 +85,107 @@ def test_ebw_single_row_and_determinism(tmp_path):
 
 def test_ebw_mixture_flag(tmp_path):
     out = tmp_path / "m.csv"
-    assert main(["ebw", "--family", "sector", "--beam-fraction", "0.25",
-                 "--mixture", "0.5:1,0.5:4", "--out", str(out)]) == 0
+    assert main(["ebw", "--pattern", "sector:0.25", "--h", "0.5:1,0.5:4",
+                 "--out", str(out)]) == 0
     _, rows = read_rows(out)
     assert rows[0][2] == "0.5*h1+0.5*h4"
     assert float(rows[0][3]) == 0.25
 
 
-@pytest.mark.parametrize(
-    "flags,pattern,dist",
-    [
-        (["--family", "esnla", "--n", "4", "--h", "2"], esnla(4, 0.5), BasisDistribution(2.0)),
-        (["--family", "sector", "--beam-fraction", "0.3", "--mixture", "0.25:1,0.75:3"],
-         sector(0.3), MixtureDistribution((0.25, 0.75), (1.0, 3.0))),
-    ],
-    ids=["esnla-h2", "sector-mixture"],
-)
-def test_ebw_reports_exact_beam_width(tmp_path, capsys, flags, pattern, dist):
+LAWS = {"2": ("h2", BasisDistribution(2.0)),
+        "0.25:1,0.75:3": ("mixture", MixtureDistribution((0.25, 0.75), (1.0, 3.0)))}
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: LAWS[law][0])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.split(":")[0])
+def test_ebw_reports_exact_beam_width(tmp_path, capsys, spec, law):
+    pattern, dist = SPECS[spec], LAWS[law][1]
     want = f"{exact_beam_width(pattern, dist, 4.0):.12g}"
     out = tmp_path / "e.csv"
-    assert main(["ebw", *flags, "--alpha", "4", "--out", str(out)]) == 0
+    assert main(["ebw", "--pattern", spec, "--h", law, "--alpha", "4", "--out", str(out)]) == 0
     assert f"W_B = {want}\n" in capsys.readouterr().out
-    assert read_rows(out)[1][0][3] == want
-    assert "seed" not in out.read_text().splitlines()[0]
+    assert read_rows(out)[1] == [[pattern.label, "4", dist.describe(), want]]
+    assert out.read_text().splitlines()[0].endswith(f"| alpha=4.0 cmd=ebw h={law} pattern={spec}")
 
 
-@pytest.mark.parametrize("cmd", [["ebw", "--family", "omni"], ["pattern", "--family", "omni"],
+@pytest.mark.parametrize("cmd", [["ebw", "--pattern", "omni"], ["pattern", "--pattern", "omni"],
                                  ["fit", "--in", "s.csv"], ["analytic"]])
 @pytest.mark.parametrize("flag", ["--seed", "--threads"])
 def test_deterministic_commands_take_no_seed_or_threads(tmp_path, capsys, cmd, flag):
     # Only scan, reproduce and netsim draw random numbers or run in parallel.
+    out = [] if cmd == ["analytic"] else ["--out", str(tmp_path / "x.csv")]
     with pytest.raises(SystemExit) as exc:
-        main(cmd + [flag, "1", "--out", str(tmp_path / "x.csv")])
+        main(cmd + [flag, "1"] + out)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
+@pytest.mark.parametrize(
+    "cmd,removed",
+    [(["pattern", "--pattern", "omni"], ["--family", "esnla"]),
+     (["ebw", "--pattern", "esnla:4"], ["--n", "8"]),
+     (["ebw", "--pattern", "esnla:4"], ["--mixture", "0.5:1,0.5:4"]),
+     (["ebw", "--pattern", "omni"], ["--emit-plot"]),
+     (["fit", "--in", "s.csv"], ["--emit-plot"]),
+     (["analytic"], ["--out", "a.json"]),
+     (["analytic"], ["--emit-plot"])],
+    ids=["pattern-family", "ebw-n", "ebw-mixture", "ebw-emit-plot", "fit-emit-plot",
+         "analytic-out", "analytic-emit-plot"],
+)
+def test_removed_options_are_usage_errors(capsys, cmd, removed):
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + removed)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
+
+
+def test_subcommand_options():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "cmd"]
+    options = {name: sorted(s for a in sp._actions for s in a.option_strings
+                            if s not in ("-h", "--help"))
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "pattern": ["--alpha", "--config", "--emit-plot", "--out", "--pattern", "--rows"],
+        "ebw": ["--alpha", "--config", "--h", "--out", "--pattern"],
+        "scan": ["--alpha-star", "--config", "--d", "--emit-plot", "--family", "--n-list",
+                 "--out", "--samples", "--seed", "--threads"],
+        "fit": ["--config", "--in", "--out"],
+        "reproduce": ["--config", "--emit-plot", "--n-list", "--out", "--samples", "--seed",
+                      "--threads"],
+        "netsim": ["--alpha", "--bins", "--config", "--emit-plot", "--fading", "--model", "--n",
+                   "--out", "--pt", "--r", "--rx-pattern", "--seed", "--sir0", "--slots",
+                   "--threads", "--tx-pattern"],
+        "analytic": ["--alpha", "--config", "--json", "--n", "--objective", "--sir0", "--wb"],
+    }
+    assert sum(map(len, options.values())) == 54
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize(
+    "cmd",
+    [["scan", "--family", "omni", "--n-list", "2", "--samples", "10"],
+     ["reproduce", "fig4", "--n-list", "2", "--samples", "10"],
+     ["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--slots", "2"]],
+    ids=["scan", "reproduce", "netsim"],
+)
+def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
+    assert main(cmd + ["--threads", threads, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5,", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
 def test_ebw_bad_mixture_part_is_named(tmp_path, capsys, spec):
     out = tmp_path / "x.csv"
-    assert main(["ebw", "--family", "esnla", "--mixture", spec, "--out", str(out)]) == 2
+    assert main(["ebw", "--pattern", "esnla:4", "--h", spec, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad mixture part") and "expected w:h" in err
     assert not out.exists()
+
+
+def test_ebw_bad_order_is_named(tmp_path, capsys):
+    assert main(["ebw", "--pattern", "esnla:4", "--h", "two", "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: bad --h 'two': expected an order h")
 
 
 def test_scan_fit_roundtrip(tmp_path):
@@ -158,15 +239,16 @@ def test_netsim_precondition_exit_code(tmp_path, capsys):
         (["netsim", "--n", "50", "--r", "0.15", "--pt", "0.2", "--slots", "5", "--sir0", "nan"],
          "SIR0"),
         (["analytic", "--sir0", "inf"], "SIR0"),
-        (["ebw", "--family", "esnla", "--mixture", "nan:2"], "weights"),
-        (["ebw", "--family", "esnla", "--mixture", "1:inf"], "orders"),
-        (["ebw", "--family", "esnla", "--h", "inf"], "order"),
+        (["ebw", "--pattern", "esnla:4", "--h", "nan:2"], "weights"),
+        (["ebw", "--pattern", "esnla:4", "--h", "1:inf"], "orders"),
+        (["ebw", "--pattern", "esnla:4", "--h", "inf"], "order"),
     ],
     ids=["netsim-sir0-inf", "netsim-sir0-nan", "analytic-sir0-inf", "ebw-nan-weight",
          "ebw-inf-order", "ebw-inf-h"],
 )
 def test_non_finite_sir0_and_distribution_are_usage_errors(tmp_path, capsys, cmd, message):
-    assert main(cmd + ["--out", str(tmp_path / "x.csv")]) == 2
+    out = [] if cmd[0] == "analytic" else ["--out", str(tmp_path / "x.csv")]
+    assert main(cmd + out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "x.csv").exists()
@@ -182,18 +264,19 @@ def test_netsim_rejects_zero_bins(tmp_path, capsys):
 @pytest.mark.parametrize(
     "cmd,option",
     [
-        (["ebw", "--family", "esnla", "--alpha", "nan"], "alpha"),
+        (["ebw", "--pattern", "esnla:4", "--alpha", "nan"], "alpha"),
         (["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--alpha", "nan"], "alpha"),
         (["analytic", "--alpha", "nan"], "alpha"),
-        (["pattern", "--family", "omni", "--rows", "8", "--alpha", "nan"], "alpha"),
+        (["pattern", "--pattern", "omni", "--rows", "8", "--alpha", "nan"], "alpha"),
         (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "nan"], "alpha_star"),
-        (["ebw", "--family", "omni", "--alpha", "inf"], "alpha"),
+        (["ebw", "--pattern", "omni", "--alpha", "inf"], "alpha"),
         (["scan", "--family", "esnla", "--n-list", "2", "--alpha-star", "inf"], "alpha_star"),
     ],
     ids=["ebw", "netsim", "analytic", "pattern", "scan", "ebw-inf", "scan-inf"],
 )
 def test_non_finite_path_loss_exponent_is_usage_error(tmp_path, capsys, cmd, option):
-    assert main(cmd + ["--out", str(tmp_path / "x.csv")]) == 2
+    out = [] if cmd[0] == "analytic" else ["--out", str(tmp_path / "x.csv")]
+    assert main(cmd + out) == 2
     assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
     assert not (tmp_path / "x.csv").exists()
 
@@ -264,7 +347,7 @@ def test_reproduce_deterministic_bytes(tmp_path, capsys):
 
 def test_emit_plot_script(tmp_path):
     out = tmp_path / "p.csv"
-    assert main(["pattern", "--family", "omni", "--rows", "32", "--out", str(out),
+    assert main(["pattern", "--pattern", "omni", "--rows", "32", "--out", str(out),
                  "--emit-plot"]) == 0
     script = tmp_path / "p_plot.py"
     assert script.exists()
@@ -286,7 +369,7 @@ def test_config_file_defaults_and_override(tmp_path):
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("warp_factor = 9\n")
-    code = main(["ebw", "--family", "omni", "--config", str(cfg),
+    code = main(["ebw", "--pattern", "omni", "--config", str(cfg),
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "warp_factor" in capsys.readouterr().err
@@ -344,5 +427,5 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, case):
 
 def test_pattern_creates_output_directory(tmp_path):
     out = tmp_path / "newdir" / "p.csv"
-    assert main(["pattern", "--family", "omni", "--rows", "8", "--out", str(out)]) == 0
+    assert main(["pattern", "--pattern", "omni", "--rows", "8", "--out", str(out)]) == 0
     assert len(read_rows(out)[1]) == 8

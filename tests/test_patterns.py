@@ -345,8 +345,7 @@ def test_gain_always_in_unit_interval(theta):
 
 def test_pattern_csv_export(tmp_path):
     out = tmp_path / "p.csv"
-    assert main(["pattern", "--family", "esnla", "--n", "4", "--rows", "256",
-                 "--out", str(out)]) == 0
+    assert main(["pattern", "--pattern", "esnla:4", "--rows", "256", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "theta_rad,gain,gain_starred"
