@@ -299,8 +299,7 @@ def _reproduce_bundle(args, curves, out_dir):
 
 
 def cmd_reproduce(args) -> int:
-    out_dir = Path(args.out or "reproduce_out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or "reproduce_out")  # made by the first file written
     ok = True
     if args.figure == "fig4":
         tables, _ = _reproduce_bundle(

@@ -14,20 +14,29 @@ Interference models:
   * multi (none | rayleigh): cumulative SIR over all active transmitters,
     plain gains, S_i / sum_k I_ik >= SIR0.
 
-Cost of a slot with L links among n nodes.  Links are evaluated in blocks of
-whole receivers of at most _PAIR_BUDGET // n links, so a slot holds
-O(_PAIR_BUDGET + n) memory whatever L is (a receiver with more links than that
-forms its own block):
+Cost of a slot with L links among n nodes.  Slots are drawn a window at a
+time, then evaluated in blocks of whole slots of at most cap = _PAIR_BUDGET // n
+links in all, taken in order of L so that slots of equal L share a block.  A
+slot of more than cap links is a block of its own, evaluated in runs of whole
+receivers of at most cap links (a receiver with more links forms its own run).
+Either way a block holds O(_PAIR_BUDGET + n) memory whatever L is, and the
+window's draws O(_PAIR_BUDGET).  Links already lost (the receiver transmits or,
+under directional reception, is contested) are not evaluated.
   * pairwise + no fading has an exact cutoff, the protocol-model locality of
     Gupta and Kumar (2000): since G* <= 1, transmitter j can break link i only
-    within (1 + Delta) d_i of R_i.  A periodic k-d tree over the transmitters
-    returns the pairs within that reach, and only they are tested, in
-    O(L log L + pairs within reach) time.
+    within (1 + Delta) d_i of R_i.  Periodic k-d trees over a block's
+    transmitters and over each run's receivers, with each slot lifted to its
+    own height, return the pairs within that reach, and only they are tested,
+    in O(L log L + pairs within reach) time per slot.
   * the other three models have no cutoff (a fade, or the sum, lets any
     transmitter matter), so every (link, transmitter) pair is evaluated:
-    O(L^2) time.  Rayleigh fades are rows of a (unique rx) x L matrix, one
-    Exp(1) fade per (receiver, transmitter) pair, drawn block by block: the
-    same stream as one draw of the whole matrix.
+    O(L^2) time.  The rows of all slots with the same L stack into one
+    (rows, L) array, so each row's sum is NumPy's pairwise sum of the same L
+    terms in the same order as for the slot alone, bit for bit (a flat ragged
+    layout summed by np.add.reduceat or np.bincount is not).  Rayleigh fades
+    are rows of each slot's (unique rx) x L matrix, one Exp(1) fade per
+    (receiver, transmitter) pair, drawn from the slot's own generator when its
+    block or run is evaluated: the same stream as one draw of the whole matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import cKDTree
 
 from ._parallel import derive_seed, run_indexed
@@ -150,18 +160,31 @@ class SlotOutcome:
     success: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class _SlotDraw:
+    """A drawn slot: its candidate links, the live ones among them (those that
+    only interference can still break), and the slot's generator, positioned at
+    its fade draws."""
+
+    tx: np.ndarray
+    rx: np.ndarray
+    d: np.ndarray
+    live: np.ndarray
+    rng: np.random.Generator
+
+
 def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: bool,
           lengths):
     """Gain, plain or starred, toward `direction` of `pattern` aimed along
-    `boresight` (vectors along the last axis); scalar 1.0 when omni.
+    `boresight` (each vector an (x, y) pair of component arrays, or an array
+    whose first axis is the component); scalar 1.0 when omni.
 
     An array pattern depends on the angle only through its sine, taken as
     cross / (|boresight| |direction|) with `lengths` the pair of norms.
     """
     if pattern.kind == "omni":
         return 1.0
-    vx, vy = boresight[..., 0], boresight[..., 1]
-    wx, wy = direction[..., 0], direction[..., 1]
+    (vx, vy), (wx, wy) = boresight, direction
     cross = vx * wy - vy * wx
     if pattern.kind == "array":
         g = pattern.gain_from_sine(cross / (lengths[0] * lengths[1]))
@@ -177,103 +200,203 @@ _PAIR_BUDGET = 1 << 20
 _REACH_PAD = 1e-9
 
 
-def _evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
-    """Success flags for all candidate links of one slot under the configured model,
-    evaluated in receiver blocks as the module docstring describes."""
-    n_links = len(tx)
-    success = np.ones(n_links, dtype=bool)
+def _draw_slots(state: NetworkState, config: NetworkConfig, seeds) -> list[_SlotDraw]:
+    """Draw one slot per seed, each from its own generator: activation uniforms
+    (n), then receiver-choice uniforms (one per active non-isolated node).  A
+    slot's fades are drawn when it is evaluated."""
+    can_send = state.k_pr > 0
+    sending = np.empty((len(seeds), state.n), dtype=bool)  # the (slots x n) activity table
+    rngs, picks = [], []
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        np.less(rng.random(state.n), config.p_t, out=sending[k])
+        sending[k] &= can_send
+        picks.append(rng.random(np.count_nonzero(sending[k])))
+        rngs.append(rng)
+    slot, tx = np.nonzero(sending)  # by slot, then transmitter id ascending
+    pick = np.concatenate(picks)
+    idx = np.minimum((pick * state.k_pr[tx]).astype(np.int64), state.k_pr[tx] - 1)
+    sel = state.neighbor_offsets[tx] + idx
+    rx = state.neighbors[sel]
+    # Half-duplex: a transmitting receiver hears nothing.
+    live = ~sending[slot, rx]
+    if config.rx_pattern.kind != "omni":
+        # No capture under directional reception: a contested receiver loses all.
+        _, inv, count = np.unique(slot * state.n + rx, return_inverse=True, return_counts=True)
+        live &= count[inv] < 2
+    d = state.neighbor_dist[sel]
+    ends = np.cumsum([len(p) for p in picks]).tolist()
+    return [
+        _SlotDraw(tx=tx[a:b], rx=rx[a:b], d=d[a:b], live=live[a:b], rng=rng)
+        for a, b, rng in zip([0] + ends, ends, rngs)
+    ]
+
+
+def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
+    """Success flags of each drawn slot in `slots`, evaluated together as one block
+    in runs of whole receivers, as the module docstring describes."""
+    sizes = np.array([len(s.tx) for s in slots], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(sizes)])  # each slot's first link
+    if first[-1] == 0:
+        return [np.zeros(0, dtype=bool) for _ in slots]
+    slot = np.repeat(np.arange(len(slots)), sizes)  # each link's slot
+    tx = np.concatenate([s.tx for s in slots])
+    rx = np.concatenate([s.rx for s in slots])
+    d = np.concatenate([s.d for s in slots])
+    live = np.concatenate([s.live for s in slots])
+    success = np.zeros(len(tx), dtype=bool)
     pos = state.positions
     alpha = config.alpha
     rayleigh = config.fading == "rayleigh"
     guard_only = config.model == "pairwise" and not rayleigh
-    back = torus_delta(pos[rx], pos[tx])  # R_i -> T_i, the receiver's boresight
+    # Per link, by component (so that the long axis of a pair array is innermost):
+    # T_i, R_i and R_i -> T_i, the receiver's boresight, of length d_i.
+    t_x, t_y = pos[tx].T
+    r_x, r_y = pos[rx].T
+    b_x, b_y = torus_delta(pos[rx], pos[tx]).T
+
+    def gains(i, tj, starred):
+        """(g_rx, g_tx, dist) of link i against transmitter j, elementwise over
+        broadcast arrays, where tj = (x, y, boresight x, boresight y, length) of
+        link j; a gain is scalar 1.0 when its side is omni."""
+        jx, jy, jbx, jby, jd = tj
+        wx, wy = jx - r_x[i], jy - r_y[i]  # R_i -> T_j, as torus_delta takes it
+        wx -= np.round(wx)
+        wy -= np.round(wy)
+        dist = wx * wx  # wx**2, bit for bit
+        dist += wy * wy
+        np.sqrt(dist, out=dist)
+        g_rx = _gain(config.rx_pattern, (b_x[i], b_y[i]), (wx, wy), alpha, starred, (d[i], dist))
+        # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
+        # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
+        g_tx = _gain(config.tx_pattern, (jbx, jby), (wx, wy), alpha, starred, (jd, dist))
+        return g_rx, g_tx, dist
+
     if guard_only:
         # Interferer j can break link i only within (1+Delta) d_i G*_rx G*_tx
         # <= (1+Delta) d_i of R_i, since G* <= 1: query that reach, padded.
         reach = (1.0 + state.delta) * d + _REACH_PAD
-        tx_tree = cKDTree(pos[tx], boxsize=1.0)
+        # Slot s sits at height s * gap in a box periodic along all three axes.
+        # Nodes of different slots lie at least gap > 2 reach apart and never pair;
+        # with gap > 1 as well, the trees split whole slots apart first.
+        gap = 1.0 + 2.0 * float(reach.max())
+        box = (1.0, 1.0, len(slots) * gap)
+        tx_tree = cKDTree(np.column_stack([t_x, t_y, slot * gap]), boxsize=box)
 
-    def gains(i, j, starred, excl=None):
-        """(g_rx, g_tx, dist) of link i against transmitter j, elementwise over
-        broadcast index arrays; a gain is scalar 1.0 when its side is omni.
-        Where `excl` is set, dist reads 1 (it vanishes at j == R_i) and the
-        gains are meaningless."""
-        disp = torus_delta(pos[rx[i]], pos[tx[j]])  # R_i -> T_j
-        dist = np.sqrt(disp[..., 0] ** 2 + disp[..., 1] ** 2)
-        if excl is not None:
-            dist[excl] = 1.0
-        # Link lengths d are |R_i -> T_i|, the boresight lengths.
-        g_rx = _gain(config.rx_pattern, back[i], disp, alpha, starred, (d[i], dist))
-        # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
-        # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
-        g_tx = _gain(config.tx_pattern, back[j], disp, alpha, starred, (d[j], dist))
-        return g_rx, g_tx, dist
-
-    _, inv = np.unique(rx, return_inverse=True)
+    # Receivers are keyed by (slot, receiver id), ascending; runs take whole keys.
+    keys, inv = np.unique(slot * state.n + rx, return_inverse=True)
     order = np.argsort(inv, kind="stable")
-    starts = np.concatenate([[0], np.cumsum(np.bincount(inv))])  # per receiver, into order
+    starts = np.concatenate([[0], np.cumsum(np.bincount(inv))])  # per key, into order
+    key_slot = keys // state.n
+    slot_keys = np.searchsorted(key_slot, np.arange(len(slots) + 1))  # each slot's first key
     cap = max(1, _PAIR_BUDGET // state.n)
-    u = 0
-    while u < len(starts) - 1:
-        v = max(u + 1, int(np.searchsorted(starts, starts[u] + cap, side="right")) - 1)
+    bounds = [0]
+    while bounds[-1] < len(keys):
+        u = bounds[-1]
+        bounds.append(max(u + 1, int(np.searchsorted(starts, starts[u] + cap, side="right")) - 1))
+    for u, v in zip(bounds[:-1], bounds[1:]):
         rows = order[starts[u] : starts[v]]
+        if rayleigh:
+            # Keys u..v-1's rows of their slots' (unique rx) x L fade matrices
+            # (column j for the slot's link j), each slot's rows drawn in one call
+            # from its own generator: the same stream as one draw of its matrix.
+            row_at = np.concatenate([[0], np.cumsum(sizes[key_slot[u:v]])])
+            fades = np.empty(row_at[-1])
+            for k in range(key_slot[u], key_slot[v - 1] + 1):
+                a, b = max(u, slot_keys[k]) - u, min(v, slot_keys[k + 1]) - u
+                out = fades[row_at[a] : row_at[b]].reshape(b - a, sizes[k])
+                slots[k].rng.standard_exponential(out=out)
+        rows = rows[live[rows]]  # links already lost are not evaluated
+        if not len(rows):
+            continue
         if guard_only:
-            near = cKDTree(pos[rx[rows]], boxsize=1.0).sparse_distance_matrix(
-                tx_tree, float(reach[rows].max()), output_type="ndarray"
-            )
+            near = cKDTree(
+                np.column_stack([r_x[rows], r_y[rows], slot[rows] * gap]), boxsize=box
+            ).sparse_distance_matrix(tx_tree, float(reach[rows].max()), output_type="ndarray")
             i, j = rows[near["i"]], near["j"]
             # Drop j == T_i (self) and j == R_i, and pairs beyond link i's own reach.
             keep = (j != i) & (tx[j] != rx[i]) & (near["v"] <= reach[i])
             i, j = i[keep], j[keep]
-            g_rx, g_tx, dist = gains(i, j, starred=True)
+            g_rx, g_tx, dist = gains(i, [a[j] for a in (t_x, t_y, b_x, b_y, d)], starred=True)
+            success[rows] = True
             success[i[dist < (1.0 + state.delta) * d[i] * g_rx * g_tx]] = False
-        else:
+            continue
+        # Rows of slots with equal L stack into one (rows, L) array: a row sum is
+        # then the pairwise sum of the same L terms in the same order as alone.
+        row_links = sizes[slot[rows]]
+        for n_links in np.unique(row_links):
+            grp = rows[row_links == n_links]
+            s = slot[grp]
+            cols = np.arange(n_links)
+            # Transmitter data per row: its slot's L links, repeated over the
+            # slot's rows (rows are in slot order), or one broadcast row.
+            group_slots, reps = np.unique(s, return_counts=True)
+            j = first[group_slots][:, None] + cols
+            tj = [a[j] if len(reps) == 1 else np.repeat(a[j], reps, axis=0)
+                  for a in (t_x, t_y, b_x, b_y, d)]
+            # Live receivers do not transmit, so no j is R_i and dist > 0; only
+            # j == T_i (self), at column i - first, is left out.
+            rr, self_col = np.arange(len(grp)), grp - first[s]
             if rayleigh:
-                # This block's receivers' rows of the (unique rx) x L fade matrix
-                # (column j for link j's transmitter), repeated to one row per link.
-                f_int = rng.standard_exponential((v - u, n_links))[inv[rows] - u]
-                f_sig = f_int[np.arange(len(rows)), rows]
+                fade_row = row_at[inv[grp] - u]  # start of each link's row in `fades`
+                f_int = sliding_window_view(fades, n_links)[fade_row]  # rows copied whole
+                f_sig = fades[fade_row + self_col]
             else:
                 f_sig = f_int = 1.0
-            i, j = rows[:, None], np.arange(n_links)[None, :]
-            excl = (j == i) | (tx[j] == rx[i])  # j == T_i (self) and j == R_i
-            g_rx, g_tx, dist = gains(i, j, starred=False, excl=excl)
+            i = grp[:, None]
+            g_rx, g_tx, dist = gains(i, tj, starred=False)
             if config.model == "pairwise":
                 ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
                     d[i] ** alpha
                 )
-                success[rows] = np.all(ok | excl, axis=1)
+                ok[rr, self_col] = True
+                success[grp] = np.all(ok, axis=1)
             else:
-                term = np.where(excl, 0.0, f_int * g_rx * g_tx) * dist ** (-alpha)
-                signal = f_sig * d[rows] ** (-alpha)
-                success[rows] = signal >= config.sir0 * term.sum(axis=1)
-        u = v
-    return success
+                term = f_int * g_rx * g_tx * dist ** (-alpha)
+                term[rr, self_col] = 0.0
+                signal = f_sig * d[grp] ** (-alpha)
+                success[grp] = signal >= config.sir0 * term.sum(axis=1)
+    return [success[a:b] for a, b in zip(first[:-1], first[1:])]
+
+
+def _blocks(sizes: np.ndarray, cap: int) -> list[list[int]]:
+    """Slot indices in blocks of at most `cap` links, taken in order of link count
+    (stable), so that slots of equal L share a block; a slot of more than `cap`
+    links forms a block of its own."""
+    blocks, links = [], 0
+    for k in np.argsort(sizes, kind="stable"):
+        if not blocks or links + sizes[k] > cap:
+            blocks.append([])
+            links = 0
+        blocks[-1].append(int(k))
+        links += int(sizes[k])
+    return blocks
+
+
+def _run_slots(state, config, ts, threads: int = 1) -> list[SlotOutcome]:
+    """Slots `ts` of the run (slot t draws from SeedSequence([seed, 1, t])): all are
+    drawn first, then evaluated in blocks of whole slots (`_blocks`)."""
+    drawn = _draw_slots(state, config, [np.random.SeedSequence([config.seed, 1, t]) for t in ts])
+    blocks = _blocks(np.array([len(s.tx) for s in drawn], dtype=np.int64),
+                     max(1, _PAIR_BUDGET // state.n))
+    flags = run_indexed(
+        lambda b: _evaluate_slots(state, config, [drawn[k] for k in blocks[b]]), len(blocks), threads
+    )
+    success = {k: f for block, fs in zip(blocks, flags) for k, f in zip(block, fs)}
+    return [SlotOutcome(tx=s.tx, rx=s.rx, d=s.d, success=success[k]) for k, s in enumerate(drawn)]
 
 
 def run_slot(state: NetworkState, config: NetworkConfig, slot_seed) -> SlotOutcome:
-    """Draw one slot (activation, receiver choice, fades) and evaluate every link.
+    """Draw one slot (activation, receiver choice, fades) and evaluate every link,
+    as a block of one slot: the flags estimate_throughput gets for the slot.
 
     Draw order: activation uniforms (n), receiver-choice uniforms (one per
     active non-isolated node), then, under Rayleigh fading, the (unique rx) x L
     fade matrix: rows by receiver id ascending, column j for link j.
     """
-    rng = np.random.default_rng(slot_seed)
-    transmitting = (rng.random(state.n) < config.p_t) & (state.k_pr > 0)
-    tx = np.flatnonzero(transmitting)
-    pick = rng.random(len(tx))
-    idx = np.minimum((pick * state.k_pr[tx]).astype(np.int64), state.k_pr[tx] - 1)
-    sel = state.neighbor_offsets[tx] + idx
-    rx = state.neighbors[sel]
-    d = state.neighbor_dist[sel]
-
-    success = _evaluate_slot(state, config, tx, rx, d, rng)
-    # Half-duplex: a transmitting receiver hears nothing.
-    success &= ~transmitting[rx]
-    if config.rx_pattern.kind != "omni" and len(rx):
-        # No capture under directional reception: a contested receiver loses all.
-        success &= np.bincount(rx, minlength=state.n)[rx] < 2
-    return SlotOutcome(tx=tx, rx=rx, d=d, success=success)
+    (slot,) = _draw_slots(state, config, [slot_seed])
+    (success,) = _evaluate_slots(state, config, [slot])
+    return SlotOutcome(tx=slot.tx, rx=slot.rx, d=slot.d, success=success)
 
 
 @dataclass(frozen=True)
@@ -334,6 +457,11 @@ def estimate_throughput(
     link lengths.  When `w_b_effective` is given (W_B for omni reception,
     W_B(rx) * W_B(tx) for directional reception) each length bin also carries the
     analytic success-probability bracket for comparison.
+
+    Slot t draws from SeedSequence([seed, 1, t]).  The slots are drawn a window
+    at a time and evaluated in blocks of whole slots (module docstring); each
+    slot's flags, success count and successful length sum are those run_slot
+    gives it, so the results depend neither on the blocks nor on `threads`.
     """
     if config.slots < 1:
         raise ValueError("config.slots must be >= 1 to estimate throughput")
@@ -341,21 +469,21 @@ def estimate_throughput(
         raise ValueError(f"bins must be >= 1, got {bins}")
     edges = np.linspace(0.0, state.r, bins + 1)
 
-    def one_slot(t: int):
-        out = run_slot(state, config, np.random.SeedSequence([config.seed, 1, t]))
-        b = np.minimum((out.d / state.r * bins).astype(np.int64), bins - 1)
-        return (
-            int(out.success.sum()),
-            float(out.d[out.success].sum()),
-            np.bincount(b, minlength=bins),
-            np.bincount(b[out.success], minlength=bins),
-        )
-
-    results = run_indexed(one_slot, config.slots, threads)
-    succ = np.array([r[0] for r in results], dtype=float)
-    dsum = np.array([r[1] for r in results])
-    attempts = sum(r[2] for r in results)
-    wins = sum(r[3] for r in results)
+    # A window holds at most _PAIR_BUDGET // n slots (at most n links and n
+    # activity flags each) and sqrt(_PAIR_BUDGET) generators (about 1 KB each).
+    window = max(1, min(_PAIR_BUDGET // state.n, math.isqrt(_PAIR_BUDGET)))
+    succ, dsum = [], []
+    attempts = wins = np.zeros(bins, dtype=np.int64)
+    for t0 in range(0, config.slots, window):
+        outs = _run_slots(state, config, range(t0, min(t0 + window, config.slots)), threads)
+        succ += [int(out.success.sum()) for out in outs]
+        dsum += [float(out.d[out.success].sum()) for out in outs]
+        d = np.concatenate([out.d for out in outs])
+        b = np.minimum((d / state.r * bins).astype(np.int64), bins - 1)
+        attempts = attempts + np.bincount(b, minlength=bins)
+        wins = wins + np.bincount(b[np.concatenate([out.success for out in outs])], minlength=bins)
+    succ = np.array(succ, dtype=float)
+    dsum = np.array(dsum)
 
     def mean_se(x):
         se = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
@@ -463,10 +591,10 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     csr = np.repeat(keep, state.k_pr)  # CSR entries of the kept nodes
     ms = state.neighbors[csr]
 
-    w = torus_delta(ri, pos[ks])  # R_i -> k
-    dist = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
+    w = torus_delta(ri, pos[ks]).T  # R_i -> k, by component
+    dist = np.sqrt(w[0] ** 2 + w[1] ** 2)
     u = -w  # k -> R_i
-    v2 = torus_delta(pos[ks], pos[ms])  # k -> chosen receiver m, of length neighbor_dist
+    v2 = torus_delta(pos[ks], pos[ms]).T  # k -> chosen receiver m, of length neighbor_dist
 
     alpha = config.alpha
     g_rx = _gain(config.rx_pattern, v1, w, alpha, False, (d_i, dist))

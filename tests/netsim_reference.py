@@ -2,7 +2,7 @@
 
 `dense_evaluate_slot` is the engine as it stood before the interference cutoff
 and the receiver blocks: every (link, transmitter) pair of a slot as L x L
-arrays.  `pairwise_success` and `multi_rayleigh_success` test one link at a time
+arrays; `dense_evaluate_slots` puts it in the engine's place.  `pairwise_success` and `multi_rayleigh_success` test one link at a time
 with scalar arithmetic.  Tests compare the engine against all three.
 `pairwise_link_prediction` is the exact fixed-link law of the two pairwise
 models, the oracle for `link_success_probability` beside the library's
@@ -38,12 +38,13 @@ def _link_gains(state, config, tx, rx, starred):
     d = np.sqrt(back[:, 0] ** 2 + back[:, 1] ** 2)
     # dist vanishes at j == R_i; a unit norm there reads that entry as angle 0.
     norm = np.where(dist > 0.0, dist, 1.0)
-    g_rx = _gain(config.rx_pattern, back[:, None, :], disp, config.alpha, starred,
-                 (d[:, None], norm))
+    by_component = np.moveaxis(disp, -1, 0)
+    g_rx = _gain(config.rx_pattern, np.moveaxis(back[:, None, :], -1, 0), by_component,
+                 config.alpha, starred, (d[:, None], norm))
     # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
     # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
-    g_tx = _gain(config.tx_pattern, back[None, :, :], disp, config.alpha, starred,
-                 (d[None, :], norm))
+    g_tx = _gain(config.tx_pattern, np.moveaxis(back[None, :, :], -1, 0), by_component,
+                 config.alpha, starred, (d[None, :], norm))
     return g_rx, g_tx, dist
 
 
@@ -85,6 +86,12 @@ def dense_evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
         return signal >= config.sir0 * interference
 
     return np.all(ok | excl, axis=1)
+
+
+def dense_evaluate_slots(state, config, slots) -> list[np.ndarray]:
+    """`dense_evaluate_slot` in place of `netsim._evaluate_slots`: each drawn slot
+    alone, its links already lost masked afterwards."""
+    return [dense_evaluate_slot(state, config, s.tx, s.rx, s.d, s.rng) & s.live for s in slots]
 
 
 def pairwise_success(link, active_links, state: NetworkState, config: NetworkConfig) -> bool:

@@ -27,7 +27,7 @@ from beamnet.netsim import (
 )
 from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
 from netsim_reference import (
-    dense_evaluate_slot,
+    dense_evaluate_slots,
     multi_rayleigh_success,
     pairwise_link_prediction,
     pairwise_success,
@@ -212,7 +212,7 @@ def test_slot_engine_matches_dense_reference(tx_spec, rx_spec, model, fading, mo
             with monkeypatch.context() as m:
                 m.setattr(netsim, "_PAIR_BUDGET", netsim._PAIR_BUDGET if t % 2 == 0 else 3 * n)
                 got = run_slot(state, cfg, slot_seed(cfg, t))
-                m.setattr(netsim, "_evaluate_slot", dense_evaluate_slot)
+                m.setattr(netsim, "_evaluate_slots", dense_evaluate_slots)
                 want = run_slot(state, cfg, slot_seed(cfg, t))
             assert np.array_equal(got.tx, want.tx), (n, r, p_t, t)
             assert np.array_equal(got.success, want.success), (n, r, p_t, t)
@@ -245,9 +245,64 @@ def test_slot_guard_boundary_is_inclusive():
         state = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, y), (0.25, 0.95)], sir0=16.0)
         d = torus_distance(state.positions[tx], state.positions[rx])
         assert (1.0 + state.delta) * d[0] == 0.5
-        for evaluate in (netsim._evaluate_slot, dense_evaluate_slot):
-            ok = evaluate(state, cfg, tx, rx, d, np.random.default_rng(0))
+        for evaluate in (netsim._evaluate_slots, dense_evaluate_slots):
+            slot = netsim._SlotDraw(tx=tx, rx=rx, d=d, live=np.ones(2, dtype=bool),
+                                    rng=np.random.default_rng(0))
+            (ok,) = evaluate(state, cfg, [slot])
             assert ok[0] == harmless, (y, evaluate.__name__)
+
+
+@pytest.mark.parametrize("model,fading", MODEL_FADINGS)
+def test_batched_slots_match_run_slot(model, fading, monkeypatch):
+    """Slots evaluated together in blocks get run_slot's flags, slot by slot, and
+    estimate_throughput's totals and bins are the sums of those slots, at 1 and 3
+    threads.  At 4 links per block, some blocks hold several slots (one of them
+    with no link) and the larger slots split into runs of whole receivers."""
+    n = 60
+    cfg = make_config(n=n, r=0.25, p_t=0.05, tx_pattern=esnla(4, 0.5), rx_pattern=esnla(2, 0.5),
+                      model=model, fading=fading, slots=60, seed=3)
+    state = generate_network(cfg)
+    monkeypatch.setattr(netsim, "_PAIR_BUDGET", 4 * n)
+    singles = [run_slot(state, cfg, slot_seed(cfg, t)) for t in range(cfg.slots)]
+    sizes = np.array([len(out.tx) for out in singles])
+    blocks = netsim._blocks(sizes, 4)
+    assert any(len(b) > 1 and sizes[b].min() == 0 and sizes[b].max() > 0 for b in blocks)
+    assert any(np.count_nonzero(sizes[b]) > 1 for b in blocks)
+    assert sizes.max() > 4
+    for t, (want, got) in enumerate(zip(singles, netsim._run_slots(state, cfg, range(cfg.slots)))):
+        assert np.array_equal(got.tx, want.tx) and np.array_equal(got.rx, want.rx), t
+        assert np.array_equal(got.success, want.success), t
+
+    bins = 16
+    links, wins = np.zeros(bins, np.int64), np.zeros(bins, np.int64)
+    for out in singles:
+        b = np.minimum((out.d / state.r * bins).astype(np.int64), bins - 1)
+        links += np.bincount(b, minlength=bins)
+        wins += np.bincount(b[out.success], minlength=bins)
+    for threads in (1, 3):
+        stats = estimate_throughput(state, cfg, w_b_effective=1.0, bins=bins, threads=threads)
+        assert stats.eta_tt == np.mean([out.success.sum() for out in singles])
+        assert stats.eta_tr == np.mean([out.d[out.success].sum() for out in singles])
+        assert [b.links for b in stats.bins] == links.tolist()
+        assert [b.successes for b in stats.bins] == wins.tolist()
+
+
+def test_throughput_memory_is_bounded_with_many_small_slots():
+    """500 Rayleigh slots at n = 10^4, p_t = 0.01 (L ~ 100 links each) stay under
+    4 MiB: fades are drawn block by block and draws held a window at a time.  All
+    the slots' fade matrices would take about 40 MB, their activity flags 5 MB."""
+    n = 10_000
+    _, r = total_throughput_rule(n)
+    cfg = make_config(n=n, r=r, p_t=0.01, model="multi", fading="rayleigh", slots=500, seed=45)
+    state = generate_network(cfg)
+    tracemalloc.start()
+    try:
+        stats = estimate_throughput(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.eta_tt > 0.0
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("model,fading", MODEL_FADINGS)
