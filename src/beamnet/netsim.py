@@ -24,13 +24,18 @@ window's draws O(_PAIR_BUDGET).  Links already lost (the receiver transmits or,
 under directional reception, is contested) are not evaluated.
   * pairwise + no fading has an exact cutoff, the protocol-model locality of
     Gupta and Kumar (2000): since G* <= 1, transmitter j can break link i only
-    within (1 + Delta) d_i of R_i.  Periodic k-d trees over a block's
-    transmitters and over each run's receivers, with each slot lifted to its
-    own height, return the pairs within that reach, and only they are tested,
-    in O(L log L + pairs within reach) time per slot.
+    within (1 + Delta) d_i of R_i.  A block's transmitters are binned by
+    (slot, cell) on a g x g torus grid whose cells are at least the block's
+    largest reach R wide: g = int(1/R), at most sqrt(n), and 1 when that is
+    below 3 (the linked-cell method of Allen and Tildesley, 1987).  A live
+    receiver meets only its slot's transmitters in the 3 x 3 cells around its
+    own, and only those within its reach are tested: O(L + pairs in those
+    cells) time per slot, in NumPy arrays alone.
   * the other three models have no cutoff (a fade, or the sum, lets any
     transmitter matter), so every (link, transmitter) pair is evaluated:
-    O(L^2) time.  The rows of all slots with the same L stack into one
+    O(L^2) time.  Pairwise + Rayleigh first tests each pair with both gains
+    set to 1, which bounds its test since G <= 1, and computes gains only for
+    the pairs that fail it.  The rows of all slots with the same L stack into one
     (rows, L) array, so each row's sum is NumPy's pairwise sum of the same L
     terms in the same order as for the slot alone, bit for bit (a flat ragged
     layout summed by np.add.reduceat or np.bincount is not).  Rayleigh fades
@@ -195,8 +200,8 @@ def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: 
 
 # Pairs (link, node) held at once by one block of links; bounds a slot's memory.
 _PAIR_BUDGET = 1 << 20
-# Added to each guard-zone query radius.  Coordinates lie in [0, 1), so the tree's
-# and torus_delta's distances agree to ~1e-15 absolute, far below this pad.
+# Added to each guard-zone reach.  Coordinates lie in [0, 1), so rounding moves a
+# node's grid cell or its torus_delta distance by ~1e-15, far below this pad.
 _REACH_PAD = 1e-9
 
 
@@ -255,33 +260,48 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
     r_x, r_y = pos[rx].T
     b_x, b_y = torus_delta(pos[rx], pos[tx]).T
 
-    def gains(i, tj, starred):
-        """(g_rx, g_tx, dist) of link i against transmitter j, elementwise over
-        broadcast arrays, where tj = (x, y, boresight x, boresight y, length) of
-        link j; a gain is scalar 1.0 when its side is omni."""
-        jx, jy, jbx, jby, jd = tj
-        wx, wy = jx - r_x[i], jy - r_y[i]  # R_i -> T_j, as torus_delta takes it
+    def displacement(i, jx, jy):
+        """R_i -> T_j (as torus_delta takes it) and its length, elementwise over
+        broadcast arrays, for transmitter j at (jx, jy)."""
+        wx, wy = jx - r_x[i], jy - r_y[i]
         wx -= np.round(wx)
         wy -= np.round(wy)
         dist = wx * wx  # wx**2, bit for bit
         dist += wy * wy
         np.sqrt(dist, out=dist)
+        return wx, wy, dist
+
+    def gains(i, jbx, jby, jd, w, starred):
+        """(g_rx, g_tx) of link i against transmitter j, whose link has boresight
+        (jbx, jby) and length jd, where w = displacement(i, T_j); a gain is scalar
+        1.0 when its side is omni."""
+        wx, wy, dist = w
         g_rx = _gain(config.rx_pattern, (b_x[i], b_y[i]), (wx, wy), alpha, starred, (d[i], dist))
         # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
         # (R_j -> T_j and R_i -> T_j) give the same angle, bit for bit.
         g_tx = _gain(config.tx_pattern, (jbx, jby), (wx, wy), alpha, starred, (jd, dist))
-        return g_rx, g_tx, dist
+        return g_rx, g_tx
 
     if guard_only:
         # Interferer j can break link i only within (1+Delta) d_i G*_rx G*_tx
-        # <= (1+Delta) d_i of R_i, since G* <= 1: query that reach, padded.
+        # <= (1+Delta) d_i of R_i, since G* <= 1: keep pairs within that reach, padded.
         reach = (1.0 + state.delta) * d + _REACH_PAD
-        # Slot s sits at height s * gap in a box periodic along all three axes.
-        # Nodes of different slots lie at least gap > 2 reach apart and never pair;
-        # with gap > 1 as well, the trees split whole slots apart first.
-        gap = 1.0 + 2.0 * float(reach.max())
-        box = (1.0, 1.0, len(slots) * gap)
-        tx_tree = cKDTree(np.column_stack([t_x, t_y, slot * gap]), boxsize=box)
+        # A g x g torus grid of cells at least R = max reach wide: T_j within R of
+        # R_i lies in R_i's cell or one of its 8 neighbours (with g >= 3, distinct).
+        # g <= sqrt(n) keeps the (slot, cell) table within the block's pair budget.
+        g = min(int(1.0 / float(reach.max())), math.isqrt(state.n))
+        g = g if g >= 3 else 1
+        steps = np.arange(-1, 2) if g > 1 else np.arange(1)
+
+        def cell(x):
+            return np.minimum((x * g).astype(np.int64), g - 1)
+
+        # Transmitters by key (slot, cell x, cell y): those of key k are
+        # tx_order[cell_at[k] : cell_at[k + 1]].
+        tkey = (slot * g + cell(t_x)) * g + cell(t_y)
+        tx_order = np.argsort(tkey, kind="stable")
+        cell_at = np.searchsorted(tkey[tx_order], np.arange(len(slots) * g * g + 1))
+        rcx, rcy = cell(r_x), cell(r_y)
 
     # Receivers are keyed by (slot, receiver id), ascending; runs take whole keys.
     keys, inv = np.unique(slot * state.n + rx, return_inverse=True)
@@ -310,14 +330,22 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
         if not len(rows):
             continue
         if guard_only:
-            near = cKDTree(
-                np.column_stack([r_x[rows], r_y[rows], slot[rows] * gap]), boxsize=box
-            ).sparse_distance_matrix(tx_tree, float(reach[rows].max()), output_type="ndarray")
-            i, j = rows[near["i"]], near["j"]
-            # Drop j == T_i (self) and j == R_i, and pairs beyond link i's own reach.
-            keep = (j != i) & (tx[j] != rx[i]) & (near["v"] <= reach[i])
-            i, j = i[keep], j[keep]
-            g_rx, g_tx, dist = gains(i, [a[j] for a in (t_x, t_y, b_x, b_y, d)], starred=True)
+            # Each row against the transmitters of its slot in the 3 x 3 cells
+            # (wrapped) around its receiver's: (row, cell) runs of cell_at.
+            kx = (rcx[rows, None, None] + steps[:, None]) % g
+            ky = (rcy[rows, None, None] + steps) % g
+            near = ((slot[rows, None, None] * g + kx) * g + ky).ravel()
+            lo = cell_at[near]
+            count = cell_at[near + 1] - lo
+            ends = np.cumsum(count)
+            j = tx_order[np.repeat(lo - (ends - count), count) + np.arange(ends[-1])]
+            i = np.repeat(rows, count.reshape(len(rows), -1).sum(axis=1))
+            wx, wy, dist = displacement(i, t_x[j], t_y[j])
+            # A live receiver does not transmit, so j == T_i (self) is the only
+            # pair to drop; the others are kept within link i's own reach.
+            keep = (j != i) & (dist <= reach[i])
+            i, j, wx, wy, dist = (a[keep] for a in (i, j, wx, wy, dist))
+            g_rx, g_tx = gains(i, b_x[j], b_y[j], d[j], (wx, wy, dist), starred=True)
             success[rows] = True
             success[i[dist < (1.0 + state.delta) * d[i] * g_rx * g_tx]] = False
             continue
@@ -344,14 +372,23 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
             else:
                 f_sig = f_int = 1.0
             i = grp[:, None]
-            g_rx, g_tx, dist = gains(i, tj, starred=False)
+            w = wx, wy, dist = displacement(i, tj[0], tj[1])
             if config.model == "pairwise":
-                ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
-                    d[i] ** alpha
-                )
+                # Pairwise with fading: the SIR test with both gains set to 1 first.
+                # Since G <= 1 and rounding is monotone, a pair that passes it passes
+                # with its own gains, so only the others (row fr, link jl) need them.
+                sig = f_sig[:, None] * dist**alpha
+                scale, d_alpha = config.sir0 * f_int, d[i] ** alpha
+                ok = sig >= scale * d_alpha
                 ok[rr, self_col] = True
+                fr, fc = np.nonzero(~ok)
+                jl = first[s[fr]] + fc
+                g_rx, g_tx = gains(grp[fr], b_x[jl], b_y[jl], d[jl], [a[fr, fc] for a in w],
+                                   starred=False)
+                ok[fr, fc] = sig[fr, fc] >= scale[fr, fc] * g_rx * g_tx * d_alpha[fr, 0]
                 success[grp] = np.all(ok, axis=1)
             else:
+                g_rx, g_tx = gains(i, tj[2], tj[3], tj[4], w, starred=False)
                 term = f_int * g_rx * g_tx * dist ** (-alpha)
                 term[rr, self_col] = 0.0
                 signal = f_sig * d[grp] ** (-alpha)

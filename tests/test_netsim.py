@@ -252,6 +252,76 @@ def test_slot_guard_boundary_is_inclusive():
             assert ok[0] == harmless, (y, evaluate.__name__)
 
 
+def guard_grid(state, slots):
+    """Cells per side of the torus grid the pairwise/none engine uses for a block."""
+    reach = (1.0 + state.delta) * max(s.d.max() for s in slots if len(s.d)) + netsim._REACH_PAD
+    g = min(int(1.0 / reach), math.isqrt(state.n))
+    return g if g >= 3 else 1
+
+
+@pytest.mark.parametrize("n,r,g", [(300, 0.18, 3), (400, 0.025, 20)])
+def test_guard_grid_matches_dense_reference(n, r, g):
+    """Pairwise/none flags of a block of slots equal the dense evaluator's on a grid
+    of exactly 3 x 3 cells, and where the sqrt(n) cap on g binds (1 / reach > 22)."""
+    cfg = make_config(n=n, r=r, p_t=0.5, tx_pattern=esnla(4, 0.5), rx_pattern=esnla(2, 0.5),
+                      seed=n)
+    state = generate_network(cfg)
+    drawn = netsim._draw_slots(state, cfg, [slot_seed(cfg, t) for t in range(6)])
+    assert guard_grid(state, drawn) == g
+    want = dense_evaluate_slots(state, cfg, drawn)
+    got = netsim._evaluate_slots(state, cfg, drawn)
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), t
+    live = np.concatenate([s.live for s in drawn])
+    assert 0 < np.count_nonzero(np.concatenate(got)) < np.count_nonzero(live)
+
+
+def test_guard_grid_block_of_slots_with_different_reaches():
+    """Slots of one block, each holding only the links up to its own length cutoff
+    (0, r/4, ..., r), get the dense evaluator's flags on the grid of the longest."""
+    cfg = make_config(n=300, r=0.1, p_t=0.5, tx_pattern=esnla(4, 0.5), seed=8)
+    state = generate_network(cfg)
+    (full,) = netsim._draw_slots(state, cfg, [slot_seed(cfg, 0)])
+    slots = []
+    for k in range(5):
+        keep = full.d <= cfg.r * k / 4
+        slots.append(netsim._SlotDraw(tx=full.tx[keep], rx=full.rx[keep], d=full.d[keep],
+                                      live=full.live[keep], rng=full.rng))
+    assert len(slots[0].tx) == 0 and guard_grid(state, slots) == 5
+    assert len({round(float(s.d.max()), 3) for s in slots[1:]}) == 4
+    for k, (a, b) in enumerate(zip(netsim._evaluate_slots(state, cfg, slots),
+                                   dense_evaluate_slots(state, cfg, slots))):
+        assert np.array_equal(a, b), k
+
+
+@pytest.mark.parametrize("shift", [(0.0, -0.15625), (-0.09375, -0.125)], ids=["seam", "corner"])
+def test_guard_grid_boundary_across_the_seam(shift):
+    """An interferer in a neighbour cell across the torus seam (or corner) at exactly
+    the guard radius is harmless, one ulp closer it breaks the link.  SIR0 = 16,
+    alpha = 4 make (1 + Delta) exactly 2: link 0 -> 1 has d = 5/64, so its guard
+    radius is 5/32 and the grid has 6 x 6 cells; R_1 sits in cell (0, 0) and
+    transmitter 2 at R_1 + shift (|shift| = 5/32), wrapped into cell (0, 5) or (5, 5).
+    The other 32 nodes only pad n up to 36, so that g is not capped below 6."""
+    cfg = make_config(n=36, sir0=16.0)
+    tx, rx = np.array([0, 2]), np.array([1, 3])
+    r1 = np.array([0.03125, 0.0625])
+    t2 = (r1 + shift) % 1.0
+    filler = [(0.5, 0.1 + k / 40) for k in range(32)]
+    # One ulp up in both coordinates brings T_2 closer to R_1 across the seam.
+    for t, harmless in ((t2, True), (np.nextafter(t2, 1.0), False)):
+        state = make_state([r1 + (0.078125, 0.0), r1, t, (t + (0.03, 0.0)) % 1.0] + filler,
+                           sir0=16.0)
+        d = torus_distance(state.positions[tx], state.positions[rx])
+        assert (1.0 + state.delta) * d[0] == 0.15625
+        assert torus_distance(state.positions[1], state.positions[2]) <= 0.15625
+        slot = netsim._SlotDraw(tx=tx, rx=rx, d=d, live=np.ones(2, dtype=bool),
+                                rng=np.random.default_rng(0))
+        assert guard_grid(state, [slot]) == 6
+        for evaluate in (netsim._evaluate_slots, dense_evaluate_slots):
+            (ok,) = evaluate(state, cfg, [slot])
+            assert ok[0] == harmless, (shift, harmless, evaluate.__name__)
+
+
 @pytest.mark.parametrize("model,fading", MODEL_FADINGS)
 def test_batched_slots_match_run_slot(model, fading, monkeypatch):
     """Slots evaluated together in blocks get run_slot's flags, slot by slot, and
@@ -323,6 +393,24 @@ def test_slot_memory_is_bounded_at_large_n(model, fading):
         tracemalloc.stop()
     assert len(out.tx) > 4000
     assert peak < 2**30, peak
+
+
+def test_guard_slot_memory_is_bounded_in_one_cell():
+    """A pairwise/none slot whose guard reach passes 1/3 (n = 2000, r = 0.4,
+    p_t = 1/2, about 1000 links) has a one-cell grid, so each run of receivers
+    meets every transmitter of the slot; it stays under 100 MB of traced
+    allocations, all of the engine's memory."""
+    cfg = make_config(n=2000, r=0.4, p_t=0.5, tx_pattern=esnla(4, 0.5), rx_pattern=esnla(4, 0.5),
+                      seed=47)
+    state = generate_network(cfg)
+    tracemalloc.start()
+    try:
+        out = run_slot(state, cfg, slot_seed(cfg, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (1.0 + state.delta) * out.d.max() > 1 / 3 and len(out.tx) > 900
+    assert peak < 100 * 2**20, peak
 
 
 # --- scalar interference operations on crafted geometry -----------------------
