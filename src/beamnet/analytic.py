@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import optimize
-
 from .patterns import check_alpha
 
 # Asymptotic root of the transport-radius stationarity condition (valid n >= 100).
@@ -73,7 +71,9 @@ def transport_root(n: int) -> float:
     def g(w: float) -> float:
         return 2.0 * (n - 1) * w * (1.0 - w) ** (n - 2) - _bracket_power(n, w)
 
-    return float(optimize.bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200))
+    from scipy.optimize import bisect  # imported here: it loads much of SciPy
+
+    return float(bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200))
 
 
 def transport_root_value(n: int) -> float:

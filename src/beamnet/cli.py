@@ -185,7 +185,10 @@ def _parse_law(spec: str) -> ebw.BasisDistribution | ebw.MixtureDistribution:
 
 
 def _parse_n_list(spec: str) -> list[int]:
-    return [int(v) for v in spec.split(",")]
+    try:
+        return [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"bad --n-list {spec!r}: expected integers N, e.g. 2,4,8") from None
 
 
 def cmd_pattern(args) -> int:
@@ -281,6 +284,8 @@ def cmd_fit(args) -> int:
 def _reproduce_bundle(args, curves, out_dir):
     """Run sweeps for (family, alpha*, d_ratio) curves; returns tables and fits."""
     n_list = _parse_n_list(args.n_list)
+    if len(n_list) < 3:
+        raise ValueError(f"--n-list needs at least 3 N for the power-law fits, got {args.n_list!r}")
     tables = []
     for family, a_star, d_ratio in curves:
         tables.append(

@@ -14,6 +14,14 @@ Interference models:
   * multi (none | rayleigh): cumulative SIR over all active transmitters,
     plain gains, S_i / sum_k I_ik >= SIR0.
 
+One linked-cell search (Allen and Tildesley, 1987) finds the points within a
+radius on the torus, for the network build and the guard-zone slots alike.  It
+bins points by (key, cell) on a g x g torus grid of cells wider than the largest
+reach R: g = int(1/R), at most sqrt(n) so that the (key, cell) table stays within
+the pair budget, and 1 when that is below 3.  A point within R of a query then
+lies in the 3 x 3 cells (wrapped) around the query's.  The network build queries
+nodes in runs of _PAIR_BUDGET // n.
+
 Cost of a slot with L links among n nodes.  Slots are drawn a window at a
 time, then evaluated in blocks of whole slots of at most cap = _PAIR_BUDGET // n
 links in all, taken in order of L so that slots of equal L share a block.  A
@@ -24,13 +32,10 @@ window's draws O(_PAIR_BUDGET).  Links already lost (the receiver transmits or,
 under directional reception, is contested) are not evaluated.
   * pairwise + no fading has an exact cutoff, the protocol-model locality of
     Gupta and Kumar (2000): since G* <= 1, transmitter j can break link i only
-    within (1 + Delta) d_i of R_i.  A block's transmitters are binned by
-    (slot, cell) on a g x g torus grid whose cells are at least the block's
-    largest reach R wide: g = int(1/R), at most sqrt(n), and 1 when that is
-    below 3 (the linked-cell method of Allen and Tildesley, 1987).  A live
-    receiver meets only its slot's transmitters in the 3 x 3 cells around its
-    own, and only those within its reach are tested: O(L + pairs in those
-    cells) time per slot, in NumPy arrays alone.
+    within (1 + Delta) d_i of R_i.  A block's transmitters are searched keyed by
+    slot, so a live receiver meets only its slot's transmitters in the 3 x 3
+    cells around its own, and only those within its reach are tested:
+    O(L + pairs in those cells) time per slot, in NumPy arrays alone.
   * the other three models have no cutoff (a fade, or the sum, lets any
     transmitter matter), so every (link, transmitter) pair is evaluated:
     O(L^2) time.  Pairwise + Rayleigh first tests each pair with both gains
@@ -51,7 +56,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
 from ._parallel import derive_seed, run_indexed
 from .analytic import check_sir0, guard_zone
@@ -125,23 +129,74 @@ class NetworkState:
         return len(self.positions)
 
 
-def _range_pairs(pos: np.ndarray, r: float) -> np.ndarray:
-    """All unordered pairs within torus distance r, as an (m, 2) int array."""
-    return cKDTree(pos, boxsize=1.0).query_pairs(r, output_type="ndarray")
+# Pairs (link, node) held at once by one block of links; bounds a slot's memory.
+_PAIR_BUDGET = 1 << 20
+# Added to the largest reach a cell grid is sized for.  Coordinates lie in [0, 1), so
+# rounding moves a point's cell or its torus_delta distance by ~1e-15, far below this.
+_REACH_PAD = 1e-9
+
+
+def _displacement(ax, ay, bx, by):
+    """torus_delta(a, b) and its length, elementwise over broadcast components."""
+    wx, wy = bx - ax, by - ay
+    wx -= np.round(wx)
+    wy -= np.round(wy)
+    dist = wx * wx  # wx**2, bit for bit
+    dist += wy * wy
+    np.sqrt(dist, out=dist)
+    return wx, wy, dist
+
+
+def _cell_search(points, queries, key, reach, n: int):
+    """The linked-cell search (module docstring) over points and queries indexed
+    alike: point j at points[:, j], query i at queries[:, i], both of key key[i].
+    Returns near(i): for a nonempty array of queries i, every (i, j, w) with j != i,
+    key[j] == key[i] and w = _displacement(query i, point j) of length w[2] <= reach[i].
+    """
+    (px, py), (qx, qy) = points, queries
+    g = min(int(1.0 / (float(reach.max()) + _REACH_PAD)), math.isqrt(n))
+    g = g if g >= 3 else 1
+    steps = np.arange(-1, 2) if g > 1 else np.arange(1)
+
+    def cell(x):
+        return np.minimum((x * g).astype(np.int64), g - 1)
+
+    # Points by (key, cell x, cell y): those of cell c are order[cell_at[c] : cell_at[c + 1]].
+    pcell = (key * g + cell(px)) * g + cell(py)
+    order = np.argsort(pcell, kind="stable")
+    cell_at = np.searchsorted(pcell[order], np.arange((int(key.max()) + 1) * g * g + 1))
+    qcx, qcy = cell(qx), cell(qy)
+
+    def near(i):
+        # Each query's (query, cell) runs of cell_at over the 3 x 3 cells (wrapped).
+        cx = (qcx[i, None, None] + steps[:, None]) % g
+        cy = (qcy[i, None, None] + steps) % g
+        c = ((key[i, None, None] * g + cx) * g + cy).ravel()
+        lo = cell_at[c]
+        count = cell_at[c + 1] - lo
+        ends = np.cumsum(count)
+        j = order[np.repeat(lo - (ends - count), count) + np.arange(ends[-1])]
+        i = np.repeat(i, count.reshape(len(i), -1).sum(axis=1))
+        w = _displacement(qx[i], qy[i], px[j], py[j])
+        keep = (j != i) & (w[2] <= reach[i])
+        return i[keep], j[keep], tuple(a[keep] for a in w)
+
+    return near
 
 
 def generate_network(config: NetworkConfig) -> NetworkState:
     """Place n nodes i.i.d. uniform on the torus and build the in-range adjacency."""
+    n = config.n
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    pos = rng.random((config.n, 2))
-    pairs = _range_pairs(pos, config.r)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    pos = rng.random((n, 2))
+    near = _cell_search(pos.T, pos.T, np.zeros(n, dtype=np.int64), np.full(n, config.r), n)
+    step = max(1, _PAIR_BUDGET // n)
+    runs = [(i, j, w[2]) for i, j, w in map(near, np.split(np.arange(n), range(step, n, step)))]
+    src, dst, dist = (np.concatenate(a) for a in zip(*runs))
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    k_pr = np.bincount(src, minlength=config.n)
+    src, dst, dist = src[order], dst[order], dist[order]
+    k_pr = np.bincount(src, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(k_pr)])
-    dist = torus_distance(pos[src], pos[dst]) if len(src) else np.zeros(0)
     delta, c1 = guard_zone(config.sir0, config.alpha)
     return NetworkState(
         positions=pos,
@@ -196,13 +251,6 @@ def _gain(pattern: AntennaPattern, boresight, direction, alpha: float, starred: 
     else:
         g = pattern.gain(np.arctan2(cross, vx * wx + vy * wy))  # signed angle from v to w
     return np.power(g, 1.0 / alpha) if starred else g
-
-
-# Pairs (link, node) held at once by one block of links; bounds a slot's memory.
-_PAIR_BUDGET = 1 << 20
-# Added to each guard-zone reach.  Coordinates lie in [0, 1), so rounding moves a
-# node's grid cell or its torus_delta distance by ~1e-15, far below this pad.
-_REACH_PAD = 1e-9
 
 
 def _draw_slots(state: NetworkState, config: NetworkConfig, seeds) -> list[_SlotDraw]:
@@ -260,21 +308,10 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
     r_x, r_y = pos[rx].T
     b_x, b_y = torus_delta(pos[rx], pos[tx]).T
 
-    def displacement(i, jx, jy):
-        """R_i -> T_j (as torus_delta takes it) and its length, elementwise over
-        broadcast arrays, for transmitter j at (jx, jy)."""
-        wx, wy = jx - r_x[i], jy - r_y[i]
-        wx -= np.round(wx)
-        wy -= np.round(wy)
-        dist = wx * wx  # wx**2, bit for bit
-        dist += wy * wy
-        np.sqrt(dist, out=dist)
-        return wx, wy, dist
-
     def gains(i, jbx, jby, jd, w, starred):
         """(g_rx, g_tx) of link i against transmitter j, whose link has boresight
-        (jbx, jby) and length jd, where w = displacement(i, T_j); a gain is scalar
-        1.0 when its side is omni."""
+        (jbx, jby) and length jd, where w = _displacement(R_i, T_j); a gain is
+        scalar 1.0 when its side is omni."""
         wx, wy, dist = w
         g_rx = _gain(config.rx_pattern, (b_x[i], b_y[i]), (wx, wy), alpha, starred, (d[i], dist))
         # Interferer j aims along T_j -> R_j toward T_j -> R_i.  Both vectors negated
@@ -284,24 +321,9 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
 
     if guard_only:
         # Interferer j can break link i only within (1+Delta) d_i G*_rx G*_tx
-        # <= (1+Delta) d_i of R_i, since G* <= 1: keep pairs within that reach, padded.
-        reach = (1.0 + state.delta) * d + _REACH_PAD
-        # A g x g torus grid of cells at least R = max reach wide: T_j within R of
-        # R_i lies in R_i's cell or one of its 8 neighbours (with g >= 3, distinct).
-        # g <= sqrt(n) keeps the (slot, cell) table within the block's pair budget.
-        g = min(int(1.0 / float(reach.max())), math.isqrt(state.n))
-        g = g if g >= 3 else 1
-        steps = np.arange(-1, 2) if g > 1 else np.arange(1)
-
-        def cell(x):
-            return np.minimum((x * g).astype(np.int64), g - 1)
-
-        # Transmitters by key (slot, cell x, cell y): those of key k are
-        # tx_order[cell_at[k] : cell_at[k + 1]].
-        tkey = (slot * g + cell(t_x)) * g + cell(t_y)
-        tx_order = np.argsort(tkey, kind="stable")
-        cell_at = np.searchsorted(tkey[tx_order], np.arange(len(slots) * g * g + 1))
-        rcx, rcy = cell(r_x), cell(r_y)
+        # <= (1+Delta) d_i of R_i, since G* <= 1 and rounding is monotone.
+        reach = (1.0 + state.delta) * d
+        near = _cell_search((t_x, t_y), (r_x, r_y), slot, reach, state.n)
 
     # Receivers are keyed by (slot, receiver id), ascending; runs take whole keys.
     keys, inv = np.unique(slot * state.n + rx, return_inverse=True)
@@ -330,24 +352,12 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
         if not len(rows):
             continue
         if guard_only:
-            # Each row against the transmitters of its slot in the 3 x 3 cells
-            # (wrapped) around its receiver's: (row, cell) runs of cell_at.
-            kx = (rcx[rows, None, None] + steps[:, None]) % g
-            ky = (rcy[rows, None, None] + steps) % g
-            near = ((slot[rows, None, None] * g + kx) * g + ky).ravel()
-            lo = cell_at[near]
-            count = cell_at[near + 1] - lo
-            ends = np.cumsum(count)
-            j = tx_order[np.repeat(lo - (ends - count), count) + np.arange(ends[-1])]
-            i = np.repeat(rows, count.reshape(len(rows), -1).sum(axis=1))
-            wx, wy, dist = displacement(i, t_x[j], t_y[j])
-            # A live receiver does not transmit, so j == T_i (self) is the only
-            # pair to drop; the others are kept within link i's own reach.
-            keep = (j != i) & (dist <= reach[i])
-            i, j, wx, wy, dist = (a[keep] for a in (i, j, wx, wy, dist))
-            g_rx, g_tx = gains(i, b_x[j], b_y[j], d[j], (wx, wy, dist), starred=True)
+            # A live receiver does not transmit, so T_i (j == i) is the only one of
+            # its slot's transmitters near R_i that is not an interferer.
+            i, j, w = near(rows)
+            g_rx, g_tx = gains(i, b_x[j], b_y[j], d[j], w, starred=True)
             success[rows] = True
-            success[i[dist < (1.0 + state.delta) * d[i] * g_rx * g_tx]] = False
+            success[i[w[2] < reach[i] * g_rx * g_tx]] = False
             continue
         # Rows of slots with equal L stack into one (rows, L) array: a row sum is
         # then the pairwise sum of the same L terms in the same order as alone.
@@ -372,7 +382,7 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
             else:
                 f_sig = f_int = 1.0
             i = grp[:, None]
-            w = wx, wy, dist = displacement(i, tj[0], tj[1])
+            w = wx, wy, dist = _displacement(r_x[i], r_y[i], tj[0], tj[1])
             if config.model == "pairwise":
                 # Pairwise with fading: the SIR test with both gains set to 1 first.
                 # Since G <= 1 and rounding is monotone, a pair that passes it passes

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import patterns
 from ._parallel import derive_seed, run_indexed
@@ -45,6 +44,15 @@ class SweepRow:
     r_ms: float | None = None  # chebyshev only: the per-N optimized ratio
 
 
+def _check_n_values(ns) -> list[int]:
+    """The N values as ints, if they are strictly increasing integers >= 1."""
+    ints = [int(n) for n in ns]
+    if ints != list(ns) or ints != sorted(set(ints)) or min(ints, default=1) < 1:
+        raise ValueError("sweep N values must be strictly increasing integers >= 1, "
+                         f"got {list(ns)}")
+    return ints
+
+
 @dataclass(frozen=True)
 class SweepTable:
     family: str
@@ -53,9 +61,7 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def __post_init__(self):
-        ns = [row.n for row in self.rows]
-        if ns != sorted(set(ns)):
-            raise ValueError("sweep N values must be strictly increasing")
+        _check_n_values([row.n for row in self.rows])
         if any(not 0.0 < row.w_b <= 1.0 for row in self.rows):
             raise ValueError("sweep W_B values must lie in (0, 1]")
 
@@ -93,7 +99,7 @@ def sweep(
     if not 0.0 < alpha_star < math.inf:
         raise ValueError(f"alpha_star must be finite and positive, got {alpha_star}")
     alpha = 2.0 * alpha_star
-    n_list = [int(n) for n in n_list]
+    n_list = _check_n_values(n_list)  # before any cell is computed
 
     def cell(i: int) -> SweepRow:
         n = n_list[i]
@@ -130,10 +136,17 @@ def fit_power_law(table: SweepTable) -> PowerLawFit:
 def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> tuple[float, float]:
     """Search R_MS minimizing the exact W_B of a degree-N Chebyshev array.
 
-    Log-spaced grid over [1.5, 1e4] followed by a bounded Brent search between
-    the best grid point's neighbors; returns the minimum over all evaluated
-    candidates as (R_MS, W_B).
+    W_B(R_MS) can have more than one local minimum (secondary minima within
+    2e-3, relative, of the global one at alpha* = 4, D/lambda <= 1/4), where a
+    bounded Brent search over the whole range stops in whichever it meets.  So
+    a log-spaced grid over [1.5, 1e4] brackets them first: a bounded Brent
+    search between the grid neighbors of each strict local minimum of the grid
+    (a point below each neighbor it has), or of the best point when there is
+    none (at N = 1, W_B does not depend on R_MS).  Returns the minimum over all
+    evaluated candidates as (R_MS, W_B).
     """
+    from scipy.optimize import minimize_scalar  # imported here: it loads much of SciPy
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = 2.0 * alpha_star
@@ -148,9 +161,12 @@ def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> t
         return evaluated[r_ms]
 
     grid = np.linspace(math.log10(RMS_GRID_LO), math.log10(RMS_GRID_HI), RMS_GRID_POINTS)
-    best = int(np.argmin([objective(g) for g in grid]))
-    bounds = (grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)])
-    minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": 1e-3})
+    values = np.array([objective(g) for g in grid])
+    walled = np.concatenate([[math.inf], values, [math.inf]])
+    minima = np.flatnonzero((values < walled[:-2]) & (values < walled[2:]))
+    for k in minima if len(minima) else [int(np.argmin(values))]:
+        bounds = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+        minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": 1e-3})
 
     r_best = min(evaluated, key=lambda r: (evaluated[r], r))
     return float(r_best), float(evaluated[r_best])

@@ -164,7 +164,7 @@ def test_subcommand_options():
 @pytest.mark.parametrize(
     "cmd",
     [["scan", "--family", "omni", "--n-list", "2", "--samples", "10"],
-     ["reproduce", "fig4", "--n-list", "2", "--samples", "10"],
+     ["reproduce", "fig4", "--n-list", "2,4,6", "--samples", "10"],
      ["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2", "--slots", "2"]],
     ids=["scan", "reproduce", "netsim"],
 )
@@ -283,8 +283,10 @@ def test_non_finite_path_loss_exponent_is_usage_error(tmp_path, capsys, cmd, opt
 
 def test_import_leaves_scipy_signal_and_stats_unloaded():
     # `import beamnet` is most of every command's start-up time; keep it to the SciPy it
-    # uses.  scipy.optimize and scipy.spatial bring in the rest of this set; scipy.signal,
-    # scipy.stats and scipy.integrate, among others, stay out.
+    # uses.  scipy.special brings in the rest of this set; scipy.signal, scipy.stats and
+    # scipy.integrate, among others, stay out.  So does scipy.spatial: the torus search
+    # is beamnet's own, and scipy.optimize (which loads scipy.spatial) is imported only
+    # by the two functions that call it.
     src = str(Path(beamnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, beamnet; "
@@ -294,8 +296,9 @@ def test_import_leaves_scipy_signal_and_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
     loaded = set(out.stdout.split())
-    assert "optimize" in loaded
-    assert loaded <= {"constants", "fft", "linalg", "optimize", "sparse", "spatial", "special"}
+    assert "special" in loaded
+    assert "spatial" not in loaded
+    assert loaded <= {"constants", "fft", "linalg", "optimize", "sparse", "special"}
 
 
 def test_analytic_json(capsys):
@@ -323,6 +326,42 @@ def test_analytic_undefined_bracket_at_small_n(capsys):
     assert main(["analytic", "--n", "10"]) == 0
     out = capsys.readouterr().out
     assert "total_throughput_bracket: undefined (c1*p_t*r^2*W_B = 1.144 >= 1)" in out
+
+
+@pytest.mark.parametrize(
+    "cmd,message",
+    [
+        (["reproduce", "fig6", "--n-list", "2,4"], "--n-list needs at least 3 N"),
+        (["reproduce", "tableC", "--n-list", "0,2,5"], "sweep N values must be"),
+        (["scan", "--family", "omni", "--n-list=0,2,5"], "sweep N values must be"),
+        (["scan", "--family", "omni", "--n-list=-3,2,5"], "sweep N values must be"),
+        (["scan", "--family", "esnla", "--n-list=2,6,4"], "sweep N values must be"),
+        (["scan", "--family", "omni", "--n-list=2,x"], "bad --n-list '2,x'"),
+    ],
+    ids=["reproduce-two", "reproduce-zero", "scan-zero", "scan-negative", "scan-unsorted",
+         "scan-not-integer"],
+)
+def test_bad_n_list_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch, cmd, message):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a W_B sweep cell ran")
+
+    monkeypatch.setattr("beamnet.scaling.effective_beam_width", no_sweep)
+    monkeypatch.chdir(tmp_path)
+    assert main(cmd + ["--samples", "1000"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_rejects_n_below_one(tmp_path, capfd):
+    """A sweep CSV with an N = 0 row is a usage error that names N, before any
+    log-log fit (whose SVD would fail on lg 0 = -inf)."""
+    src = tmp_path / "sweep.csv"
+    src.write_text("family,alpha_star,d_ratio,N,W_B,stderr\n"
+                   + "".join(f"omni,2,0.5,{n},1,0\n" for n in (0, 2, 5)))
+    assert main(["fit", "--in", str(src), "--out", str(tmp_path / "fit.csv")]) == 2
+    assert capfd.readouterr().err == ("error: sweep N values must be strictly increasing "
+                                      "integers >= 1, got [0, 2, 5]\n")
+    assert not (tmp_path / "fit.csv").exists()
 
 
 def test_reproduce_smoke(tmp_path, capsys):

@@ -130,15 +130,42 @@ def test_generate_network_guard_constants():
 
 
 def test_large_radius_pair_search_matches_brute_force():
+    """generate_network's CSR adjacency is the brute-force set torus_distance <= r
+    (self left out), neighbours by id with their distances, bit for bit: on
+    one-cell grids (r > 1/3), on grids of 3 and 4 cells a side (r = 0.3, 0.2), and
+    where the isqrt(n) cap on g binds (r = 0.05 and n <= 117, so g <= 10 < 20)."""
     for seed in range(6):
-        rng = np.random.default_rng(seed)
         n = 2 + 23 * seed
-        pos = rng.random((n, 2))
-        dist = torus_distance(pos[:, None, :], pos[None, :, :])
-        for r in (0.45, 0.5, 0.6, math.sqrt(2.0) / 2.0):
-            want = {(i, j) for i, j in zip(*np.nonzero(dist <= r)) if i < j}
-            got = {tuple(sorted(pair)) for pair in netsim._range_pairs(pos, r).tolist()}
-            assert got == want, (seed, r)
+        for r in (0.05, 0.2, 0.3, 0.45, 0.5, 0.6, math.sqrt(2.0) / 2.0):
+            state = generate_network(make_config(n=n, r=r, seed=seed))
+            pos = state.positions
+            dist = torus_distance(pos[:, None, :], pos[None, :, :])
+            near = (dist <= r) & ~np.eye(n, dtype=bool)
+            src, dst = np.nonzero(near)  # by node, then neighbour id
+            assert np.array_equal(state.k_pr, near.sum(axis=1)), (seed, r)
+            assert np.array_equal(state.neighbor_offsets[1:], np.cumsum(state.k_pr)), (seed, r)
+            assert np.array_equal(state.neighbors, dst), (seed, r)
+            assert np.array_equal(state.neighbor_dist, dist[src, dst]), (seed, r)
+
+
+def test_network_neighbours_across_the_seam():
+    """Two nodes across the x seam of the torus exactly r apart are neighbours, and
+    not when r is one ulp shorter than their distance.  At r ~ 0.06 the grid has
+    g >= 16 cells a side, and the two nodes sit in its first and last columns."""
+    n, seed = 400, 3
+    pos = np.random.default_rng(np.random.SeedSequence([seed, 0])).random((n, 2))
+    dist = torus_distance(pos[:, None, :], pos[None, :, :])
+    across = (pos[:, None, 0] > 0.95) & (pos[None, :, 0] < 0.05) & (np.abs(dist - 0.06) < 0.005)
+    a, b = np.argwhere(across)[0]
+    r = float(dist[a, b])
+    g = min(int(1.0 / (r + netsim._REACH_PAD)), math.isqrt(n))
+    assert g >= 16 and int(pos[a, 0] * g) == g - 1 and int(pos[b, 0] * g) == 0
+    for radius, linked in ((r, True), (np.nextafter(r, 0.0), False)):
+        state = generate_network(make_config(n=n, r=radius, seed=seed))
+        assert np.array_equal(state.positions, pos)
+        for u, v in ((a, b), (b, a)):
+            nb = state.neighbors[state.neighbor_offsets[u] : state.neighbor_offsets[u + 1]]
+            assert (v in nb) == linked, (u, v, linked)
 
 
 # --- slot mechanics ----------------------------------------------------------
@@ -377,8 +404,9 @@ def test_throughput_memory_is_bounded_with_many_small_slots():
 
 @pytest.mark.parametrize("model,fading", MODEL_FADINGS)
 def test_slot_memory_is_bounded_at_large_n(model, fading):
-    """One slot at n = 10^4, p_t = 1/2 (L ~ 5000 links) stays under 1 GB; an
-    L x L float64 array alone takes 200 MB.  Omni for the multi models keeps it quick."""
+    """One slot at n = 10^4, p_t = 1/2 (L ~ 5000 links) stays under 100 MB of traced
+    allocations; an L x L float64 array alone takes 200 MB.  Omni for the multi
+    models keeps it quick."""
     n = 10_000
     p_t, r = total_throughput_rule(n)
     pattern = esnla(4, 0.5) if model == "pairwise" else omni()
@@ -392,7 +420,7 @@ def test_slot_memory_is_bounded_at_large_n(model, fading):
     finally:
         tracemalloc.stop()
     assert len(out.tx) > 4000
-    assert peak < 2**30, peak
+    assert peak < 100 * 2**20, peak
 
 
 def test_guard_slot_memory_is_bounded_in_one_cell():

@@ -59,6 +59,23 @@ def test_sweep_table_needs_increasing_n():
         SweepTable("esnla", 2.0, 0.5, (SweepRow(4, 0.5, 0.0), SweepRow(2, 0.6, 0.0)))
 
 
+def test_sweep_table_rejects_n_below_one():
+    with pytest.raises(ValueError, match="N values must be strictly increasing integers >= 1"):
+        SweepTable("omni", 2.0, 0.5, (SweepRow(0, 1.0, 0.0), SweepRow(2, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("n_list", [[0, 2, 5], [-3, 2, 5], [2, 2, 4], [4, 2, 6], [2, 2.5, 4]])
+def test_sweep_rejects_bad_n_list_before_any_cell(n_list, monkeypatch):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(scaling, "effective_beam_width", no_cell)
+    monkeypatch.setattr(scaling, "optimize_chebyshev_rms", no_cell)
+    for family in ("omni", "chebyshev"):
+        with pytest.raises(ValueError, match="N values must be strictly increasing integers >= 1"):
+            sweep(family, n_list, samples=1000)
+
+
 def test_fit_prediction_interpolates():
     t = synthetic_table(0.7, 0.6)
     fit = fit_power_law(t)
@@ -114,6 +131,19 @@ def test_optimizer_beats_grid_neighbors():
     for j in (max(i - 1, 0), min(i + 1, len(grid) - 1)):
         w = exact_beam_width(chebyshev_array(n, 0.5, grid[j]), BasisDistribution(2.0), 2 * a_star)
         assert w_best <= w
+
+
+def test_optimizer_finds_the_global_minimum_among_several():
+    """At N = 22, D/lambda = 1/8, alpha* = 4, W_B(R_MS) has a secondary minimum
+    near R_MS = 48 (W_B 0.309775) next to the best point of the coarse grid, and
+    its global minimum near R_MS = 20 (W_B 0.309169).  The search finds the
+    global one, at least as low as on a 2000-point log grid and within its spacing."""
+    r_best, w_best = optimize_chebyshev_rms(22, 4.0, 0.125)
+    fine = np.geomspace(scaling.RMS_GRID_LO, scaling.RMS_GRID_HI, 2000)
+    w = [exact_beam_width(chebyshev_array(22, 0.125, r), BasisDistribution(2.0), 8.0) for r in fine]
+    k = int(np.argmin(w))
+    assert w_best <= w[k]
+    assert fine[k - 1] <= r_best <= fine[k + 1]
 
 
 def test_optimizer_beats_huge_rms():
