@@ -1,6 +1,6 @@
 """Effective beam width of directional antennas and ALOHA network capacity experiments."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .patterns import (
     AntennaPattern,

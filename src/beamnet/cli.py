@@ -2,12 +2,12 @@
 
 Subcommands: pattern, ebw, scan, fit, reproduce, netsim, analytic.
 Every subcommand takes --config (a file of `key = value` lines, keyed by option
-destination; explicit flags win), and all but analytic take --out; pattern,
-scan, reproduce and netsim also take --emit-plot.  A pattern is one spec
-string such as esnla:4:0.5 (pattern and ebw --pattern, netsim --tx-pattern and
---rx-pattern), and ebw's --h takes a distance-law order (2) or mixture
-(0.5:1,0.5:4).  scan, reproduce and netsim, which draw random numbers and can
-run in parallel, also take --seed and --threads (at least 1).
+destination; explicit flags win), and all but analytic take --out.  A pattern
+is one spec string such as esnla:4:0.5 (pattern and ebw --pattern, netsim
+--tx-pattern and --rx-pattern), and ebw's --h takes a distance-law order (2)
+or mixture (0.5:1,0.5:4).  scan, reproduce and netsim, which draw random
+numbers and can run in parallel, also take --seed and --threads (at least 1).
+No command writes anything but CSV files.
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
 written, 3 numerical failure.  ebw reports the exact W_B, and netsim's
@@ -42,7 +42,7 @@ _FIG5_SPACINGS = (0.5, 0.25, 0.125, 0.0625)
 def _comment(cmd: str, args: argparse.Namespace) -> str:
     # threads and output paths are execution details, not experiment parameters;
     # the same experiment writes byte-identical files wherever it lands.
-    skip = {"func", "config", "emit_plot", "threads", "out"}
+    skip = {"func", "config", "threads", "out"}
     parts = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     )
@@ -85,83 +85,6 @@ def _read_csv(path, columns):
     return [dict(zip(header, r)) for r in body]
 
 
-_PLOT_TEMPLATES = {
-    "pattern": """\
-#!/usr/bin/env python3
-\"\"\"Plot a pattern CSV (auto-generated).\"\"\"
-import csv
-from pathlib import Path
-import matplotlib.pyplot as plt
-
-CSV = Path(__file__).with_name({csv_name!r})
-rows = [r for r in csv.reader(open(CSV)) if r and not r[0].startswith("#")]
-head, data = rows[0], rows[1:]
-cols = {{name: [float(r[i]) for r in data] for i, name in enumerate(head)}}
-fig, ax = plt.subplots(subplot_kw={{"projection": "polar"}})
-ax.plot(cols["theta_rad"], cols["gain_starred"], lw=0.8)
-ax.set_title("normalized pattern (starred gain)")
-fig.savefig(Path(__file__).with_suffix(".png"), dpi=150)
-print("wrote", Path(__file__).with_suffix(".png"))
-""",
-    "sweep": """\
-#!/usr/bin/env python3
-\"\"\"Plot lg W_B versus lg N from a sweep CSV (auto-generated).\"\"\"
-import csv
-import math
-from pathlib import Path
-import matplotlib.pyplot as plt
-
-CSV = Path(__file__).with_name({csv_name!r})
-rows = [r for r in csv.reader(open(CSV)) if r and not r[0].startswith("#")]
-head, data = rows[0], rows[1:]
-groups = {{}}
-for r in data:
-    rec = dict(zip(head, r))
-    key = (rec["family"], rec["alpha_star"], rec["d_ratio"])
-    groups.setdefault(key, []).append((float(rec["N"]), float(rec["W_B"])))
-fig, ax = plt.subplots()
-for key, pts in sorted(groups.items()):
-    pts.sort()
-    ax.plot([math.log10(n) for n, _ in pts], [math.log10(w) for _, w in pts],
-            marker="o", label="/".join(key))
-ax.set_xlabel("lg N")
-ax.set_ylabel("lg W_B")
-ax.legend(fontsize=7)
-fig.savefig(Path(__file__).with_suffix(".png"), dpi=150)
-print("wrote", Path(__file__).with_suffix(".png"))
-""",
-    "bins": """\
-#!/usr/bin/env python3
-\"\"\"Plot binned success probability against its analytic bracket (auto-generated).\"\"\"
-import csv
-from pathlib import Path
-import matplotlib.pyplot as plt
-
-CSV = Path(__file__).with_name({csv_name!r})
-rows = [r for r in csv.reader(open(CSV)) if r and not r[0].startswith("#")]
-head, data = rows[0], rows[1:]
-cols = {{name: [float(r[i]) for r in data] for i, name in enumerate(head)}}
-mid = [0.5 * (lo + hi) for lo, hi in zip(cols["bin_lo"], cols["bin_hi"])]
-fig, ax = plt.subplots()
-ax.plot(mid, cols["p_emp"], "o", label="empirical")
-ax.plot(mid, cols["bound_lo"], "--", label="lower bound")
-ax.plot(mid, cols["bound_hi"], "--", label="upper bound")
-ax.set_xlabel("link length")
-ax.set_ylabel("success probability")
-ax.legend()
-fig.savefig(Path(__file__).with_suffix(".png"), dpi=150)
-print("wrote", Path(__file__).with_suffix(".png"))
-""",
-}
-
-
-def _emit_plot(kind: str, csv_path) -> Path:
-    csv_path = Path(csv_path)
-    script = csv_path.with_name(csv_path.stem + "_plot.py")
-    script.write_text(_PLOT_TEMPLATES[kind].format(csv_name=csv_path.name))
-    return script
-
-
 def _parse_law(spec: str) -> ebw.BasisDistribution | ebw.MixtureDistribution:
     """The distance law of `ebw --h`: an order h (`2`) or a mixture
     w:h,w:h,... (`0.5:1,0.5:4`)."""
@@ -199,8 +122,6 @@ def cmd_pattern(args) -> int:
                zip(theta, p.gain(theta), p.gain_starred(theta, args.alpha)),
                _comment("pattern", args))
     print(f"wrote {out} ({args.rows} rows, pattern {p.label})")
-    if args.emit_plot:
-        print(f"wrote {_emit_plot('pattern', out)}")
     return 0
 
 
@@ -245,8 +166,6 @@ def cmd_scan(args) -> int:
         _comment("scan", args),
     )
     print(f"wrote {out}")
-    if args.emit_plot:
-        print(f"wrote {_emit_plot('sweep', out)}")
     return 0
 
 
@@ -293,13 +212,10 @@ def _reproduce_bundle(args, curves, out_dir):
                           args.threads)
         )
     rows = [row for t in tables for row in _sweep_rows(t)]
-    sweep_csv = out_dir / f"{args.figure}_sweep.csv"
-    _write_csv(sweep_csv, SWEEP_COLUMNS, rows,
+    _write_csv(out_dir / f"{args.figure}_sweep.csv", SWEEP_COLUMNS, rows,
                _comment(f"reproduce {args.figure}", args))
     fits = _write_fits(out_dir / f"{args.figure}_fit.csv", tables,
                        _comment(f"reproduce {args.figure}", args))
-    if args.emit_plot:
-        print(f"wrote {_emit_plot('sweep', sweep_csv)}")
     return tables, fits
 
 
@@ -391,8 +307,6 @@ def cmd_netsim(args) -> int:
     print(f"eta_tt = {stats.eta_tt:.4f} +- {stats.eta_tt_stderr:.4f}, "
           f"eta_tr = {stats.eta_tr:.5f} +- {stats.eta_tr_stderr:.5f}")
     print(f"wrote {out} and {bins_out}")
-    if args.emit_plot:
-        print(f"wrote {_emit_plot('bins', bins_out)}")
     return 0
 
 
@@ -436,13 +350,6 @@ def _add_seed_and_threads(sp):
     sp.add_argument("--threads", type=int, default=1)
 
 
-def _add_out(sp, plot: bool):
-    """--out, and --emit-plot for the commands that have a plot template."""
-    sp.add_argument("--out", default=None)
-    if plot:
-        sp.add_argument("--emit-plot", action="store_true")
-
-
 _PATTERN_HELP = "pattern spec: omni, sector:F, esnla:N[:D], binomial:N[:D], chebyshev:N[:D[:RMS]]"
 
 
@@ -455,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True, help=_PATTERN_HELP)
     sp.add_argument("--alpha", type=float, default=4.0)
     sp.add_argument("--rows", type=int, default=1 << 12)
-    _add_out(sp, plot=True)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_pattern)
 
     sp = sub.add_parser("ebw", help="compute an effective beam width")
     sp.add_argument("--pattern", required=True, help=_PATTERN_HELP)
     sp.add_argument("--alpha", type=float, default=4.0)
     sp.add_argument("--h", default="2", help="distance law: an order h or a mixture w:h,w:h,...")
-    _add_out(sp, plot=False)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_ebw)
 
     sp = sub.add_parser("scan", help="sweep W_B over array degree N")
@@ -472,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
     sp.add_argument("--samples", type=int, default=10**6)
     _add_seed_and_threads(sp)
-    _add_out(sp, plot=True)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("fit", help="fit lg W_B = -gamma lg N + b to a sweep CSV")
     sp.add_argument("--in", dest="infile", required=True)
-    _add_out(sp, plot=False)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("reproduce", help="run a pinned sweep/fit recipe")
@@ -485,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10**6)
     sp.add_argument("--n-list", default="2,4,6,8,10,12,14,16,18,20")
     _add_seed_and_threads(sp)
-    _add_out(sp, plot=True)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_reproduce, seed=REPRODUCE_SEED)
 
     sp = sub.add_parser("netsim", help="slotted-ALOHA torus network simulation")
@@ -501,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slots", type=int, default=1000)
     sp.add_argument("--bins", type=int, default=16)
     _add_seed_and_threads(sp)
-    _add_out(sp, plot=True)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_netsim)
 
     sp = sub.add_parser("analytic", help="closed-form report for a parameter point")

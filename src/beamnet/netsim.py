@@ -100,17 +100,6 @@ class NetworkConfig:
             raise ValueError(f"slots must be >= 0, got {self.slots}")
 
 
-def torus_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shortest displacement b - a on the unit torus, componentwise in [-1/2, 1/2]."""
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    return d - np.round(d)
-
-
-def torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
-    d = torus_delta(a, b)
-    return np.sqrt(np.sum(d * d, axis=-1))
-
-
 @dataclass(frozen=True, eq=False)
 class NetworkState:
     """Immutable placement plus derived adjacency and guard-zone constants."""
@@ -132,12 +121,14 @@ class NetworkState:
 # Pairs (link, node) held at once by one block of links; bounds a slot's memory.
 _PAIR_BUDGET = 1 << 20
 # Added to the largest reach a cell grid is sized for.  Coordinates lie in [0, 1), so
-# rounding moves a point's cell or its torus_delta distance by ~1e-15, far below this.
+# rounding moves a point's cell or its _displacement length by ~1e-15, far below this.
 _REACH_PAD = 1e-9
 
 
 def _displacement(ax, ay, bx, by):
-    """torus_delta(a, b) and its length, elementwise over broadcast components."""
+    """The shortest displacement b - a on the unit torus, componentwise in [-1/2, 1/2],
+    and its length: (x, y, length), elementwise over broadcast components.  The one
+    torus geometry routine of the network build, the slots and the fixed-link tables."""
     wx, wy = bx - ax, by - ay
     wx -= np.round(wx)
     wy -= np.round(wy)
@@ -306,7 +297,7 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
     # T_i, R_i and R_i -> T_i, the receiver's boresight, of length d_i.
     t_x, t_y = pos[tx].T
     r_x, r_y = pos[rx].T
-    b_x, b_y = torus_delta(pos[rx], pos[tx]).T
+    b_x, b_y, _ = _displacement(r_x, r_y, t_x, t_y)
 
     def gains(i, jbx, jby, jd, w, starred):
         """(g_rx, g_tx) of link i against transmitter j, whose link has boresight
@@ -582,16 +573,14 @@ class CurvePoint:
     eta_tr_stderr: float
 
 
-def capacity_curve(
-    config: NetworkConfig, n_list, param_rule=total_throughput_rule, threads: int = 1
-) -> list[CurvePoint]:
-    """Throughput versus network size, with (p_t, r) set per n by `param_rule`."""
+def capacity_curve(config: NetworkConfig, n_list, threads: int = 1) -> list[CurvePoint]:
+    """Throughput versus network size, with (p_t, r) set per n by total_throughput_rule."""
     n_list = [int(n) for n in n_list]
-    if n_list != sorted(n_list):
-        raise ValueError("n_list must be increasing")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"n_list must be strictly increasing, got {n_list}")
     points = []
     for n in n_list:
-        p_t, r = param_rule(n)
+        p_t, r = total_throughput_rule(n)
         cfg = replace(config, n=n, p_t=p_t, r=r, seed=derive_seed(config.seed, 4, n))
         state = generate_network(cfg)
         stats = estimate_throughput(state, cfg, threads=threads)
@@ -620,14 +609,21 @@ def capacity_curve(
 def _forced_link_tables(state, config, tx_node, rx_node):
     """Per (node k, receiver choice m) interference factors toward rx_node.
 
-    Returns eligible node ids, CSR offsets, and flat arrays:
+    Returns eligible node ids, CSR offsets, flat arrays
       plain[k, m]   = G_rx(theta_ik) * G_tx(phi_ki) / dist(k, R_i)^alpha
       starred[k, m] = dist(k, R_i) - (1+Delta) d_i G*_rx G*_tx  (>= 0 means harmless)
+    and the link's length d_i.  The angles are the slot engine's: R_i aims along
+    R_i -> T_i toward R_i -> k, and k along m -> k toward R_i -> k (both of k's
+    vectors negated, which gives the same angle bit for bit).
+    Raises ValueError unless rx_node is an in-range neighbour of node tx_node.
     """
+    row = state.neighbor_offsets[tx_node : tx_node + 2] if 0 <= tx_node < state.n else (0, 0)
+    if rx_node not in state.neighbors[row[0] : row[1]]:
+        raise ValueError(f"({tx_node}, {rx_node}) is not a link: tx_node must be one of the "
+                         f"{state.n} nodes and rx_node one of its in-range neighbours")
     pos = state.positions
-    ri, ti = pos[rx_node], pos[tx_node]
-    d_i = float(torus_distance(ti, ri))
-    v1 = torus_delta(ri, ti)
+    to_x, to_y, to_dist = _displacement(*pos[rx_node], *pos.T)  # R_i -> every node
+    d_i = float(to_dist[tx_node])
 
     keep = state.k_pr > 0
     keep[[tx_node, rx_node]] = False
@@ -638,14 +634,12 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     csr = np.repeat(keep, state.k_pr)  # CSR entries of the kept nodes
     ms = state.neighbors[csr]
 
-    w = torus_delta(ri, pos[ks]).T  # R_i -> k, by component
-    dist = np.sqrt(w[0] ** 2 + w[1] ** 2)
-    u = -w  # k -> R_i
-    v2 = torus_delta(pos[ks], pos[ms]).T  # k -> chosen receiver m, of length neighbor_dist
+    w, dist = (to_x[ks], to_y[ks]), to_dist[ks]  # R_i -> k
+    v = _displacement(*pos[ms].T, *pos[ks].T)[:2]  # chosen receiver m -> k
 
     alpha = config.alpha
-    g_rx = _gain(config.rx_pattern, v1, w, alpha, False, (d_i, dist))
-    g_tx = _gain(config.tx_pattern, v2, u, alpha, False, (state.neighbor_dist[csr], dist))
+    g_rx = _gain(config.rx_pattern, (to_x[tx_node], to_y[tx_node]), w, alpha, False, (d_i, dist))
+    g_tx = _gain(config.tx_pattern, v, w, alpha, False, (state.neighbor_dist[csr], dist))
     plain = g_rx * g_tx * dist ** (-alpha) * np.ones(len(ks))
     # G* = G**(1/alpha), as gain_starred computes it.
     gs_rx, gs_tx = np.power(g_rx, 1.0 / alpha), np.power(g_tx, 1.0 / alpha)

@@ -6,7 +6,8 @@ arrays; `dense_evaluate_slots` puts it in the engine's place.  `pairwise_success
 with scalar arithmetic.  Tests compare the engine against all three.
 `pairwise_link_prediction` is the exact fixed-link law of the two pairwise
 models, the oracle for `link_success_probability` beside the library's
-`multi_rayleigh_prediction`.
+`multi_rayleigh_prediction`.  `torus_delta` and `torus_distance` are the
+references' own torus geometry, apart from the library's `netsim._displacement`.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ import math
 
 import numpy as np
 
-from beamnet.netsim import (
-    NetworkConfig,
-    NetworkState,
-    _forced_link_tables,
-    _gain,
-    torus_delta,
-    torus_distance,
-)
+from beamnet.netsim import NetworkConfig, NetworkState, _forced_link_tables, _gain
+
+
+def torus_delta(a, b):
+    """Shortest displacement b - a on the unit torus, componentwise in [-1/2, 1/2]."""
+    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    return d - np.round(d)
+
+
+def torus_distance(a, b):
+    d = torus_delta(a, b)
+    return np.sqrt(np.sum(d * d, axis=-1))
 
 
 def _link_gains(state, config, tx, rx, starred):

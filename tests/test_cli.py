@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -128,9 +130,14 @@ def test_deterministic_commands_take_no_seed_or_threads(tmp_path, capsys, cmd, f
      (["ebw", "--pattern", "omni"], ["--emit-plot"]),
      (["fit", "--in", "s.csv"], ["--emit-plot"]),
      (["analytic"], ["--out", "a.json"]),
-     (["analytic"], ["--emit-plot"])],
+     (["analytic"], ["--emit-plot"]),
+     (["pattern", "--pattern", "omni"], ["--emit-plot"]),
+     (["scan", "--family", "omni"], ["--emit-plot"]),
+     (["reproduce", "fig4"], ["--emit-plot"]),
+     (["netsim", "--n", "80", "--r", "0.15", "--pt", "0.2"], ["--emit-plot"])],
     ids=["pattern-family", "ebw-n", "ebw-mixture", "ebw-emit-plot", "fit-emit-plot",
-         "analytic-out", "analytic-emit-plot"],
+         "analytic-out", "analytic-emit-plot", "pattern-emit-plot", "scan-emit-plot",
+         "reproduce-emit-plot", "netsim-emit-plot"],
 )
 def test_removed_options_are_usage_errors(capsys, cmd, removed):
     with pytest.raises(SystemExit) as exc:
@@ -145,19 +152,48 @@ def test_subcommand_options():
                             if s not in ("-h", "--help"))
                for name, sp in sub.choices.items()}
     assert options == {
-        "pattern": ["--alpha", "--config", "--emit-plot", "--out", "--pattern", "--rows"],
+        "pattern": ["--alpha", "--config", "--out", "--pattern", "--rows"],
         "ebw": ["--alpha", "--config", "--h", "--out", "--pattern"],
-        "scan": ["--alpha-star", "--config", "--d", "--emit-plot", "--family", "--n-list",
-                 "--out", "--samples", "--seed", "--threads"],
+        "scan": ["--alpha-star", "--config", "--d", "--family", "--n-list", "--out",
+                 "--samples", "--seed", "--threads"],
         "fit": ["--config", "--in", "--out"],
-        "reproduce": ["--config", "--emit-plot", "--n-list", "--out", "--samples", "--seed",
-                      "--threads"],
-        "netsim": ["--alpha", "--bins", "--config", "--emit-plot", "--fading", "--model", "--n",
-                   "--out", "--pt", "--r", "--rx-pattern", "--seed", "--sir0", "--slots",
-                   "--threads", "--tx-pattern"],
+        "reproduce": ["--config", "--n-list", "--out", "--samples", "--seed", "--threads"],
+        "netsim": ["--alpha", "--bins", "--config", "--fading", "--model", "--n", "--out",
+                   "--pt", "--r", "--rx-pattern", "--seed", "--sir0", "--slots", "--threads",
+                   "--tx-pattern"],
         "analytic": ["--alpha", "--config", "--json", "--n", "--objective", "--sir0", "--wb"],
     }
-    assert sum(map(len, options.values())) == 54
+    assert sum(map(len, options.values())) == 50
+
+
+def readme_commands():
+    """The argument lists of every `beamnet ...` command in README.md's fenced
+    blocks: continuation lines joined, trailing # comments dropped, and a
+    `for VAR in A B ...; do ...; done` loop expanded to one command per value."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", text, flags=re.S | re.M)
+    commands = []
+    for line in "\n".join(blocks).replace("\\\n", " ").splitlines():
+        loop = re.fullmatch(r"for (\w+) in ([^;]+); do (.+); done", line.strip())
+        lines = ([loop[3].replace(f"${loop[1]}", v) for v in loop[2].split()] if loop
+                 else [line])
+        for cmd in lines:
+            argv = shlex.split(cmd, comments=True)
+            if argv[:1] == ["beamnet"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    """No README example keeps an option the parser has dropped."""
+    commands = readme_commands()
+    (sub,) = [a for a in build_parser()._actions if a.dest == "cmd"]
+    assert {argv[0] for argv in commands} == set(sub.choices)  # every subcommand shown
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: beamnet {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -382,16 +418,6 @@ def test_reproduce_deterministic_bytes(tmp_path, capsys):
     a = (tmp_path / "a" / "fig4_sweep.csv").read_bytes()
     b = (tmp_path / "b" / "fig4_sweep.csv").read_bytes()
     assert a == b
-
-
-def test_emit_plot_script(tmp_path):
-    out = tmp_path / "p.csv"
-    assert main(["pattern", "--pattern", "omni", "--rows", "32", "--out", str(out),
-                 "--emit-plot"]) == 0
-    script = tmp_path / "p_plot.py"
-    assert script.exists()
-    assert "matplotlib" in script.read_text()
-    compile(script.read_text(), str(script), "exec")
 
 
 def test_config_file_defaults_and_override(tmp_path):

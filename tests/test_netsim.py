@@ -22,7 +22,6 @@ from beamnet.netsim import (
     link_success_probability,
     multi_rayleigh_prediction,
     run_slot,
-    torus_distance,
     total_throughput_rule,
 )
 from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
@@ -31,6 +30,7 @@ from netsim_reference import (
     multi_rayleigh_success,
     pairwise_link_prediction,
     pairwise_success,
+    torus_distance,
 )
 
 
@@ -90,17 +90,22 @@ def test_config_validation(kw):
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=60, deadline=None)
 def test_torus_metric_symmetry_and_bound(ax, ay, bx, by):
-    a = np.array([ax, ay])
-    b = np.array([bx, by])
-    d1 = float(torus_distance(a, b))
-    d2 = float(torus_distance(b, a))
-    assert d1 == pytest.approx(d2, abs=1e-12)
-    assert d1 <= math.sqrt(2) / 2 + 1e-12
+    """netsim._displacement, the library's one torus routine: b - a and a - b are
+    negatives, bit for bit, of one length within the torus's half diagonal."""
+    a = np.array([ax]), np.array([ay])
+    b = np.array([bx]), np.array([by])
+    x1, y1, d1 = netsim._displacement(*a, *b)
+    x2, y2, d2 = netsim._displacement(*b, *a)
+    assert (x1[0], y1[0], d1[0]) == (-x2[0], -y2[0], d2[0])
+    assert max(abs(x1[0]), abs(y1[0])) <= 0.5
+    assert d1[0] <= math.sqrt(2) / 2 + 1e-12
 
 
 def test_torus_wraparound_value():
-    d = torus_distance(np.array([0.05, 0.05]), np.array([0.95, 0.95]))
-    assert float(d) == pytest.approx(math.sqrt(2) * 0.1, abs=1e-12)
+    x, y, d = netsim._displacement(np.array([0.05]), np.array([0.05]),
+                                   np.array([0.95]), np.array([0.95]))
+    assert (x[0], y[0]) == pytest.approx((-0.1, -0.1), abs=1e-12)
+    assert d[0] == pytest.approx(math.sqrt(2) * 0.1, abs=1e-12)
 
 
 def test_generate_network_counts_neighbors():
@@ -569,6 +574,25 @@ def test_bernoulli_cells_match_one_gap_at_a_time(p):
         assert batched.random() == rng.random(), (size, seed)
 
 
+@pytest.mark.parametrize("fn", [link_success_probability, multi_rayleigh_prediction])
+@pytest.mark.parametrize("pair", ["self", "rx-negative", "rx-past-end", "unreachable",
+                                  "tx-negative", "tx-past-end"])
+def test_fixed_link_rejects_a_pair_that_is_not_a_link(fn, pair):
+    """(tx_node, rx_node) must be a link: tx_node one of the n nodes and rx_node one
+    of its in-range neighbours.  Negative ids would otherwise index from the end."""
+    cfg = make_config(n=50, r=0.2, p_t=0.3, model="multi", fading="rayleigh", seed=7)
+    state = generate_network(cfg)
+    lo, hi = state.neighbor_offsets[0], state.neighbor_offsets[1]
+    unreachable = min(set(range(1, cfg.n)) - set(state.neighbors[lo:hi].tolist()))
+    last_neighbour = int(state.neighbors[state.neighbor_offsets[-2]])  # of node n - 1
+    tx, rx = {"self": (0, 0), "rx-negative": (0, -1), "rx-past-end": (0, cfg.n),
+              "unreachable": (0, unreachable), "tx-negative": (-1, last_neighbour),
+              "tx-past-end": (cfg.n, 0)}[pair]
+    args = (100, 1) if fn is link_success_probability else ()
+    with pytest.raises(ValueError, match=rf"\({tx}, {rx}\) is not a link"):
+        fn(state, cfg, tx, rx, *args)
+
+
 def test_forced_link_zero_activity_always_succeeds():
     cfg = make_config(p_t=0.0, model="multi", fading="rayleigh", seed=3)
     state = generate_network(cfg)
@@ -747,8 +771,9 @@ def test_capacity_curve_shapes():
     assert len(pts) == 1
     assert pts[0].n == 150
     assert pts[0].p_t == 0.5
-    with pytest.raises(ValueError):
-        capacity_curve(cfg, [300, 200])
+    for n_list in ([300, 200], [150, 150]):  # both points of [150, 150] would be one network
+        with pytest.raises(ValueError, match="strictly increasing"):
+            capacity_curve(cfg, n_list)
 
 
 def test_total_throughput_rule():
