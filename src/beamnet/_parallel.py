@@ -7,8 +7,6 @@ for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 SHARD_SIZE = 1 << 20
@@ -36,5 +34,7 @@ def run_indexed(fn, count: int, threads: int = 1) -> list:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1 or count <= 1:
         return [fn(i) for i in range(count)]
+    from concurrent.futures import ThreadPoolExecutor  # only the pool branch needs it
+
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, range(count)))

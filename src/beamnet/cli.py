@@ -115,6 +115,8 @@ def _parse_n_list(spec: str) -> list[int]:
 
 
 def cmd_pattern(args) -> int:
+    if args.rows < 1:
+        raise ValueError(f"--rows must be >= 1, got {args.rows}")
     p = patterns.parse_pattern_spec(args.pattern)
     theta = np.linspace(0.0, patterns.TWO_PI, args.rows, endpoint=False)
     out = args.out or "pattern.csv"

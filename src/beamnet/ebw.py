@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from ._parallel import derive_seed, run_indexed, shard_rng, shard_sizes
 from .patterns import TWO_PI, AntennaPattern, check_alpha
@@ -188,6 +187,8 @@ def _jacobi_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     """Gauss-Jacobi rule for the weight (1 - x)^a (1 + x)^b on [-1, 1], as 1 + x and
     the weights divided by that weight function: sum_i v_i f(x_i) integrates
     f(x) = (1 - x)^a (1 + x)^b g(x), g smooth.  Read-only: every caller shares them."""
+    from scipy.special import roots_jacobi  # imported here: `import beamnet` stays SciPy-free
+
     x, w = roots_jacobi(nodes, a, b)
     xp1, v = 1.0 + x, w / ((1.0 - x) ** a * (1.0 + x) ** b)
     xp1.flags.writeable = v.flags.writeable = False

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,6 +60,8 @@ def _unit_clamp(g: np.ndarray) -> np.ndarray:
 
 def _taper_factor(sin_theta, d_ratio, coeffs):
     """|AF| of a taper, the polynomial evaluated at z = exp(-i psi)."""
+    from numpy.polynomial import polynomial as npoly  # only tapers need it
+
     return np.abs(npoly.polyval(np.exp(-2j * np.pi * d_ratio * sin_theta), coeffs))
 
 

@@ -210,6 +210,14 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     assert not (tmp_path / "x").exists()  # reproduce's output directory included
 
 
+@pytest.mark.parametrize("rows", ["0", "-3"])
+def test_rows_below_one_is_usage_error(tmp_path, capsys, rows):
+    out = tmp_path / "x.csv"
+    assert main(["pattern", "--pattern", "esnla:4", "--rows", rows, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --rows must be >= 1, got {rows}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5,", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
 def test_ebw_bad_mixture_part_is_named(tmp_path, capsys, spec):
     out = tmp_path / "x.csv"
@@ -317,24 +325,69 @@ def test_non_finite_path_loss_exponent_is_usage_error(tmp_path, capsys, cmd, opt
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_import_leaves_scipy_signal_and_stats_unloaded():
-    # `import beamnet` is most of every command's start-up time; keep it to the SciPy it
-    # uses.  scipy.special brings in the rest of this set; scipy.signal, scipy.stats and
-    # scipy.integrate, among others, stay out.  So does scipy.spatial: the torus search
-    # is beamnet's own, and scipy.optimize (which loads scipy.spatial) is imported only
-    # by the two functions that call it.
+_PRELUDE = """\
+import json, sys
+def loaded(*names):
+    return sorted(m for m in sys.modules if any(m == n or m.startswith(n + ".") for n in names))
+"""
+
+
+def run_fresh(code: str):
+    """Run _PRELUDE + code in a new interpreter that imports beamnet from this tree;
+    returns the JSON value its last output line prints."""
     src = str(Path(beamnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, beamnet; "
-             "print(' '.join(sorted(m[6:] for m, mod in list(sys.modules.items()) "
-             "if m.startswith('scipy.') and m.count('.') == 1 and not m[6:].startswith('_') "
-             "and hasattr(mod, '__path__'))))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True)
-    loaded = set(out.stdout.split())
-    assert "special" in loaded
-    assert "spatial" not in loaded
-    assert loaded <= {"constants", "fft", "linalg", "optimize", "sparse", "special"}
+    out = subprocess.run([sys.executable, "-c", _PRELUDE + code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_loads_numpy_alone():
+    # `import beamnet` is part of every command's start-up time, so it loads NumPy and
+    # the standard library only.  SciPy loads inside the calls that use it: the exact
+    # W_B (scipy.special), the R_MS search and the transport-radius root (scipy.optimize,
+    # which loads scipy.spatial).  The thread pool and numpy.polynomial load on use too.
+    before, special, optimize = run_fresh("""\
+import beamnet
+before = loaded("scipy", "concurrent.futures", "numpy.polynomial")
+beamnet.exact_beam_width(beamnet.esnla(4), beamnet.BasisDistribution(2.0), 4.0)
+special = "scipy.special" in sys.modules
+print(json.dumps([before, special, loaded("scipy.optimize", "scipy.spatial")]))
+""")
+    assert before == []
+    assert special
+    assert optimize == []
+
+
+def test_simulation_path_loads_no_scipy(tmp_path):
+    # The paper's simulation path: network build, all four slot models, the sampled
+    # W_B, the fixed-link estimator and its product-form prediction, and the pattern,
+    # non-Chebyshev scan and fit commands.
+    codes, scipy_modules = run_fresh(f"""\
+import numpy as np
+from beamnet import cli, ebw, netsim
+from beamnet.patterns import esnla
+p = esnla(4)
+w = ebw.effective_beam_width(p, ebw.BasisDistribution(2.0), 4.0, 1000, 1).value
+for model in ("pairwise", "multi"):
+    for fading in ("none", "rayleigh"):
+        cfg = netsim.NetworkConfig(n=80, r=0.3, p_t=0.3, alpha=4.0, sir0=10.0, tx_pattern=p,
+                                   rx_pattern=p, model=model, fading=fading, slots=5, seed=2)
+        state = netsim.generate_network(cfg)
+        netsim.estimate_throughput(state, cfg, w_b_effective=w * w, threads=1)
+tx = int(np.flatnonzero(np.diff(state.neighbor_offsets))[0])  # the first node with a link
+rx = int(state.neighbors[state.neighbor_offsets[tx]])
+netsim.link_success_probability(state, cfg, tx, rx, 50, seed=3)
+netsim.multi_rayleigh_prediction(state, cfg, tx, rx)
+out = {str(tmp_path)!r}
+codes = [cli.main(["pattern", "--pattern", "esnla:4", "--rows", "16", "--out", out + "/p.csv"]),
+         cli.main(["scan", "--family", "esnla", "--n-list", "2,4,6", "--samples", "1000",
+                   "--out", out + "/s.csv"]),
+         cli.main(["fit", "--in", out + "/s.csv", "--out", out + "/f.csv"])]
+print(json.dumps([codes, loaded("scipy")]))
+""")
+    assert codes == [0, 0, 0]
+    assert scipy_modules == []
 
 
 def test_analytic_json(capsys):
