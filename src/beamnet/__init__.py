@@ -1,16 +1,14 @@
 """Effective beam width of directional antennas and ALOHA network capacity experiments."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .patterns import (
     AntennaPattern,
-    ThresholdWidth,
     binomial_array,
     chebyshev_array,
     esnla,
     omni,
     sector,
-    threshold_widths,
 )
 from .ebw import (
     BasisDistribution,
@@ -34,7 +32,6 @@ __all__ = [
     "NetworkState",
     "PowerLawFit",
     "SweepTable",
-    "ThresholdWidth",
     "binomial_array",
     "chebyshev_array",
     "effective_beam_width",
@@ -51,7 +48,6 @@ __all__ = [
     "optimize_chebyshev_rms",
     "sector",
     "sweep",
-    "threshold_widths",
     "transport_root",
     "verify_bounds",
 ]

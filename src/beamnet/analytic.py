@@ -9,12 +9,16 @@ predict how the simulator's averages move with (n, p_t, r, W_B).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .patterns import check_alpha
 
 # Asymptotic root of the transport-radius stationarity condition (valid n >= 100).
 TRANSPORT_ROOT_COEFF = 1.256
+
+# Bisection's relative tolerance: 4 units in the last place.
+_RTOL = 4.0 * sys.float_info.epsilon
 
 
 def check_sir0(sir0: float) -> None:
@@ -71,9 +75,30 @@ def transport_root(n: int) -> float:
     def g(w: float) -> float:
         return 2.0 * (n - 1) * w * (1.0 - w) ** (n - 2) - _bracket_power(n, w)
 
-    from scipy.optimize import bisect  # imported here: it loads much of SciPy
+    return _bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200)
 
-    return float(bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200))
+
+def _bisect(f, xa: float, xb: float, xtol: float, maxiter: int) -> float:
+    """Root of f in [xa, xb], where f changes sign, by bisection: stops once the
+    half-width falls below xtol + 4 eps |x|.  The steps are scipy.optimize.bisect's,
+    so the same f values give the same root."""
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0.0:
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    dm = xb - xa
+    for _ in range(maxiter):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge in {maxiter} steps")
 
 
 def transport_root_value(n: int) -> float:

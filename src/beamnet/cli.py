@@ -40,9 +40,9 @@ _FIG5_SPACINGS = (0.5, 0.25, 0.125, 0.0625)
 
 
 def _comment(cmd: str, args: argparse.Namespace) -> str:
-    # threads and output paths are execution details, not experiment parameters;
-    # the same experiment writes byte-identical files wherever it lands.
-    skip = {"func", "config", "threads", "out"}
+    # threads and file paths are execution details, not experiment parameters;
+    # the same experiment writes byte-identical files wherever its files lie.
+    skip = {"func", "config", "threads", "out", "infile"}
     parts = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     )

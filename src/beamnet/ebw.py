@@ -182,14 +182,44 @@ def interference_probability(
     return EbwEstimate(value=value, stderr=se, samples=samples)
 
 
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes and weights for (1 - x)^a (1 + x)^b on [-1, 1],
+    a, b >= 0 (Golub & Welsch).  The orthonormal polynomials obey
+    beta_{k+1} p_{k+1} = (x - alpha_k) p_k - beta_k p_{k-1}; the nodes are the
+    eigenvalues of the Jacobi matrix of the alpha_k and beta_k, polished by one
+    Newton step on that recurrence, and the weights are the Christoffel numbers
+    1 / sum_{k<n} p_k(x)^2, scaled to the weight's integral
+    mu0 = 2^(a+b+1) B(a+1, b+1)."""
+    k = np.arange(1.0, n + 1.0)
+    s = 2.0 * k + a + b
+    alpha = np.concatenate([[(b - a) / (2.0 + a + b)], (b * b - a * a) / (s[:-1] * (s[:-1] + 2.0))])
+    beta = 2.0 / s * np.sqrt((k + a) * (k + b) * k * (k + a + b) / ((s + 1.0) * (s - 1.0)))
+    back = np.concatenate([[0.0], beta[:-1]])  # beta_0 = 0, ..., beta_{n-1}
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], -1))
+
+    p_prev, p, dp_prev, dp = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    for j in range(n):  # p_n and its derivative, for the Newton step
+        step = x - alpha[j]
+        p_prev, p, dp_prev, dp = (p, (step * p - back[j] * p_prev) / beta[j],
+                                  dp, (p + step * dp - back[j] * dp_prev) / beta[j])
+    x = x - p / dp
+
+    p_prev, p, total = np.zeros(n), np.ones(n), np.ones(n)
+    for j in range(n - 1):  # p_0^2 + ... + p_{n-1}^2
+        p_prev, p = p, ((x - alpha[j]) * p - back[j] * p_prev) / beta[j]
+        total += p * p
+    mu0 = 2.0 ** (a + b + 1.0) * math.exp(math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                                          - math.lgamma(a + b + 2.0))
+    w = 1.0 / total
+    return x, w * (mu0 / w.sum())
+
+
 @functools.lru_cache(maxsize=256)
 def _jacobi_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi rule for the weight (1 - x)^a (1 + x)^b on [-1, 1], as 1 + x and
     the weights divided by that weight function: sum_i v_i f(x_i) integrates
     f(x) = (1 - x)^a (1 + x)^b g(x), g smooth.  Read-only: every caller shares them."""
-    from scipy.special import roots_jacobi  # imported here: `import beamnet` stays SciPy-free
-
-    x, w = roots_jacobi(nodes, a, b)
+    x, w = _gauss_jacobi(nodes, a, b)
     xp1, v = 1.0 + x, w / ((1.0 - x) ** a * (1.0 + x) ** b)
     xp1.flags.writeable = v.flags.writeable = False
     return xp1, v

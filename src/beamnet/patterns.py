@@ -1,4 +1,4 @@
-"""Normalized azimuthal antenna power patterns and threshold-based beam widths.
+"""Normalized azimuthal antenna power patterns.
 
 Every pattern exposes a gain G(theta) in [0, 1] with G(0) = 1 at boresight,
 2*pi-periodic in theta.  A linear array of N + 1 elements with taper a_k has the
@@ -29,9 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Measure grid for threshold widths; widths have O(1/grid) error.
-DEFAULT_GRID = 1 << 20
 
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
 NULL_CLAMP = 1e-300
@@ -158,15 +155,6 @@ class AntennaPattern:
         return np.power(g, 1.0 / alpha) if np.ndim(theta) else float(g) ** (1.0 / alpha)
 
 
-@dataclass(frozen=True)
-class ThresholdWidth:
-    """Null/beam width of G* at a gain threshold; the two are complements."""
-
-    threshold: float
-    null_width: float
-    beam_width: float
-
-
 def omni() -> AntennaPattern:
     """Omni-directional pattern, G(theta) = 1 everywhere."""
     return AntennaPattern(kind="omni", label="omni")
@@ -255,18 +243,6 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     null_c = (np.cos(a) / x0) ** 2
     label = f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})"
     return _array_pattern(d_ratio, label, null_u=null_u, null_c=null_c, lone_nulls=n % 2)
-
-
-def threshold_widths(
-    pattern: AntennaPattern, beta: float, alpha: float, grid: int = DEFAULT_GRID
-) -> ThresholdWidth:
-    """Normalized null width |{theta: G* <= beta}|/2pi on a uniform grid, and its complement."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    theta = np.linspace(0.0, TWO_PI, grid, endpoint=False)
-    gs = pattern.gain_starred(theta, alpha)
-    null = float(np.count_nonzero(gs <= beta)) / grid
-    return ThresholdWidth(threshold=float(beta), null_width=null, beam_width=1.0 - null)
 
 
 # Pattern families: name -> (constructor, its parameters as (name, type, default)),

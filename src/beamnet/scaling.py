@@ -35,6 +35,12 @@ RMS_GRID_LO = 1.5
 RMS_GRID_HI = 1e4
 RMS_GRID_POINTS = 64
 
+# Brent's bounded minimiser: the golden-section ratio, the relative step floor and
+# the most evaluations one search makes.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAXFUN = 500
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -145,8 +151,6 @@ def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> t
     none (at N = 1, W_B does not depend on R_MS).  Returns the minimum over all
     evaluated candidates as (R_MS, W_B).
     """
-    from scipy.optimize import minimize_scalar  # imported here: it loads much of SciPy
-
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = 2.0 * alpha_star
@@ -166,10 +170,78 @@ def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> t
     minima = np.flatnonzero((values < walled[:-2]) & (values < walled[2:]))
     for k in minima if len(minima) else [int(np.argmin(values))]:
         bounds = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-        minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": 1e-3})
+        _minimize_bounded(objective, *bounds, xatol=1e-3)
 
     r_best = min(evaluated, key=lambda r: (evaluated[r], r))
     return float(r_best), float(evaluated[r_best])
+
+
+def _sign(v: float) -> float:
+    """+1 or -1, with +1 at zero."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def _minimize_bounded(f, a: float, b: float, xatol: float):
+    """Minimize f on [a, b] by Brent's method without derivatives (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5): golden-section steps, and
+    parabolic ones through the three best points where they are acceptable.  The
+    steps and the stopping test are scipy.optimize.minimize_scalar's "bounded"
+    method, so the same f values visit the same points.  Returns (x, f(x), number
+    of evaluations); stops after _MAXFUN evaluations."""
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < _MAXFUN:
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return xf, fx, num
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import bisect
 
+from beamnet import analytic
 from beamnet.analytic import (
     analytic_total_throughput,
     f_alpha,
@@ -107,6 +109,22 @@ def test_transport_root_matches_asymptote():
     for n in (10**3, 10**4, 10**5):
         w = transport_root(n)
         assert w == pytest.approx(1.256 / n, rel=0.02)
+
+
+def test_transport_root_matches_scipy_bisect():
+    # Oracle: scipy.optimize.bisect on the same function returns the same root, bit for bit.
+    for n in range(3, 100):
+        def g(w):
+            return 2.0 * (n - 1) * w * (1.0 - w) ** (n - 2) - analytic._bracket_power(n, w)
+
+        assert transport_root(n) == bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200), n
+
+
+def test_bisection_rejects_a_bracket_without_a_sign_change_and_non_convergence():
+    with pytest.raises(ValueError, match="different signs"):
+        analytic._bisect(lambda x: x, 1.0, 2.0, xtol=1e-15, maxiter=200)
+    with pytest.raises(RuntimeError, match="did not converge in 3 steps"):
+        analytic._bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-15, maxiter=3)
 
 
 def test_transport_root_value_switches():

@@ -344,19 +344,51 @@ def run_fresh(code: str):
 
 def test_import_loads_numpy_alone():
     # `import beamnet` is part of every command's start-up time, so it loads NumPy and
-    # the standard library only.  SciPy loads inside the calls that use it: the exact
-    # W_B (scipy.special), the R_MS search and the transport-radius root (scipy.optimize,
-    # which loads scipy.spatial).  The thread pool and numpy.polynomial load on use too.
-    before, special, optimize = run_fresh("""\
+    # the standard library only.  The library never loads SciPy: not for the exact W_B
+    # (its Gauss-Jacobi rule), the R_MS search (its Brent minimiser) or the transport-
+    # radius root (its bisection).  The thread pool and numpy.polynomial load on use.
+    before, after = run_fresh("""\
 import beamnet
 before = loaded("scipy", "concurrent.futures", "numpy.polynomial")
 beamnet.exact_beam_width(beamnet.esnla(4), beamnet.BasisDistribution(2.0), 4.0)
-special = "scipy.special" in sys.modules
-print(json.dumps([before, special, loaded("scipy.optimize", "scipy.spatial")]))
+beamnet.optimize_chebyshev_rms(4, 2.0)
+beamnet.transport_root(50)
+print(json.dumps([before, loaded("scipy")]))
 """)
     assert before == []
-    assert special
-    assert optimize == []
+    assert after == []
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # A fresh interpreter in which `import scipy` raises runs each command that
+    # computes an exact W_B, searches R_MS or finds the transport root.
+    out = str(tmp_path)
+    commands = [
+        ["ebw", "--pattern", "esnla:4", "--out", out + "/e.csv"],
+        ["scan", "--family", "chebyshev", "--n-list", "2,4,6", "--samples", "1000",
+         "--out", out + "/s.csv"],
+        ["fit", "--in", out + "/s.csv", "--out", out + "/f.csv"],
+        ["analytic", "--objective", "transport", "--n", "50", "--wb", "0.3"],
+        ["netsim", "--n", "80", "--r", "0.3", "--pt", "0.3", "--slots", "5",
+         "--tx-pattern", "esnla:4", "--rx-pattern", "esnla:2", "--out", out + "/n.csv"],
+    ]
+    codes, blocked, scipy_modules = run_fresh(f"""\
+import contextlib, io
+blocked = []
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            blocked.append(name)
+            raise ImportError(f"{{name}} is blocked")
+sys.meta_path.insert(0, BlockScipy())
+from beamnet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {commands!r}]
+print(json.dumps([codes, blocked, loaded("scipy")]))
+""")
+    assert codes == [0] * len(commands)
+    assert blocked == []
+    assert scipy_modules == []
 
 
 def test_simulation_path_loads_no_scipy(tmp_path):
@@ -451,6 +483,18 @@ def test_fit_rejects_n_below_one(tmp_path, capfd):
     assert capfd.readouterr().err == ("error: sweep N values must be strictly increasing "
                                       "integers >= 1, got [0, 2, 5]\n")
     assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_bytes_do_not_depend_on_where_the_sweep_lies(tmp_path):
+    """The header records the experiment, not the input file's path."""
+    outs = []
+    for sub in ("a", "b/c"):
+        (tmp_path / sub).mkdir(parents=True)
+        write_sweep(tmp_path / sub / "sweep.csv", "esnla", (0.5, 0.3, 0.2))
+        outs.append(tmp_path / sub / "fit.csv")
+        assert main(["fit", "--in", str(tmp_path / sub / "sweep.csv"), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "infile" not in outs[0].read_text().splitlines()[0]
 
 
 def test_reproduce_smoke(tmp_path, capsys):

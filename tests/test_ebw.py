@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 from scipy import stats
+from scipy.special import roots_jacobi
 
+from beamnet import ebw
 from beamnet.ebw import (
     BasisDistribution,
     MixtureDistribution,
@@ -256,6 +258,31 @@ def test_exact_matches_mpmath_quadrature(family, n, d, r_ms):
     want = mp_beam_widths(family, n, d, r_ms)
     got = [exact_beam_width(p, BasisDistribution(e), 1.0) for e in EXPONENTS]
     assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-12
+
+
+JACOBI_ORDERS = (0.0, 0.25, 0.5, 0.75, 0.99)
+JACOBI_PAIRS = [(a, b) for a in JACOBI_ORDERS for b in JACOBI_ORDERS]
+JACOBI_SPREAD = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300)
+
+
+@pytest.mark.parametrize("i", range(len(JACOBI_PAIRS)),
+                         ids=[f"a{a:g}-b{b:g}" for a, b in JACOBI_PAIRS])
+def test_gauss_jacobi_rule_nodes_and_moments(i):
+    """Each weight (1 - x)^a (1 + x)^b at node counts spread over 1..300, and at
+    every 25th count, so that the pairs together cover every count 1..300.  Nodes:
+    within 1e-15 of scipy's roots_jacobi.  Weights: the moments
+    sum w (1 + x)^k, k <= min(2n - 1, 20), which the rule integrates exactly, within
+    1e-13 of 2^(k+a+b+1) B(a+1, k+b+1) (scipy's own weights miss them by up to
+    3.4e-13)."""
+    a, b = JACOBI_PAIRS[i]
+    with mp.workdps(30):
+        moments = [float(mpf(2) ** (k + a + b + 1) * mp.beta(a + 1, k + b + 1))
+                   for k in range(21)]
+    for n in sorted(set(JACOBI_SPREAD) | set(range(i + 1, 301, len(JACOBI_PAIRS)))):
+        x, w = ebw._gauss_jacobi(n, a, b)
+        assert np.max(np.abs(x - roots_jacobi(n, a, b)[0])) <= 1e-15, n
+        for k in range(min(2 * n - 1, 20) + 1):
+            assert abs(float(np.dot(w, (1.0 + x) ** k)) / moments[k] - 1.0) <= 1e-13, (n, k)
 
 
 def test_exact_rejects_taper_patterns():

@@ -19,8 +19,8 @@ from beamnet.patterns import (
     from_coefficients,
     omni,
     sector,
-    threshold_widths,
 )
+from patterns_reference import threshold_widths
 
 TWO_PI = 2.0 * math.pi
 

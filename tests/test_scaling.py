@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from beamnet import scaling
 from beamnet.ebw import BasisDistribution, exact_beam_width
@@ -149,6 +150,36 @@ def test_optimizer_finds_the_global_minimum_among_several():
 def test_optimizer_beats_huge_rms():
     r_best, w_best = optimize_chebyshev_rms(4, 2.0, 0.5)
     assert exact_beam_width(chebyshev_array(4, 0.5, 1e6), BasisDistribution(2.0), 4.0) >= w_best
+
+
+def rms_objective(n, a_star, d):
+    """The R_MS search's objective: the exact W_B at R_MS = 10**log_r."""
+    return lambda log_r: exact_beam_width(chebyshev_array(n, d, 10.0**log_r),
+                                          BasisDistribution(2.0), 2.0 * a_star)
+
+
+def assert_brent_matches_scipy(f, lo, hi, xatol):
+    want = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    assert scaling._minimize_bounded(f, lo, hi, xatol=xatol) == (want.x, want.fun, want.nfev)
+
+
+@pytest.mark.parametrize("n,a_star,d", [(1, 2.0, 0.5), (4, 2.0, 0.5), (6, 0.5, 0.25),
+                                        (11, 1.0, 0.125), (22, 4.0, 0.125), (40, 4.0, 0.5)])
+def test_brent_matches_scipy_on_the_rms_objective(n, a_star, d):
+    """Oracle: scipy's bounded minimize_scalar visits the same points, bit for bit,
+    over the search's bracket around its best grid point and over the whole range."""
+    f = rms_objective(n, a_star, d)
+    grid = np.linspace(math.log10(scaling.RMS_GRID_LO), math.log10(scaling.RMS_GRID_HI),
+                       scaling.RMS_GRID_POINTS)
+    k = int(np.argmin([f(g) for g in grid]))
+    assert_brent_matches_scipy(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 1e-3)
+    assert_brent_matches_scipy(f, grid[0], grid[-1], 1e-3)
+
+
+@pytest.mark.parametrize("f,lo,hi", [(lambda x: (x - 1.3) ** 2, 0.0, 5.0),
+                                     (math.cos, 0.0, 6.0)], ids=["parabola", "cosine"])
+def test_brent_matches_scipy_on_closed_forms(f, lo, hi):
+    assert_brent_matches_scipy(f, lo, hi, 1e-5)
 
 
 def test_chebyshev_sweep_ignores_optimizer_samples():
