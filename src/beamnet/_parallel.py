@@ -2,7 +2,10 @@
 
 Shard boundaries depend only on the requested sample count, and every shard
 draws from its own (seed, shard_index) substream, so results are bit-identical
-for any worker count.
+for any worker count.  A shard's stream is laid out as consecutive stretches of
+one uniform per sample, one stretch per variate; `shard_cursors` opens each
+stretch at its start, so a shard can be read in blocks of any size without
+changing a draw.
 """
 
 from __future__ import annotations
@@ -18,8 +21,15 @@ def shard_sizes(samples: int, shard: int = SHARD_SIZE) -> list[int]:
     return [min(shard, samples - i * shard) for i in range((samples + shard - 1) // shard)]
 
 
-def shard_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(index)]))
+def shard_cursors(seed: int, index: int, stretches: int, size: int) -> list[np.random.Generator]:
+    """Generators at the starts of the `stretches` stretches of `size` uniforms
+    in shard `index`'s stream: the k-th is the shard's PCG64 advanced by k * size
+    outputs, since Generator.random takes one 64-bit output per float64 (a jump
+    ahead, L'Ecuyer et al., Oper. Res. 50(6), 2002).  Reading the k-th cursor
+    in blocks gives the k-th of `stretches` calls rng.random(size) made one after
+    another on the shard's generator, draw for draw."""
+    ss = np.random.SeedSequence([int(seed), int(index)])
+    return [np.random.Generator(np.random.PCG64(ss).advance(k * size)) for k in range(stretches)]
 
 
 def derive_seed(seed: int, *key: int) -> int:

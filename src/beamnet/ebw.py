@@ -8,10 +8,18 @@ pair is Pr(Y*Z > X), which factors into a product of beam widths for any
 single-order law.
 
 exact_beam_width evaluates W_B deterministically; the Monte Carlo estimators
-sample the same probabilities with a standard error.  Since Pr(G* > X) =
-E[F_X(G*)], W_B = sum_h w_h mean_theta G(theta)^e with e = h/alpha, and G
-depends on theta only through sin(theta), so the mean is (2/pi) times the
-integral of G^e over [0, pi/2].
+sample the same probabilities with a standard error.  They split the samples
+into shards of 2^20 (`_parallel`), and shard i draws from its own (seed, i)
+stream, laid out as one stretch of uniforms per variate: phi (theta, then phi,
+for interference_probability), then the law's stretches (for a mixture, the
+component, then x).  A shard is evaluated in blocks of _BLOCK = 2^14 samples,
+one cursor per stretch, so an estimate holds O(2^14) samples per worker whatever
+the sample and thread counts, and its value is that of one draw of each stretch
+whole.
+
+Since Pr(G* > X) = E[F_X(G*)], W_B = sum_h w_h mean_theta G(theta)^e with
+e = h/alpha, and G depends on theta only through sin(theta), so the mean is
+(2/pi) times the integral of G^e over [0, pi/2].
 
 That integral is taken by a null-split Gauss-Jacobi rule (Golub & Welsch, Math.
 Comp. 23, 1969; Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  An array
@@ -39,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import derive_seed, run_indexed, shard_rng, shard_sizes
-from .patterns import TWO_PI, AntennaPattern, check_alpha
+from ._parallel import derive_seed, run_indexed, shard_cursors, shard_sizes
+from .patterns import _BLOCK, TWO_PI, AntennaPattern, check_alpha
 
 DEFAULT_SAMPLES = 10**6
 
@@ -59,13 +67,18 @@ class BasisDistribution:
     """Normalized-distance law F_X(x) = x^h on [0, 1]."""
 
     order: float
+    stretches = 1  # uniforms per sample, taken as from_uniforms' arguments
 
     def __post_init__(self):
         if not 0.0 < self.order < math.inf:
             raise ValueError(f"order must be finite and positive, got {self.order}")
 
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """X by inversion, X = U^(1/h)."""
+        return u ** (1.0 / self.order)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.random(size) ** (1.0 / self.order)
+        return self.from_uniforms(rng.random(size))
 
     @property
     def components(self) -> tuple[tuple[float, float], ...]:
@@ -81,6 +94,7 @@ class MixtureDistribution:
 
     weights: tuple[float, ...]
     orders: tuple[float, ...]
+    stretches = 2  # uniforms per sample, taken as from_uniforms' arguments
 
     def __post_init__(self):
         if len(self.weights) == 0 or len(self.weights) != len(self.orders):
@@ -93,13 +107,16 @@ class MixtureDistribution:
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {sum(self.weights)!r}")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def from_uniforms(self, u_comp: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """X = U^(1/h) with the component h chosen by u_comp."""
         cum = np.cumsum(self.weights)
         cum[-1] = 1.0
-        comp = np.minimum(np.searchsorted(cum, rng.random(size), side="left"),
-                          len(self.orders) - 1)
-        h = np.asarray(self.orders)[comp]
-        return rng.random(size) ** (1.0 / h)
+        comp = np.minimum(np.searchsorted(cum, u_comp, side="left"), len(self.orders) - 1)
+        return u ** (1.0 / np.asarray(self.orders)[comp])
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` draws of X: the component uniforms, then the x uniforms."""
+        return self.from_uniforms(rng.random(size), rng.random(size))
 
     @property
     def components(self) -> tuple[tuple[float, float], ...]:
@@ -121,11 +138,20 @@ class EbwEstimate:
     samples: int
 
 
-def _bernoulli_estimate(count_fn, samples: int, seed: int, threads: int) -> tuple[float, float]:
+def _bernoulli_estimate(count_fn, stretches: int, samples: int, seed: int,
+                        threads: int) -> tuple[float, float]:
+    """Pr(event) and its standard error from `samples` Bernoulli trials, where
+    count_fn(*u) counts the events among a block of samples given by `stretches`
+    arrays of uniforms, one per variate.  Each shard is read in blocks of _BLOCK
+    samples, a cursor per stretch (`shard_cursors`): the draws of one call
+    rng.random(m) per stretch, in O(_BLOCK) memory per worker."""
     sizes = shard_sizes(samples)
 
     def work(i: int) -> int:
-        return count_fn(shard_rng(seed, i), sizes[i])
+        m = sizes[i]
+        cursors = shard_cursors(seed, i, stretches, m)
+        return sum(count_fn(*(c.random(min(_BLOCK, m - a)) for c in cursors))
+                   for a in range(0, m, _BLOCK))
 
     hits = sum(run_indexed(work, len(sizes), threads))
     p = hits / samples
@@ -149,12 +175,11 @@ def effective_beam_width(
     """Monte Carlo estimate of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist."""
     _check_inputs(alpha, samples)
 
-    def count(rng: np.random.Generator, m: int) -> int:
-        phi = rng.random(m) * TWO_PI
-        x = dist.sample(rng, m)
-        return int(np.count_nonzero(pattern.gain_starred(phi, alpha) > x))
+    def count(u_phi: np.ndarray, *u_x: np.ndarray) -> int:
+        x = dist.from_uniforms(*u_x)
+        return int(np.count_nonzero(pattern.gain_starred(u_phi * TWO_PI, alpha) > x))
 
-    value, se = _bernoulli_estimate(count, samples, seed, threads)
+    value, se = _bernoulli_estimate(count, 1 + dist.stretches, samples, seed, threads)
     return EbwEstimate(value=value, stderr=se, samples=samples)
 
 
@@ -171,14 +196,12 @@ def interference_probability(
     theta and phi i.i.d. uniform, independent of X."""
     _check_inputs(alpha, samples)
 
-    def count(rng: np.random.Generator, m: int) -> int:
-        theta = rng.random(m) * TWO_PI
-        phi = rng.random(m) * TWO_PI
-        x = dist.sample(rng, m)
-        yz = rx.gain_starred(theta, alpha) * tx.gain_starred(phi, alpha)
+    def count(u_theta: np.ndarray, u_phi: np.ndarray, *u_x: np.ndarray) -> int:
+        x = dist.from_uniforms(*u_x)
+        yz = rx.gain_starred(u_theta * TWO_PI, alpha) * tx.gain_starred(u_phi * TWO_PI, alpha)
         return int(np.count_nonzero(yz > x))
 
-    value, se = _bernoulli_estimate(count, samples, seed, threads)
+    value, se = _bernoulli_estimate(count, 2 + dist.stretches, samples, seed, threads)
     return EbwEstimate(value=value, stderr=se, samples=samples)
 
 

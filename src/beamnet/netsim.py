@@ -43,7 +43,10 @@ under directional reception, is contested) are not evaluated.
     the pairs that fail it.  The rows of all slots with the same L stack into one
     (rows, L) array, so each row's sum is NumPy's pairwise sum of the same L
     terms in the same order as for the slot alone, bit for bit (a flat ragged
-    layout summed by np.add.reduceat or np.bincount is not).  Rayleigh fades
+    layout summed by np.add.reduceat or np.bincount is not).  Each such group
+    is evaluated in runs of at most _BLOCK // L rows (patterns._BLOCK = 2^14
+    pairs, the library's one cache-block size), so that a run's temporaries
+    stay in cache while _PAIR_BUDGET bounds the block.  Rayleigh fades
     are rows of each slot's (unique rx) x L matrix, one Exp(1) fade per
     (receiver, transmitter) pair, drawn from the slot's own generator when its
     block or run is evaluated: the same stream as one draw of the whole matrix.
@@ -59,7 +62,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import derive_seed, run_indexed
 from .analytic import check_sir0, guard_zone
-from .patterns import AntennaPattern, check_alpha, omni
+from .patterns import _BLOCK, AntennaPattern, check_alpha, omni
 
 MAX_LINK_LENGTH = math.sqrt(2.0) / 2.0
 
@@ -352,9 +355,7 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
             continue
         # Rows of slots with equal L stack into one (rows, L) array: a row sum is
         # then the pairwise sum of the same L terms in the same order as alone.
-        row_links = sizes[slot[rows]]
-        for n_links in np.unique(row_links):
-            grp = rows[row_links == n_links]
+        for n_links, grp in _row_runs(rows, sizes[slot[rows]]):
             s = slot[grp]
             cols = np.arange(n_links)
             # Transmitter data per row: its slot's L links, repeated over the
@@ -395,6 +396,17 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
                 signal = f_sig * d[grp] ** (-alpha)
                 success[grp] = signal >= config.sir0 * term.sum(axis=1)
     return [success[a:b] for a, b in zip(first[:-1], first[1:])]
+
+
+def _row_runs(rows: np.ndarray, row_links: np.ndarray):
+    """(L, rows of L links) for each link count L, ascending, in runs of at most
+    _BLOCK // L rows (at least one), so that a run's (rows, L) temporaries stay in
+    cache; each row is evaluated alone, so the runs do not change its flag."""
+    for n_links in np.unique(row_links):
+        group = rows[row_links == n_links]
+        step = max(1, _BLOCK // int(n_links))
+        for start in range(0, len(group), step):
+            yield n_links, group[start : start + step]
 
 
 def _blocks(sizes: np.ndarray, cap: int) -> list[list[int]]:

@@ -33,7 +33,10 @@ TWO_PI = 2.0 * math.pi
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
 NULL_CLAMP = 1e-300
 
-# Angles per block of the null-product kernel; its temporaries then stay in cache.
+# The library's one cache-block size, in elements: angles per block of the null-product
+# kernel, samples per block of the Monte Carlo estimators (ebw) and (link, transmitter)
+# pairs per run of the slot engine's cutoff-free models (netsim).  Their temporaries
+# then stay in cache.
 _BLOCK = 1 << 14
 
 

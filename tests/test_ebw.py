@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from mpmath import mp, mpf
 from scipy import stats
 from scipy.special import roots_jacobi
 
+import ebw_reference
 from beamnet import ebw
 from beamnet.ebw import (
     BasisDistribution,
@@ -415,6 +417,47 @@ def test_thread_count_does_not_change_result():
     a = effective_beam_width(*args, seed=17, threads=1)
     b = effective_beam_width(*args, seed=17, threads=4)
     assert a.value == b.value
+
+
+# Sample counts around the block (2^14) and shard (2^20) edges.
+LAYOUT_SAMPLES = (1, 2**14 - 1, 2**14, 2**14 + 1, 2**20 + 3)
+LAYOUT_LAWS = (BasisDistribution(2.0), MixtureDistribution((0.3, 0.7), (1.0, 4.0)))
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("dist", LAYOUT_LAWS, ids=lambda d: d.describe())
+@pytest.mark.parametrize("samples", LAYOUT_SAMPLES)
+def test_block_evaluation_matches_one_shot_stream(samples, dist, threads):
+    """Read in blocks, each shard gives the value and stderr of one draw of each
+    stretch whole (ebw_reference), exactly: a cursor per stretch, the law's
+    included.  A single cursor for a mixture's two stretches would differ past
+    one block."""
+    rx, tx = esnla(4, 0.5), chebyshev_array(7, 0.5, 30.0)
+    got = effective_beam_width(rx, dist, 4.0, samples, seed=23, threads=threads)
+    assert (got.value, got.stderr) == ebw_reference.effective_beam_width(rx, dist, 4.0, samples, 23)
+    got = interference_probability(rx, tx, dist, 4.0, samples, seed=29, threads=threads)
+    want = ebw_reference.interference_probability(rx, tx, dist, 4.0, samples, 29)
+    assert (got.value, got.stderr) == want
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_estimator_memory_is_bounded(threads):
+    """At 10^6 samples an estimate peaks below 8 MiB of traced allocations; one
+    shard evaluated whole holds several float64 arrays of 8 MB each."""
+    rx, tx = esnla(4, 0.5), chebyshev_array(7, 0.5, 30.0)
+    mixture = MixtureDistribution((0.3, 0.7), (1.0, 4.0))
+    for estimate in (lambda: effective_beam_width(rx, BasisDistribution(2.0), 4.0, 10**6,
+                                                  threads=threads),
+                     lambda: interference_probability(rx, tx, mixture, 4.0, 10**6,
+                                                      threads=threads)):
+        tracemalloc.start()
+        try:
+            est = estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < est.value < 1.0
+        assert peak < 8 * 2**20, peak
 
 
 def test_stderr_shrinks_with_samples():

@@ -233,7 +233,8 @@ ORACLE_NETWORKS = ((2, math.sqrt(2) / 2), (3, 0.5), (40, 0.12), (40, 0.3),
 @pytest.mark.parametrize("tx_spec", SPECS)
 def test_slot_engine_matches_dense_reference(tx_spec, rx_spec, model, fading, monkeypatch):
     """run_slot's flags equal the dense L x L evaluator's bit for bit, slot by slot:
-    even slots at the default pair budget, odd ones at 3 links per block."""
+    even slots at the default pair budget, odd ones at 3 links per block; slots 2
+    and 3 take each cutoff-free group in runs of about 3 pairs (one row)."""
     for (n, r), p_t in itertools.product(ORACLE_NETWORKS, (0.05, 0.5)):
         cfg = make_config(
             n=n, r=r, p_t=p_t, tx_pattern=parse_pattern_spec(tx_spec),
@@ -243,6 +244,7 @@ def test_slot_engine_matches_dense_reference(tx_spec, rx_spec, model, fading, mo
         for t in range(4):
             with monkeypatch.context() as m:
                 m.setattr(netsim, "_PAIR_BUDGET", netsim._PAIR_BUDGET if t % 2 == 0 else 3 * n)
+                m.setattr(netsim, "_BLOCK", netsim._BLOCK if t < 2 else 3)
                 got = run_slot(state, cfg, slot_seed(cfg, t))
                 m.setattr(netsim, "_evaluate_slots", dense_evaluate_slots)
                 want = run_slot(state, cfg, slot_seed(cfg, t))
