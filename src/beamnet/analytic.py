@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 from .patterns import check_alpha
 
-# Asymptotic root of the transport-radius stationarity condition (valid n >= 100).
-TRANSPORT_ROOT_COEFF = 1.256
-
 # Bisection's relative tolerance: 4 units in the last place.
 _RTOL = 4.0 * sys.float_info.epsilon
 
@@ -68,14 +65,16 @@ def transport_root(n: int) -> float:
     """Bisection root w in (0,1) of 2(n-1) w (1-w)^(n-2) = 1 - (1-w)^(n-1).
 
     This is the stationarity condition of the transport-throughput bracket in r,
-    with w = c1 W_B r^2 / 2; the root behaves as 1.256/n for large n."""
+    with w = c1 W_B r^2 / 2.  n w tends to the root x = 1.25643... of e^x = 1 + 2x;
+    the bracket starts below 1/(2n) and the tolerance is relative, so the root
+    keeps its accuracy at every n."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
 
     def g(w: float) -> float:
-        return 2.0 * (n - 1) * w * (1.0 - w) ** (n - 2) - _bracket_power(n, w)
+        return 2.0 * (n - 1) * w * math.exp((n - 2) * math.log1p(-w)) - _bracket_power(n, w)
 
-    return _bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200)
+    return _bisect(g, min(1e-12, 0.5 / n), 1.0 - 1e-12, xtol=1e-300, maxiter=200)
 
 
 def _bisect(f, xa: float, xb: float, xtol: float, maxiter: int) -> float:
@@ -99,11 +98,6 @@ def _bisect(f, xa: float, xb: float, xtol: float, maxiter: int) -> float:
         if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
             return xm
     raise RuntimeError(f"bisection did not converge in {maxiter} steps")
-
-
-def transport_root_value(n: int) -> float:
-    """Asymptotic root 1.256/n for n >= 100, exact bisection below."""
-    return TRANSPORT_ROOT_COEFF / n if n >= 100 else transport_root(n)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityReg
             pt_clamped=want > 0.5,
             r_clamped=False,
         )
-    w = transport_root_value(n)
+    w = transport_root(n)
     r0 = math.sqrt(2.0 * w / (c1 * w_b))
     regime = "Theta(sqrt(n / W_B))" if w_b >= 1.0 / n else "Theta(n)"
     return CapacityRegime(

@@ -139,13 +139,16 @@ def cmd_ebw(args) -> int:
     return 0
 
 
-SWEEP_COLUMNS = ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"]
+# fit needs the first six; R_MS, empty for the families that have none, is
+# optional there, so sweep files written before it still fit.
+SWEEP_COLUMNS = ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr", "R_MS"]
 FIT_COLUMNS = ["family", "alpha_star", "d_ratio", "b1", "gamma", "r2"]
 
 
 def _sweep_rows(table: scaling.SweepTable):
     return [
-        [table.family, table.alpha_star, table.d_ratio, row.n, row.w_b, row.stderr]
+        [table.family, table.alpha_star, table.d_ratio, row.n, row.w_b, row.stderr,
+         "" if row.r_ms is None else row.r_ms]
         for row in table.rows
     ]
 
@@ -184,7 +187,7 @@ def _write_fits(path, tables, comment: str) -> list:
 
 
 def cmd_fit(args) -> int:
-    records = _read_csv(args.infile, SWEEP_COLUMNS)
+    records = _read_csv(args.infile, SWEEP_COLUMNS[:6])
     groups: dict[tuple, list] = {}
     for rec in records:
         key = (rec["family"], float(rec["alpha_star"]), float(rec["d_ratio"]))

@@ -23,6 +23,7 @@ evaluate the polynomial at z and are normalized by their power at theta = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 
 # Gains below this are analytic nulls; clamped so G**(1/alpha) cannot underflow.
 NULL_CLAMP = 1e-300
+
+# Null products whose partial products could exceed 2 to this power are renormalized
+# as they go (AntennaPattern._rescaled); below 1023, where float64 overflows.
+_RESCALE_LOG2_BOUND = 1000
 
 # The library's one cache-block size, in elements: angles per block of the null-product
 # kernel, samples per block of the Monte Carlo estimators (ebw) and (link, transmitter)
@@ -65,10 +70,14 @@ def _taper_factor(sin_theta, d_ratio, coeffs):
     return np.abs(npoly.polyval(np.exp(-2j * np.pi * d_ratio * sin_theta), coeffs))
 
 
-def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls):
+def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls, rescale):
     """AF(theta)/AF(0) up to sign for nulls on the unit circle, in real arithmetic
     (module docstring).  Lone-null factors are cos(psi/2), not sqrt(1 - u), which
-    would lose relative accuracy next to the null at psi = pi."""
+    would lose relative accuracy next to the null at psi = pi.  With `rescale`
+    the partial product is renormalized to [1/2, 1) after each pair factor and
+    its powers of two are applied at the end; scaling by 2^k is exact, so the
+    result keeps its bits wherever the plain product neither overflows nor
+    underflows (AntennaPattern._rescaled says when it could overflow)."""
     half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2, in [-pi/2, pi/2]
     f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
     if not len(null_u):
@@ -82,13 +91,18 @@ def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls):
     high = (a > 0.25 * math.pi).astype(float)
     low = 1.0 - high
     t, t2 = np.empty_like(y), np.empty_like(y)
+    if rescale:
+        power, e = np.zeros(y.shape, dtype=int), np.empty(y.shape, dtype=np.intc)
     for r, b in zip(-1.0 / null_u, null_c / null_u):
         np.multiply(y, r, out=t)
         t += low
         np.multiply(high, b, out=t2)
         t += t2
         f *= t
-    return f
+        if rescale:
+            np.frexp(f, out=(f, e))
+            power += e
+    return np.ldexp(f, power, out=f) if rescale else f
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +123,15 @@ class AntennaPattern:
     taper: np.ndarray | None = None
     peak_power: float = 1.0
 
+    @functools.cached_property
+    def _rescaled(self) -> bool:
+        """Whether the null product may overflow, and so is renormalized as it goes
+        (_null_factor).  A pair factor is at most max(1, 1/u_k) in magnitude and a
+        lone-null factor at most 1, so every partial product stays below
+        2^_RESCALE_LOG2_BOUND when the sum of log2 max(1, 1/u_k) does."""
+        bound = np.log2(np.maximum(1.0, 1.0 / self.null_u)).sum()
+        return bool(bound > _RESCALE_LOG2_BOUND)
+
     def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
         """Normalized gain of an array pattern at angles given by their sines (an
         array factor depends on theta only through sin(theta))."""
@@ -119,7 +142,7 @@ class AntennaPattern:
         flat, out = s.reshape(-1), g.reshape(-1)
         for a in range(0, flat.size, _BLOCK):
             f = _null_factor(flat[a : a + _BLOCK], self.d_ratio, self.null_u, self.null_c,
-                              self.lone_nulls)
+                              self.lone_nulls, self._rescaled)
             f *= f
             out[a : a + _BLOCK] = _unit_clamp(f)
         return g

@@ -35,11 +35,9 @@ RMS_GRID_LO = 1.5
 RMS_GRID_HI = 1e4
 RMS_GRID_POINTS = 64
 
-# Brent's bounded minimiser: the golden-section ratio, the relative step floor and
-# the most evaluations one search makes.
+# Golden-section search's step: the interior points sit this share of the bracket
+# in from its ends, and each step keeps 1 - _GOLDEN = 1/phi of it.
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-_MAXFUN = 500
 
 
 @dataclass(frozen=True)
@@ -144,104 +142,57 @@ def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> t
 
     W_B(R_MS) can have more than one local minimum (secondary minima within
     2e-3, relative, of the global one at alpha* = 4, D/lambda <= 1/4), where a
-    bounded Brent search over the whole range stops in whichever it meets.  So
-    a log-spaced grid over [1.5, 1e4] brackets them first: a bounded Brent
-    search between the grid neighbors of each strict local minimum of the grid
-    (a point below each neighbor it has), or of the best point when there is
-    none (at N = 1, W_B does not depend on R_MS).  Returns the minimum over all
-    evaluated candidates as (R_MS, W_B).
+    search over the whole range stops in whichever it meets.  So a log-spaced
+    grid over [1.5, 1e4] brackets them first: golden-section search refines,
+    to 1e-3 in log10 R_MS, the bracket between the grid neighbors of each
+    strict local minimum of the grid (a point below each neighbor it has), or
+    of the best point when there is none (at N = 1, W_B does not depend on
+    R_MS).  Returns the lowest (R_MS, W_B) evaluated, ties to the smaller R_MS;
+    the R_MS is the exact float its W_B was computed at.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     alpha = 2.0 * alpha_star
     basis = BasisDistribution(2.0)
-    evaluated: dict[float, float] = {}
 
     def objective(log_r: float) -> float:
-        r_ms = 10.0**log_r
-        if r_ms not in evaluated:
-            p = patterns.chebyshev_array(n, d_ratio, r_ms)
-            evaluated[r_ms] = exact_beam_width(p, basis, alpha)
-        return evaluated[r_ms]
+        return exact_beam_width(patterns.chebyshev_array(n, d_ratio, 10.0**log_r), basis, alpha)
 
     grid = np.linspace(math.log10(RMS_GRID_LO), math.log10(RMS_GRID_HI), RMS_GRID_POINTS)
     values = np.array([objective(g) for g in grid])
+    best = min(zip(values, grid))
     walled = np.concatenate([[math.inf], values, [math.inf]])
     minima = np.flatnonzero((values < walled[:-2]) & (values < walled[2:]))
     for k in minima if len(minima) else [int(np.argmin(values))]:
         bounds = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-        _minimize_bounded(objective, *bounds, xatol=1e-3)
-
-    r_best = min(evaluated, key=lambda r: (evaluated[r], r))
-    return float(r_best), float(evaluated[r_best])
-
-
-def _sign(v: float) -> float:
-    """+1 or -1, with +1 at zero."""
-    return -1.0 if v < 0.0 else 1.0
+        best = min(best, _golden_section(objective, *bounds, xatol=1e-3))
+    w_best, log_r = best
+    return float(10.0**log_r), float(w_best)
 
 
-def _minimize_bounded(f, a: float, b: float, xatol: float):
-    """Minimize f on [a, b] by Brent's method without derivatives (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5): golden-section steps, and
-    parabolic ones through the three best points where they are acceptable.  The
-    steps and the stopping test are scipy.optimize.minimize_scalar's "bounded"
-    method, so the same f values visit the same points.  Returns (x, f(x), number
-    of evaluations); stops after _MAXFUN evaluations."""
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and num < _MAXFUN:
-        golden = True
-        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _sign(xm - xf)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+def _golden_section(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """Minimize f on [a, b] by golden-section search (Kiefer, Proc. AMS 4, 1953).
+    Two interior points split the bracket in the golden ratio; each step drops the
+    part beyond the worse of them (ties keep the left part) and evaluates one new
+    point, until the bracket is at most xatol wide.  That takes a fixed
+    2 + ceil(ln((b - a)/xatol)/ln phi) evaluations.  Returns the lowest (f(x), x)
+    evaluated, ties to the smaller x."""
+    steps = math.ceil(math.log((b - a) / xatol) / -math.log1p(-_GOLDEN))
+    c, d = a + _GOLDEN * (b - a), b - _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best = min((fc, c), (fd, d))
+    for _ in range(steps):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = a + _GOLDEN * (b - a)
+            fc = f(c)
+            best = min(best, (fc, c))
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-    return xf, fx, num
+            a, c, fc = c, d, fd
+            d = b - _GOLDEN * (b - a)
+            fd = f(d)
+            best = min(best, (fd, d))
+    return best
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """One-shot Monte Carlo estimators for the tests in `test_ebw.py`: every shard
 draws each stretch of its stream in one call rng.random(m), phi (theta, then
 phi, for the interference probability) then the law's stretches, and evaluates
-the whole shard at once.  The library reads the same stretches in blocks."""
+the whole shard at once.  The library reads the same stretches in blocks.
+Also a log-sum midpoint rule for W_B at degrees where a plain null product
+overflows (`test_cli.py`)."""
 
 from __future__ import annotations
 
@@ -49,3 +51,18 @@ def interference_probability(rx, tx, dist, alpha, samples, seed):
         return int(np.count_nonzero(yz > x))
 
     return _estimate(count, samples, seed)
+
+
+def esnla_beam_width_log_sum(n: int, points: int) -> float:
+    """W_B of ESNLA(n) at D/lambda = 1/2, alpha = 4, h = 2, the mean of G^(1/2) =
+    |AF/AF(0)| over theta in [0, pi/2], by the midpoint rule on `points` angles.
+    |AF/AF(0)| is summed in logs, prod_k |1 - u/u_k| with u = sin^2(psi/2), so it
+    cannot overflow at any degree."""
+    s = np.arange(1, n // 2 + 1)
+    u_k = np.sin(0.5 * np.pi * np.sin(2.0 * np.pi * s / (n + 1))) ** 2
+    theta = (np.arange(points) + 0.5) * (0.5 * np.pi / points)
+    u = np.sin(0.5 * np.pi * np.sin(theta)) ** 2
+    log_af = np.zeros(points)
+    for k in range(0, len(u_k), 256):
+        log_af += np.log(np.abs(1.0 - u[:, None] / u_k[None, k : k + 256])).sum(axis=1)
+    return float(np.exp(log_af).mean())

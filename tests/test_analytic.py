@@ -14,7 +14,6 @@ from beamnet.analytic import (
     guard_zone,
     optimal_params,
     transport_root,
-    transport_root_value,
 )
 from analytic_reference import f_alpha_monte_carlo
 
@@ -112,12 +111,15 @@ def test_transport_root_matches_asymptote():
 
 
 def test_transport_root_matches_scipy_bisect():
-    # Oracle: scipy.optimize.bisect on the same function returns the same root, bit for bit.
-    for n in range(3, 100):
+    # Oracle: scipy.optimize.bisect on the same function, bracket and tolerances
+    # returns the same root, bit for bit.
+    for n in list(range(3, 200)) + [10**4, 10**9, 10**18]:
         def g(w):
-            return 2.0 * (n - 1) * w * (1.0 - w) ** (n - 2) - analytic._bracket_power(n, w)
+            return (2.0 * (n - 1) * w * math.exp((n - 2) * math.log1p(-w))
+                    - analytic._bracket_power(n, w))
 
-        assert transport_root(n) == bisect(g, 1e-12, 1.0 - 1e-12, xtol=1e-15, maxiter=200), n
+        want = bisect(g, min(1e-12, 0.5 / n), 1.0 - 1e-12, xtol=1e-300, maxiter=200)
+        assert transport_root(n) == want, n
 
 
 def test_bisection_rejects_a_bracket_without_a_sign_change_and_non_convergence():
@@ -127,9 +129,22 @@ def test_bisection_rejects_a_bracket_without_a_sign_change_and_non_convergence()
         analytic._bisect(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-15, maxiter=3)
 
 
-def test_transport_root_value_switches():
-    assert transport_root_value(10**4) == 1.256 / 10**4
-    assert transport_root_value(50) == pytest.approx(transport_root(50), rel=1e-9)
+# The root x of e^x = 1 + 2x, the limit of n * transport_root(n).
+TRANSPORT_ROOT_LIMIT = 1.2564312086261697
+
+
+@pytest.mark.parametrize("n", [10**12, 10**15, 10**18])
+def test_transport_root_tends_to_its_limit(n):
+    assert math.exp(TRANSPORT_ROOT_LIMIT) == pytest.approx(1 + 2 * TRANSPORT_ROOT_LIMIT, rel=1e-15)
+    assert abs(n * transport_root(n) - TRANSPORT_ROOT_LIMIT) <= 1e-9
+
+
+def test_transport_radius_is_continuous_in_n():
+    # One bisection at every n: r * sqrt(n) moves by about 6e-5 per unit step of n
+    # near n = 100, where an asymptotic root switched in with a 0.6% jump.
+    scaled = [optimal_params(n, 0.01, "transport", C1_REF).r * math.sqrt(n) for n in (99, 100, 101)]
+    steps = [b / a - 1.0 for a, b in zip(scaled, scaled[1:])]
+    assert all(-1e-4 < s < 0.0 for s in steps)
 
 
 def test_transport_root_is_a_root():

@@ -15,6 +15,7 @@ import beamnet
 from beamnet.cli import build_parser, main
 from beamnet.ebw import BasisDistribution, MixtureDistribution, exact_beam_width
 from beamnet.patterns import TWO_PI, chebyshev_array, esnla, omni, sector
+from ebw_reference import esnla_beam_width_log_sum
 
 
 def read_rows(path):
@@ -238,13 +239,52 @@ def test_scan_fit_roundtrip(tmp_path):
     assert main(["scan", "--family", "esnla", "--alpha-star", "2", "--n-list", "2,4,6,8",
                  "--samples", "100000", "--seed", "5", "--out", str(sweep_csv)]) == 0
     header, rows = read_rows(sweep_csv)
-    assert header == ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr"]
+    assert header == ["family", "alpha_star", "d_ratio", "N", "W_B", "stderr", "R_MS"]
     assert [int(r[3]) for r in rows] == [2, 4, 6, 8]
+    assert [r[6] for r in rows] == ["", "", "", ""]
     assert main(["fit", "--in", str(sweep_csv), "--out", str(fit_csv)]) == 0
     fit_header, fit_rows = read_rows(fit_csv)
     assert fit_header == ["family", "alpha_star", "d_ratio", "b1", "gamma", "r2"]
     gamma = float(fit_rows[0][4])
     assert 0.3 < gamma < 1.2
+
+
+def test_sweep_csv_records_rms_and_fits_with_or_without_it(tmp_path):
+    """scan writes each Chebyshev row's optimized R_MS; fit needs only the six
+    columns before it, so a sweep file without R_MS (0.9.0) fits to the same bytes."""
+    sweep_csv = tmp_path / "s.csv"
+    assert main(["scan", "--family", "chebyshev", "--n-list", "2,4,6", "--samples", "1000",
+                 "--out", str(sweep_csv)]) == 0
+    header, rows = read_rows(sweep_csv)
+    assert header[6] == "R_MS"
+    want = [beamnet.optimize_chebyshev_rms(n, 2.0, 0.5)[0] for n in (2, 4, 6)]
+    assert [float(r[6]) for r in rows] == pytest.approx(want, rel=1e-11)
+    old_csv = tmp_path / "old.csv"
+    old_csv.write_text("".join(",".join(r[:6]) + "\n" for r in [header] + rows))
+    fits = [tmp_path / "f_new.csv", tmp_path / "f_old.csv"]
+    for src, out in zip((sweep_csv, old_csv), fits):
+        assert main(["fit", "--in", str(src), "--out", str(out)]) == 0
+    assert fits[0].read_bytes() == fits[1].read_bytes()
+
+
+def test_versions_agree(tmp_path):
+    """pyproject.toml, beamnet.__version__ and the CSV header give one version."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (declared,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.M)
+    out = tmp_path / "e.csv"
+    assert main(["ebw", "--pattern", "omni", "--out", str(out)]) == 0
+    assert declared == beamnet.__version__
+    assert out.read_text().startswith(f"# beamnet {declared} | ebw |")
+
+
+def test_ebw_at_a_degree_whose_plain_null_product_overflows(tmp_path, capsys):
+    """ESNLA(4000)'s null product overflowed float64 and read as G = 1, so ebw printed
+    W_B = 0.399781.  Oracle: a log-sum midpoint rule, accurate to about 1e-4 here."""
+    out = tmp_path / "e.csv"
+    assert main(["ebw", "--pattern", "esnla:4000", "--out", str(out)]) == 0
+    w_b = float(read_rows(out)[1][0][3])
+    assert w_b == pytest.approx(esnla_beam_width_log_sum(4000, 1 << 14), rel=5e-4)
+    assert w_b == pytest.approx(0.00059783, rel=1e-5)
 
 
 def test_netsim_outputs(tmp_path):
@@ -345,8 +385,8 @@ def run_fresh(code: str):
 def test_import_loads_numpy_alone():
     # `import beamnet` is part of every command's start-up time, so it loads NumPy and
     # the standard library only.  The library never loads SciPy: not for the exact W_B
-    # (its Gauss-Jacobi rule), the R_MS search (its Brent minimiser) or the transport-
-    # radius root (its bisection).  The thread pool and numpy.polynomial load on use.
+    # (its Gauss-Jacobi rule), the R_MS search (its golden-section refinement) or the
+    # transport-radius root (its bisection).  The thread pool and numpy.polynomial load on use.
     before, after = run_fresh("""\
 import beamnet
 before = loaded("scipy", "concurrent.futures", "numpy.polynomial")

@@ -327,6 +327,59 @@ def test_gain_next_to_null_near_pi_matches_mpmath(family, n):
     assert np.max(np.abs(p.gain(theta) / want - 1.0)) <= 5e-10
 
 
+LARGE_DEGREE_PATTERNS = [
+    build(n, d) for d in (1 / 16, 1 / 2) for n in (1000, 4000, 10**4)
+    for build in (esnla, binomial_array, lambda n, d: chebyshev_array(n, d, 30.0),
+                  lambda n, d: chebyshev_array(n, d, 1e4))
+]
+
+
+@pytest.mark.parametrize("p", LARGE_DEGREE_PATTERNS, ids=lambda p: p.label)
+def test_gain_stays_finite_at_large_degree(p):
+    # The plain null product overflows from ESNLA N = 2474 (D/lambda = 1/16) and
+    # Chebyshev N = 1226 (D/lambda = 1/2) on; the rescaled one never does.
+    theta = np.random.default_rng(7).uniform(0.0, TWO_PI, 4096)
+    with np.errstate(over="raise"):
+        g = p.gain(np.append(theta, 0.0))
+    assert np.all((g >= 0.0) & (g <= 1.0)) and g[-1] == 1.0
+    assert np.max(g[:-1]) < 1.0  # an overflow would read as G = 1
+
+
+@pytest.mark.parametrize("family,n", [("esnla", 4000), ("chebyshev", 1300)])
+def test_rescaled_gain_matches_mpmath(family, n):
+    p = patterns.build_pattern(family, n=n, d_ratio=0.5, r_ms=30.0)
+    assert p._rescaled
+    rng = np.random.default_rng(n)
+    theta = np.concatenate([rng.uniform(0.0, 0.02, 8), rng.uniform(0.0, TWO_PI, 8)])
+    want, g = mp_gains(family, n, 0.5, theta), p.gain(theta)
+    assert np.max(np.abs(g - want)) <= 5e-15
+    big = want >= 1e-290  # far from boresight, ESNLA's sidelobes fall below 1e-300
+    assert np.count_nonzero(big) >= 8
+    assert np.max(np.abs(g[big] / want[big] - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [esnla(4), esnla(1000, 1 / 16), esnla(1000), esnla(3000),
+                               chebyshev_array(1000, 0.5, 30.0), chebyshev_array(7, 0.125, 1e4)],
+                         ids=lambda p: p.label)
+def test_rescaling_keeps_the_bits(p):
+    # Scaling by 2^k is exact: wherever the plain product neither overflows nor
+    # underflows, the rescaled one gives the same gains bit for bit, so only the
+    # patterns past the bound rescale, and they change only where G overflowed.
+    s = np.sin(np.linspace(-math.pi, math.pi, 1 << 14, endpoint=False))
+    args = (s, p.d_ratio, p.null_u, p.null_c, p.lone_nulls)
+    plain, rescaled = patterns._null_factor(*args, False), patterns._null_factor(*args, True)
+    kept = np.abs(plain) >= 1e-150  # the squared gain stays above NULL_CLAMP
+    assert np.array_equal(plain[kept], rescaled[kept])
+    assert np.all(rescaled[~kept] < 1e-140)
+
+
+def test_rescaling_starts_past_the_bound():
+    assert not any(p._rescaled for p in (esnla(4), esnla(1000), chebyshev_array(1000, 0.5, 30.0),
+                                         binomial_array(10**4)))
+    assert all(p._rescaled for p in (esnla(1000, 1 / 16), esnla(3000),
+                                     chebyshev_array(1300, 0.5, 30.0)))
+
+
 @pytest.mark.parametrize(
     "taper", [np.exp(0.7j * np.arange(7)), [1.0, -0.5, 1.0], [1.0, 2.0 + 1e-9j], [0.0, 0.0]]
 )

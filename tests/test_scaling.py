@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize_scalar
 
 from beamnet import scaling
 from beamnet.ebw import BasisDistribution, exact_beam_width
@@ -158,28 +157,45 @@ def rms_objective(n, a_star, d):
                                           BasisDistribution(2.0), 2.0 * a_star)
 
 
-def assert_brent_matches_scipy(f, lo, hi, xatol):
-    want = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    assert scaling._minimize_bounded(f, lo, hi, xatol=xatol) == (want.x, want.fun, want.nfev)
+TABLE_C_CELLS = [(n, 2.0, 0.5) for n in scaling.DEFAULT_N_LIST]
 
 
-@pytest.mark.parametrize("n,a_star,d", [(1, 2.0, 0.5), (4, 2.0, 0.5), (6, 0.5, 0.25),
-                                        (11, 1.0, 0.125), (22, 4.0, 0.125), (40, 4.0, 0.5)])
-def test_brent_matches_scipy_on_the_rms_objective(n, a_star, d):
-    """Oracle: scipy's bounded minimize_scalar visits the same points, bit for bit,
-    over the search's bracket around its best grid point and over the whole range."""
+@pytest.mark.parametrize("n,a_star,d", TABLE_C_CELLS + [(1, 2.0, 0.5), (6, 0.5, 0.25),
+                                                        (11, 1.0, 0.125), (22, 4.0, 0.125),
+                                                        (40, 4.0, 0.5)])
+def test_rms_search_meets_a_fine_grid(n, a_star, d):
+    """Oracle: a 2000-point log grid over the search's range.  The search's W_B is
+    at most the grid's minimum, and its R_MS lies within one spacing of the grid's
+    argmin (the table C cells, and cells at other alpha* and D/lambda)."""
+    r_best, w_best = optimize_chebyshev_rms(n, a_star, d)
+    fine = np.geomspace(scaling.RMS_GRID_LO, scaling.RMS_GRID_HI, 2000)
     f = rms_objective(n, a_star, d)
-    grid = np.linspace(math.log10(scaling.RMS_GRID_LO), math.log10(scaling.RMS_GRID_HI),
-                       scaling.RMS_GRID_POINTS)
-    k = int(np.argmin([f(g) for g in grid]))
-    assert_brent_matches_scipy(f, grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], 1e-3)
-    assert_brent_matches_scipy(f, grid[0], grid[-1], 1e-3)
+    w = [f(math.log10(r)) for r in fine]
+    k = int(np.argmin(w))
+    assert w_best <= w[k]
+    assert fine[max(k - 1, 0)] <= r_best <= fine[min(k + 1, len(fine) - 1)]
 
 
-@pytest.mark.parametrize("f,lo,hi", [(lambda x: (x - 1.3) ** 2, 0.0, 5.0),
-                                     (math.cos, 0.0, 6.0)], ids=["parabola", "cosine"])
-def test_brent_matches_scipy_on_closed_forms(f, lo, hi):
-    assert_brent_matches_scipy(f, lo, hi, 1e-5)
+@pytest.mark.parametrize("f,lo,hi,argmin", [(lambda x: (x - math.sqrt(2.0)) ** 2, 0.0, 5.0,
+                                             math.sqrt(2.0)),
+                                            (math.cos, 0.0, 6.0, math.pi)],
+                         ids=["parabola", "cosine"])
+def test_golden_section_on_closed_forms(f, lo, hi, argmin):
+    """On a unimodal f with an irrational argmin, golden-section search lands within
+    xatol of it after a fixed 2 + ceil(ln((hi - lo)/xatol)/ln phi) evaluations."""
+    xs = []
+
+    def counted(x):
+        xs.append(x)
+        return f(x)
+
+    xatol = 1e-5
+    fx, x = scaling._golden_section(counted, lo, hi, xatol)
+    phi = 0.5 * (1.0 + math.sqrt(5.0))
+    assert len(xs) == 2 + math.ceil(math.log((hi - lo) / xatol) / math.log(phi))
+    assert len(set(xs)) == len(xs)  # no point is evaluated twice
+    assert abs(x - argmin) <= xatol
+    assert (fx, x) == min((f(v), v) for v in xs)
 
 
 def test_chebyshev_sweep_ignores_optimizer_samples():
