@@ -1,6 +1,6 @@
 """Effective beam width of directional antennas and ALOHA network capacity experiments."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .patterns import (
     AntennaPattern,
@@ -17,7 +17,6 @@ from .ebw import (
     effective_beam_width,
     exact_beam_width,
     interference_probability,
-    verify_bounds,
 )
 from .scaling import PowerLawFit, SweepTable, fit_power_law, optimize_chebyshev_rms, sweep
 from .netsim import NetworkConfig, NetworkState, generate_network, estimate_throughput
@@ -49,5 +48,4 @@ __all__ = [
     "sector",
     "sweep",
     "transport_root",
-    "verify_bounds",
 ]

@@ -15,10 +15,11 @@ import numpy as np
 SHARD_SIZE = 1 << 20
 
 
-def shard_sizes(samples: int, shard: int = SHARD_SIZE) -> list[int]:
+def shard_sizes(samples: int) -> list[int]:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    return [min(shard, samples - i * shard) for i in range((samples + shard - 1) // shard)]
+    return [min(SHARD_SIZE, samples - i * SHARD_SIZE)
+            for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
 
 def shard_cursors(seed: int, index: int, stretches: int, size: int) -> list[np.random.Generator]:

@@ -1,27 +1,21 @@
-"""Effective beam width estimation.
+"""Effective beam width and joint interference probability.
 
 The effective beam width of a pattern is W_B = Pr(Z > X) where Z = G*(phi) for
 a uniform orientation phi and X is the normalized distance to a potential
 interferer with law F_X(x) = x^h on [0, 1] (or a positive-weight finite mixture
 of such laws).  The joint interference probability of a receiver/transmitter
-pair is Pr(Y*Z > X), which factors into a product of beam widths for any
-single-order law.
-
-exact_beam_width evaluates W_B deterministically; the Monte Carlo estimators
-sample the same probabilities with a standard error.  They split the samples
-into shards of 2^20 (`_parallel`), and shard i draws from its own (seed, i)
-stream, laid out as one stretch of uniforms per variate: phi (theta, then phi,
-for interference_probability), then the law's stretches (for a mixture, the
-component, then x).  A shard is evaluated in blocks of _BLOCK = 2^14 samples,
-one cursor per stretch, so an estimate holds O(2^14) samples per worker whatever
-the sample and thread counts, and its value is that of one draw of each stretch
-whole.
+pair is Pr(Y*Z > X) with Y = G*_rx(theta), theta uniform and independent of phi.
 
 Since Pr(G* > X) = E[F_X(G*)], W_B = sum_h w_h mean_theta G(theta)^e with
-e = h/alpha, and G depends on theta only through sin(theta), so the mean is
-(2/pi) times the integral of G^e over [0, pi/2].
+e = h/alpha, and likewise Pr(Y*Z > X) = sum_h w_h mean G_rx^e mean G_tx^e.  For
+a single-order law the joint probability is the product of the two beam widths.
+For a mixture it lies between that product and the smaller width: both means
+fall as e grows (G <= 1), so Chebyshev's sum inequality gives the lower bound,
+and a mean of at most 1 the upper.  G depends on theta only through sin(theta),
+so each mean is (2/pi) times the integral of G^e over [0, pi/2].  These are
+exact_beam_width and interference_probability.
 
-That integral is taken by a null-split Gauss-Jacobi rule (Golub & Welsch, Math.
+The integral is taken by a null-split Gauss-Jacobi rule (Golub & Welsch, Math.
 Comp. 23, 1969; Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  An array
 built from its nulls knows them in closed form (AntennaPattern.null_sines), and
 at a null of multiplicity mu, G^e has a cusp |theta - theta_k|^(2 mu e) (at the
@@ -36,6 +30,15 @@ The integrand is then analytic inside a Bernstein ellipse of rho >= 1 + sqrt(2)
 around each piece, and the piece's node count grows with the phase it spans.
 Against 40-digit quadrature the rule agrees to about 1e-13 for ESNLA, binomial
 and Chebyshev arrays up to N = 200.
+
+effective_beam_width samples W_B with a standard error, for the sweeps.
+It splits the samples into shards of 2^20 (`_parallel`), and shard i draws from
+its own (seed, i) stream, laid out as one stretch of uniforms per variate: phi,
+then the law's stretches (for a mixture, the component, then x).  A shard is
+evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
+(`shard_cursors`), so an estimate holds O(2^14) samples per worker whatever the
+sample and thread counts, and its value is that of one call rng.random(m) per
+stretch, made one after another on the shard's generator.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import derive_seed, run_indexed, shard_cursors, shard_sizes
+from ._parallel import run_indexed, shard_cursors, shard_sizes
 from .patterns import _BLOCK, TWO_PI, AntennaPattern, check_alpha
 
 DEFAULT_SAMPLES = 10**6
@@ -76,9 +79,6 @@ class BasisDistribution:
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """X by inversion, X = U^(1/h)."""
         return u ** (1.0 / self.order)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.from_uniforms(rng.random(size))
 
     @property
     def components(self) -> tuple[tuple[float, float], ...]:
@@ -114,10 +114,6 @@ class MixtureDistribution:
         comp = np.minimum(np.searchsorted(cum, u_comp, side="left"), len(self.orders) - 1)
         return u ** (1.0 / np.asarray(self.orders)[comp])
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` draws of X: the component uniforms, then the x uniforms."""
-        return self.from_uniforms(rng.random(size), rng.random(size))
-
     @property
     def components(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.weights, self.orders))
@@ -131,37 +127,11 @@ Distribution = BasisDistribution | MixtureDistribution
 
 @dataclass(frozen=True)
 class EbwEstimate:
-    """A Monte Carlo beam-width (or interference) probability estimate with its SE."""
+    """A Monte Carlo beam-width estimate with its SE."""
 
     value: float
     stderr: float
     samples: int
-
-
-def _bernoulli_estimate(count_fn, stretches: int, samples: int, seed: int,
-                        threads: int) -> tuple[float, float]:
-    """Pr(event) and its standard error from `samples` Bernoulli trials, where
-    count_fn(*u) counts the events among a block of samples given by `stretches`
-    arrays of uniforms, one per variate.  Each shard is read in blocks of _BLOCK
-    samples, a cursor per stretch (`shard_cursors`): the draws of one call
-    rng.random(m) per stretch, in O(_BLOCK) memory per worker."""
-    sizes = shard_sizes(samples)
-
-    def work(i: int) -> int:
-        m = sizes[i]
-        cursors = shard_cursors(seed, i, stretches, m)
-        return sum(count_fn(*(c.random(min(_BLOCK, m - a)) for c in cursors))
-                   for a in range(0, m, _BLOCK))
-
-    hits = sum(run_indexed(work, len(sizes), threads))
-    p = hits / samples
-    return p, math.sqrt(p * (1.0 - p) / samples)
-
-
-def _check_inputs(alpha: float, samples: int) -> None:
-    check_alpha(alpha)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
 
 
 def effective_beam_width(
@@ -172,37 +142,23 @@ def effective_beam_width(
     seed: int = 0,
     threads: int = 1,
 ) -> EbwEstimate:
-    """Monte Carlo estimate of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist."""
-    _check_inputs(alpha, samples)
+    """Monte Carlo estimate of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist,
+    from `samples` Bernoulli trials read in blocks of _BLOCK (module docstring)."""
+    check_alpha(alpha)
+    sizes = shard_sizes(samples)
 
-    def count(u_phi: np.ndarray, *u_x: np.ndarray) -> int:
-        x = dist.from_uniforms(*u_x)
-        return int(np.count_nonzero(pattern.gain_starred(u_phi * TWO_PI, alpha) > x))
+    def hits(i: int) -> int:
+        m = sizes[i]
+        cursors = shard_cursors(seed, i, 1 + dist.stretches, m)
+        count = 0
+        for a in range(0, m, _BLOCK):
+            u_phi, *u_x = (c.random(min(_BLOCK, m - a)) for c in cursors)
+            x = dist.from_uniforms(*u_x)
+            count += int(np.count_nonzero(pattern.gain_starred(u_phi * TWO_PI, alpha) > x))
+        return count
 
-    value, se = _bernoulli_estimate(count, 1 + dist.stretches, samples, seed, threads)
-    return EbwEstimate(value=value, stderr=se, samples=samples)
-
-
-def interference_probability(
-    rx: AntennaPattern,
-    tx: AntennaPattern,
-    dist: Distribution,
-    alpha: float,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    threads: int = 1,
-) -> EbwEstimate:
-    """Monte Carlo estimate of Pr(Y*Z > X) with Y = G*_rx(theta), Z = G*_tx(phi),
-    theta and phi i.i.d. uniform, independent of X."""
-    _check_inputs(alpha, samples)
-
-    def count(u_theta: np.ndarray, u_phi: np.ndarray, *u_x: np.ndarray) -> int:
-        x = dist.from_uniforms(*u_x)
-        yz = rx.gain_starred(u_theta * TWO_PI, alpha) * tx.gain_starred(u_phi * TWO_PI, alpha)
-        return int(np.count_nonzero(yz > x))
-
-    value, se = _bernoulli_estimate(count, 2 + dist.stretches, samples, seed, threads)
-    return EbwEstimate(value=value, stderr=se, samples=samples)
+    p = sum(run_indexed(hits, len(sizes), threads)) / samples
+    return EbwEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -302,74 +258,44 @@ def _quadrature(pattern: AntennaPattern, pieces, e: float) -> tuple[np.ndarray, 
     return np.concatenate(angles), np.concatenate(weights)
 
 
-def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
-    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha) (module docstring).
-
-    Omni and sector patterns use their closed forms (1 and the beam fraction);
-    arrays use the null-split Gauss-Jacobi rule.  An array given by its taper
-    has no null set, and raises ValueError.
-    """
-    check_alpha(alpha)
+def _gain_means(pattern: AntennaPattern, exponents: list[float]) -> list[float]:
+    """mean_theta G(theta)**e for each e in `exponents` (module docstring): 1 for
+    omni, the beam fraction for a sector, whose G is an indicator, and for an array
+    the null-split Gauss-Jacobi rule, split once for every e.  An array given by
+    its taper has no null set, and raises ValueError."""
     if pattern.kind == "omni":
-        return 1.0
+        return [1.0] * len(exponents)
     if pattern.kind == "sector":
-        return pattern.beam_fraction
+        return [pattern.beam_fraction] * len(exponents)
     pieces = _null_split(pattern)
-    total = 0.0
-    for w, h in dist.components:
-        e = h / alpha
+    means = []
+    for e in exponents:
         theta, v = _quadrature(pattern, pieces, e)
-        total += w * float(np.dot(v, pattern.gain_from_sine(np.sin(theta)) ** e))
-    return total / HALF_PI
+        means.append(float(np.dot(v, pattern.gain_from_sine(np.sin(theta)) ** e)) / HALF_PI)
+    return means
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Sandwich check: product of beam widths <= Pr(E_I) <= min beam width."""
-
-    pr_ei: float
-    pr_ei_stderr: float
-    product_lower: float
-    product_stderr: float
-    min_upper: float
-    min_stderr: float
-    passed: bool
+def _law_mean(dist: Distribution, terms: list[float]) -> float:
+    """sum_h w_h t_h over the law's orders, taken about the first order's term:
+    terms equal across orders (omni, sector) give that term exactly, however the
+    weights round."""
+    t0 = terms[0]
+    return t0 + sum(w * (t - t0) for (w, _), t in zip(dist.components, terms))
 
 
-def verify_bounds(
-    rx: AntennaPattern,
-    tx: AntennaPattern,
-    mixture: MixtureDistribution,
-    alpha: float,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    threads: int = 1,
-) -> BoundsReport:
-    """Check product_lower - 3SE <= Pr(YZ > X) <= min_upper + 3SE for a mixture law.
+def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
+    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha) (module docstring),
+    each mean from _gain_means; an array given by its taper raises ValueError."""
+    check_alpha(alpha)
+    return _law_mean(dist, _gain_means(pattern, [h / alpha for _, h in dist.components]))
 
-    Equality holds for single-order mixtures and for indicator (sector) patterns;
-    distinct orders on a non-indicator pattern produce strict excess over the product.
-    """
-    pr = interference_probability(rx, tx, mixture, alpha, samples, seed, threads)
-    w_rx = effective_beam_width(rx, mixture, alpha, samples, derive_seed(seed, 2, 0), threads)
-    w_tx = effective_beam_width(tx, mixture, alpha, samples, derive_seed(seed, 2, 1), threads)
-    product = w_rx.value * w_tx.value
-    product_se = math.sqrt(
-        (w_tx.value * w_rx.stderr) ** 2 + (w_rx.value * w_tx.stderr) ** 2
-    )
-    if w_rx.value <= w_tx.value:
-        upper, upper_se = w_rx.value, w_rx.stderr
-    else:
-        upper, upper_se = w_tx.value, w_tx.stderr
-    lo_ok = pr.value >= product - 3.0 * math.sqrt(pr.stderr**2 + product_se**2)
-    hi_ok = pr.value <= upper + 3.0 * math.sqrt(pr.stderr**2 + upper_se**2)
-    return BoundsReport(
-        pr_ei=pr.value,
-        pr_ei_stderr=pr.stderr,
-        product_lower=product,
-        product_stderr=product_se,
-        min_upper=upper,
-        min_stderr=upper_se,
-        passed=bool(lo_ok and hi_ok),
-    )
 
+def interference_probability(rx: AntennaPattern, tx: AntennaPattern, dist: Distribution,
+                             alpha: float) -> float:
+    """Exact Pr(Y*Z > X) = sum_h w_h * mean G_rx**(h/alpha) * mean G_tx**(h/alpha),
+    with Y = G*_rx(theta), Z = G*_tx(phi), theta and phi i.i.d. uniform and
+    independent of X (module docstring)."""
+    check_alpha(alpha)
+    exponents = [h / alpha for _, h in dist.components]
+    means = zip(_gain_means(rx, exponents), _gain_means(tx, exponents))
+    return _law_mean(dist, [a * b for a, b in means])

@@ -126,15 +126,19 @@ class AntennaPattern:
     @functools.cached_property
     def _rescaled(self) -> bool:
         """Whether the null product may overflow, and so is renormalized as it goes
-        (_null_factor).  A pair factor is at most max(1, 1/u_k) in magnitude and a
-        lone-null factor at most 1, so every partial product stays below
-        2^_RESCALE_LOG2_BOUND when the sum of log2 max(1, 1/u_k) does."""
-        bound = np.log2(np.maximum(1.0, 1.0 / self.null_u)).sum()
+        (_null_factor).  Sines in [-1, 1] keep u = sin^2(psi/2) at most
+        u_max = sin^2(pi D/lambda), so a pair factor |1 - u/u_k| is at most
+        max(1, u_max/u_k - 1) and a lone-null factor at most 1: every partial
+        product stays below 2^_RESCALE_LOG2_BOUND when the sum of
+        log2 max(1, u_max/u_k - 1) does."""
+        u_max = math.sin(math.pi * self.d_ratio) ** 2
+        bound = np.log2(np.maximum(1.0, u_max / self.null_u - 1.0)).sum()
         return bool(bound > _RESCALE_LOG2_BOUND)
 
     def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
-        """Normalized gain of an array pattern at angles given by their sines (an
-        array factor depends on theta only through sin(theta))."""
+        """Normalized gain of an array pattern at angles given by their sines, which
+        lie in [-1, 1] up to rounding (an array factor depends on theta only through
+        sin(theta); _rescaled's bound relies on that range)."""
         s = np.asarray(sin_theta, dtype=float)
         if self.null_u is None:
             return _unit_clamp(_taper_factor(s, self.d_ratio, self.taper) ** 2 / self.peak_power)

@@ -1,18 +1,21 @@
-"""One-shot Monte Carlo estimators for the tests in `test_ebw.py`: every shard
-draws each stretch of its stream in one call rng.random(m), phi (theta, then
-phi, for the interference probability) then the law's stretches, and evaluates
-the whole shard at once.  The library reads the same stretches in blocks.
-Also a log-sum midpoint rule for W_B at degrees where a plain null product
-overflows (`test_cli.py`)."""
+"""One-shot Monte Carlo estimators for the tests: every shard draws each stretch
+of its stream in one call rng.random(m), phi (theta, then phi, for the
+interference probability) then the law's stretches, and evaluates the whole
+shard at once.  The library's effective_beam_width reads the same stretches in
+blocks (`test_ebw.py`); the sampled joint probability and the sandwich check
+are the oracles of the library's exact interference_probability and of
+acceptance criteria 6 and 7.  Also a log-sum midpoint rule for W_B at degrees
+where a plain null product overflows (`test_cli.py`)."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from beamnet._parallel import shard_sizes
-from beamnet.ebw import BasisDistribution
+from beamnet._parallel import derive_seed, shard_sizes
+from beamnet.ebw import BasisDistribution, EbwEstimate
 from beamnet.patterns import TWO_PI
 
 
@@ -30,7 +33,7 @@ def _estimate(count, samples, seed):
     for i, m in enumerate(shard_sizes(samples)):
         hits += count(np.random.default_rng(np.random.SeedSequence([seed, i])), m)
     p = hits / samples
-    return p, math.sqrt(p * (1.0 - p) / samples)
+    return EbwEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)
 
 
 def effective_beam_width(pattern, dist, alpha, samples, seed):
@@ -43,6 +46,8 @@ def effective_beam_width(pattern, dist, alpha, samples, seed):
 
 
 def interference_probability(rx, tx, dist, alpha, samples, seed):
+    """Pr(Y*Z > X) with Y = G*_rx(theta), Z = G*_tx(phi), theta and phi i.i.d.
+    uniform, independent of X."""
     def count(rng, m):
         theta = rng.random(m) * TWO_PI
         phi = rng.random(m) * TWO_PI
@@ -51,6 +56,49 @@ def interference_probability(rx, tx, dist, alpha, samples, seed):
         return int(np.count_nonzero(yz > x))
 
     return _estimate(count, samples, seed)
+
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Sandwich check: product of beam widths <= Pr(E_I) <= min beam width."""
+
+    pr_ei: float
+    pr_ei_stderr: float
+    product_lower: float
+    product_stderr: float
+    min_upper: float
+    min_stderr: float
+    passed: bool
+
+
+def verify_bounds(rx, tx, mixture, alpha, samples, seed=0) -> BoundsReport:
+    """Check product_lower - 3SE <= Pr(YZ > X) <= min_upper + 3SE for a mixture law.
+
+    Equality holds for single-order mixtures and for indicator (sector) patterns;
+    distinct orders on a non-indicator pattern produce strict excess over the product.
+    """
+    pr = interference_probability(rx, tx, mixture, alpha, samples, seed)
+    w_rx = effective_beam_width(rx, mixture, alpha, samples, derive_seed(seed, 2, 0))
+    w_tx = effective_beam_width(tx, mixture, alpha, samples, derive_seed(seed, 2, 1))
+    product = w_rx.value * w_tx.value
+    product_se = math.sqrt(
+        (w_tx.value * w_rx.stderr) ** 2 + (w_rx.value * w_tx.stderr) ** 2
+    )
+    if w_rx.value <= w_tx.value:
+        upper, upper_se = w_rx.value, w_rx.stderr
+    else:
+        upper, upper_se = w_tx.value, w_tx.stderr
+    lo_ok = pr.value >= product - 3.0 * math.sqrt(pr.stderr**2 + product_se**2)
+    hi_ok = pr.value <= upper + 3.0 * math.sqrt(pr.stderr**2 + upper_se**2)
+    return BoundsReport(
+        pr_ei=pr.value,
+        pr_ei_stderr=pr.stderr,
+        product_lower=product,
+        product_stderr=product_se,
+        min_upper=upper,
+        min_stderr=upper_se,
+        passed=bool(lo_ok and hi_ok),
+    )
 
 
 def esnla_beam_width_log_sum(n: int, points: int) -> float:

@@ -18,7 +18,6 @@ from beamnet.ebw import (
     effective_beam_width,
     exact_beam_width,
     interference_probability,
-    verify_bounds,
 )
 from beamnet.patterns import (
     TWO_PI,
@@ -151,7 +150,7 @@ def test_basis_cdf_endpoints():
     # the law F_X(x) = x^h on [0, 1]: its one component, and a KS test of its sampler
     d = BasisDistribution(2.5)
     assert d.components == ((1.0, 2.5),)
-    x = d.sample(np.random.default_rng(7), 10**5)
+    x = d.from_uniforms(np.random.default_rng(7).random(10**5))
     assert np.all((x >= 0.0) & (x <= 1.0))
     assert stats.kstest(x, lambda t: np.clip(t, 0.0, 1.0) ** 2.5).pvalue >= 0.01
 
@@ -159,13 +158,13 @@ def test_basis_cdf_endpoints():
 @given(st.floats(0.2, 8.0))
 @settings(max_examples=25, deadline=None)
 def test_basis_samples_in_unit_interval(h):
-    x = BasisDistribution(h).sample(np.random.default_rng(0), 2000)
+    x = BasisDistribution(h).from_uniforms(np.random.default_rng(0).random(2000))
     assert np.all((x >= 0.0) & (x <= 1.0))
 
 
 def test_h3_matches_radial_ball_law():
     # the h = 3 basis is the 3-D radial law p(x) = 3x^2, so X^3 is uniform
-    x = BasisDistribution(3.0).sample(np.random.default_rng(42), 10**5)
+    x = BasisDistribution(3.0).from_uniforms(np.random.default_rng(42).random(10**5))
     assert stats.kstest(x**3, "uniform").pvalue >= 0.01
 
 
@@ -183,7 +182,8 @@ def test_mixture_validation(weights, orders):
 def test_mixture_cdf_is_weighted_sum():
     m = MixtureDistribution((0.25, 0.75), (1.0, 3.0))
     assert m.components == ((0.25, 1.0), (0.75, 3.0))
-    x = m.sample(np.random.default_rng(8), 10**5)
+    rng = np.random.default_rng(8)
+    x = m.from_uniforms(rng.random(10**5), rng.random(10**5))
     assert stats.kstest(x, lambda t: 0.25 * t + 0.75 * t**3).pvalue >= 0.01
 
 
@@ -206,7 +206,7 @@ def test_estimator_matches_quadrature_oracle():
 
 
 def test_exact_closed_forms():
-    mix = MixtureDistribution((0.3, 0.7), (1.0, 4.0))
+    mix = MixtureDistribution((0.6, 0.3, 0.1), (1.0, 2.0, 4.0))  # weights sum to 1 - 2^-53
     for dist in (BasisDistribution(2.0), mix):
         assert exact_beam_width(omni(), dist, 4.0) == 1.0
         assert exact_beam_width(sector(0.3), dist, 4.0) == 0.3
@@ -308,23 +308,24 @@ def test_quadrature_agreement_fixture_set(p, h):
 
 
 def test_interference_omni_pair_is_one():
-    est = interference_probability(omni(), omni(), BasisDistribution(2.0), 4.0, 10**4, seed=0)
-    assert est.value == 1.0
+    assert interference_probability(omni(), omni(), BasisDistribution(2.0), 4.0) == 1.0
 
 
 def test_interference_sector_pair_is_product():
-    est = interference_probability(
-        sector(0.5), sector(0.25), BasisDistribution(2.0), 4.0, SAMPLES, seed=4
-    )
-    assert abs(est.value - 0.125) <= 3 * est.stderr
+    assert interference_probability(sector(0.5), sector(0.25), BasisDistribution(2.0), 4.0) == 0.125
 
 
 def test_product_form_single_order():
-    p = esnla(4, 0.5)
-    pr = interference_probability(p, p, BasisDistribution(2.0), 4.0, 10**6, seed=5)
-    w = effective_beam_width(p, BasisDistribution(2.0), 4.0, 10**6, seed=6)
-    prod_se = math.sqrt(2) * w.value * w.stderr
-    assert abs(pr.value - w.value**2) <= 3 * math.sqrt(pr.stderr**2 + prod_se**2)
+    # For one order the joint probability factors into the two beam widths.
+    q = esnla(8, 0.5)
+    for p in ORACLE_PATTERNS:
+        for h in (1.0, 2.0, 4.0):
+            dist = BasisDistribution(h)
+            pr = interference_probability(p, q, dist, 4.0)
+            product = exact_beam_width(p, dist, 4.0) * exact_beam_width(q, dist, 4.0)
+            assert abs(pr / product - 1.0) <= 1e-15, (p.label, h)
+    with pytest.raises(ValueError):
+        interference_probability(q, q, BasisDistribution(2.0), 0.5)
 
 
 def test_mixture_single_component_reduces_to_basis():
@@ -352,30 +353,48 @@ def test_mixture_matches_component_quadratures():
         assert abs(est.value - want) <= 4 * est.stderr
 
 
+JOINT_PAIRS = [
+    (esnla(4, 0.5), esnla(4, 0.5)), (esnla(4, 0.5), esnla(8, 0.5)),
+    (binomial_array(4, 0.5), chebyshev_array(7, 0.5, 30.0)), (esnla(12, 0.25), sector(0.3)),
+]
+MIXED_ORDERS = MixtureDistribution((0.5, 0.5), (1.0, 4.0))
+
+
 def test_bounds_single_order_equality():
-    p = esnla(4, 0.5)
-    rep = verify_bounds(p, p, MixtureDistribution((1.0,), (2.0,)), 4.0, SAMPLES, seed=11)
-    assert rep.passed
-    gap = abs(rep.pr_ei - rep.product_lower)
-    assert gap <= 3 * math.sqrt(rep.pr_ei_stderr**2 + rep.product_stderr**2)
+    # A one-component mixture gives the basis law's joint probability, the product.
+    p, q = esnla(4, 0.5), esnla(8, 0.5)
+    single = interference_probability(p, q, MixtureDistribution((1.0,), (2.0,)), 4.0)
+    assert single == interference_probability(p, q, BasisDistribution(2.0), 4.0)
+    assert single == exact_beam_width(p, BasisDistribution(2.0), 4.0) * exact_beam_width(
+        q, BasisDistribution(2.0), 4.0)
 
 
 def test_bounds_sector_equality_any_mixture():
-    mix = MixtureDistribution((0.3, 0.7), (1.0, 4.0))
-    rep = verify_bounds(sector(0.4), sector(0.25), mix, 4.0, SAMPLES, seed=12)
-    assert rep.passed
-    gap = abs(rep.pr_ei - rep.product_lower)
-    assert gap <= 3 * math.sqrt(rep.pr_ei_stderr**2 + rep.product_stderr**2)
+    # An indicator's per-order means are all its beam fraction, so the lower bound
+    # is attained, and omni on one side attains both bounds.
+    mix = MixtureDistribution((0.6, 0.3, 0.1), (1.0, 2.0, 4.0))  # weights sum to 1 - 2^-53
+    pr = interference_probability(sector(0.4), sector(0.25), mix, 4.0)
+    assert pr == exact_beam_width(sector(0.4), mix, 4.0) * exact_beam_width(sector(0.25), mix, 4.0)
+    assert pr == 0.4 * 0.25
+    p = esnla(4, 0.5)
+    assert interference_probability(omni(), p, mix, 4.0) == exact_beam_width(p, mix, 4.0)
 
 
 def test_bounds_strict_excess_for_mixed_orders():
-    p = esnla(4, 0.5)
-    mix = MixtureDistribution((0.5, 0.5), (1.0, 4.0))
-    rep = verify_bounds(p, p, mix, 4.0, 10**6, seed=13)
-    assert rep.passed
-    excess = rep.pr_ei - rep.product_lower
-    assert excess > 3 * math.sqrt(rep.pr_ei_stderr**2 + rep.product_stderr**2)
-    assert rep.pr_ei <= rep.min_upper + 3 * math.sqrt(rep.pr_ei_stderr**2 + rep.min_stderr**2)
+    # Distinct orders on arrays: strictly between the product and the smaller width.
+    for rx, tx in JOINT_PAIRS[:3]:
+        w_rx = exact_beam_width(rx, MIXED_ORDERS, 4.0)
+        w_tx = exact_beam_width(tx, MIXED_ORDERS, 4.0)
+        pr = interference_probability(rx, tx, MIXED_ORDERS, 4.0)
+        assert w_rx * w_tx < pr < min(w_rx, w_tx), (rx.label, tx.label)
+
+
+@pytest.mark.parametrize("dist", (BasisDistribution(2.0), MIXED_ORDERS), ids=lambda d: d.describe())
+@pytest.mark.parametrize("i", range(len(JOINT_PAIRS)))
+def test_sampler_matches_the_exact_joint_probability(i, dist):
+    rx, tx = JOINT_PAIRS[i]
+    est = ebw_reference.interference_probability(rx, tx, dist, 4.0, 10**6, 31 + i)
+    assert abs(est.value - interference_probability(rx, tx, dist, 4.0)) <= 4 * est.stderr
 
 
 ALPHA_STARS = (0.5, 1.0, 2.0, 4.0)
@@ -432,27 +451,20 @@ def test_block_evaluation_matches_one_shot_stream(samples, dist, threads):
     stretch whole (ebw_reference), exactly: a cursor per stretch, the law's
     included.  A single cursor for a mixture's two stretches would differ past
     one block."""
-    rx, tx = esnla(4, 0.5), chebyshev_array(7, 0.5, 30.0)
-    got = effective_beam_width(rx, dist, 4.0, samples, seed=23, threads=threads)
-    assert (got.value, got.stderr) == ebw_reference.effective_beam_width(rx, dist, 4.0, samples, 23)
-    got = interference_probability(rx, tx, dist, 4.0, samples, seed=29, threads=threads)
-    want = ebw_reference.interference_probability(rx, tx, dist, 4.0, samples, 29)
-    assert (got.value, got.stderr) == want
+    p = esnla(4, 0.5)
+    got = effective_beam_width(p, dist, 4.0, samples, seed=23, threads=threads)
+    assert got == ebw_reference.effective_beam_width(p, dist, 4.0, samples, 23)
 
 
 @pytest.mark.parametrize("threads", (1, 2))
 def test_estimator_memory_is_bounded(threads):
     """At 10^6 samples an estimate peaks below 8 MiB of traced allocations; one
     shard evaluated whole holds several float64 arrays of 8 MB each."""
-    rx, tx = esnla(4, 0.5), chebyshev_array(7, 0.5, 30.0)
-    mixture = MixtureDistribution((0.3, 0.7), (1.0, 4.0))
-    for estimate in (lambda: effective_beam_width(rx, BasisDistribution(2.0), 4.0, 10**6,
-                                                  threads=threads),
-                     lambda: interference_probability(rx, tx, mixture, 4.0, 10**6,
-                                                      threads=threads)):
+    p = esnla(4, 0.5)
+    for dist in (BasisDistribution(2.0), MixtureDistribution((0.3, 0.7), (1.0, 4.0))):
         tracemalloc.start()
         try:
-            est = estimate()
+            est = effective_beam_width(p, dist, 4.0, 10**6, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -332,12 +332,17 @@ LARGE_DEGREE_PATTERNS = [
     for build in (esnla, binomial_array, lambda n, d: chebyshev_array(n, d, 30.0),
                   lambda n, d: chebyshev_array(n, d, 1e4))
 ]
+# The largest degrees whose plain null product is not rescaled (_rescaled), per
+# family and spacing; the next degree rescales.
+LAST_PLAIN = [esnla(1206, 1 / 16), esnla(1854, 0.5), chebyshev_array(6361, 1 / 16, 30.0),
+              chebyshev_array(1195, 0.5, 30.0)]
 
 
-@pytest.mark.parametrize("p", LARGE_DEGREE_PATTERNS, ids=lambda p: p.label)
+@pytest.mark.parametrize("p", LARGE_DEGREE_PATTERNS + LAST_PLAIN, ids=lambda p: p.label)
 def test_gain_stays_finite_at_large_degree(p):
     # The plain null product overflows from ESNLA N = 2474 (D/lambda = 1/16) and
-    # Chebyshev N = 1226 (D/lambda = 1/2) on; the rescaled one never does.
+    # Chebyshev N = 1226 (D/lambda = 1/2) on; the rescaled one never does, nor
+    # does the plain one up to the bound (LAST_PLAIN).
     theta = np.random.default_rng(7).uniform(0.0, TWO_PI, 4096)
     with np.errstate(over="raise"):
         g = p.gain(np.append(theta, 0.0))
@@ -374,10 +379,11 @@ def test_rescaling_keeps_the_bits(p):
 
 
 def test_rescaling_starts_past_the_bound():
-    assert not any(p._rescaled for p in (esnla(4), esnla(1000), chebyshev_array(1000, 0.5, 30.0),
-                                         binomial_array(10**4)))
-    assert all(p._rescaled for p in (esnla(1000, 1 / 16), esnla(3000),
-                                     chebyshev_array(1300, 0.5, 30.0)))
+    assert not any(p._rescaled for p in (esnla(4), esnla(1000, 1 / 16), binomial_array(10**4),
+                                         *LAST_PLAIN))
+    assert all(p._rescaled for p in (esnla(1208, 1 / 16), esnla(1856, 0.5),
+                                     chebyshev_array(6362, 1 / 16, 30.0),
+                                     chebyshev_array(1196, 0.5, 30.0), esnla(3000)))
 
 
 @pytest.mark.parametrize(
