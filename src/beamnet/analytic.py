@@ -17,6 +17,9 @@ from .patterns import check_alpha
 # Bisection's relative tolerance: 4 units in the last place.
 _RTOL = 4.0 * sys.float_info.epsilon
 
+# The largest distance on the unit torus, and so the largest link radius.
+MAX_LINK_LENGTH = math.sqrt(2.0) / 2.0
+
 
 def check_sir0(sir0: float) -> None:
     """Reject an SIR threshold that is not finite and > 1, NaN included."""
@@ -109,15 +112,18 @@ class CapacityRegime:
     p_t: float
     r: float
     pt_clamped: bool  # transport large-W_B branch wanted p_t > 1/2
-    r_clamped: bool  # optimal radius fell below the connectivity floor
+    r_clamped: bool  # optimal radius fell outside [connectivity floor, sqrt(2)/2]
 
 
 def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityRegime:
     """Pick (p_t, r) maximizing the throughput bracket, with the regime label.
 
-    Connectivity requires r >= sqrt(log(n)/n) (natural log, unit constant).
-    The transmit probability is restricted to (0, 1/2]; when the transport
-    branch asks for a larger p_t it is clamped and flagged.
+    Connectivity requires r >= sqrt(log(n)/n) (natural log, unit constant), and
+    no torus distance exceeds MAX_LINK_LENGTH = sqrt(2)/2.  The transport
+    bracket rises in r up to its optimum r0 and falls beyond it, so r0 clamped
+    into that range maximizes it there; the clamp is flagged.  The transmit
+    probability is restricted to (0, 1/2]; when the transport branch asks for a
+    larger p_t it is clamped and flagged.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -152,7 +158,7 @@ def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityReg
         objective=objective,
         regime=regime,
         p_t=0.5,
-        r=max(r0, floor),
+        r=min(max(r0, floor), MAX_LINK_LENGTH),
         pt_clamped=False,
-        r_clamped=r0 < floor,
+        r_clamped=not floor <= r0 <= MAX_LINK_LENGTH,
     )

@@ -61,10 +61,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import derive_seed, run_indexed
-from .analytic import check_sir0, guard_zone
+from .analytic import MAX_LINK_LENGTH, check_sir0, guard_zone
 from .patterns import _BLOCK, AntennaPattern, check_alpha, omni
-
-MAX_LINK_LENGTH = math.sqrt(2.0) / 2.0
 
 MODELS = ("pairwise", "multi")
 FADINGS = ("none", "rayleigh")
@@ -105,7 +103,9 @@ class NetworkConfig:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """Immutable placement plus derived adjacency and guard-zone constants."""
+    """Immutable placement and its in-range adjacency, a function of (n, r, seed).
+    Every call takes the model, the guard zone (Delta, c1) included, from its
+    config, so one placement may be evaluated under several configs."""
 
     positions: np.ndarray  # (n, 2) in [0, 1)^2
     r: float
@@ -113,8 +113,6 @@ class NetworkState:
     neighbor_offsets: np.ndarray  # CSR offsets, (n + 1,)
     neighbors: np.ndarray  # CSR column indices
     neighbor_dist: np.ndarray  # torus distance per CSR entry
-    delta: float
-    c1: float
 
     @property
     def n(self) -> int:
@@ -179,7 +177,8 @@ def _cell_search(points, queries, key, reach, n: int):
 
 
 def generate_network(config: NetworkConfig) -> NetworkState:
-    """Place n nodes i.i.d. uniform on the torus and build the in-range adjacency."""
+    """Place n nodes i.i.d. uniform on the torus and build the in-range adjacency.
+    Reads only config.n, config.r and config.seed."""
     n = config.n
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     pos = rng.random((n, 2))
@@ -191,7 +190,6 @@ def generate_network(config: NetworkConfig) -> NetworkState:
     src, dst, dist = src[order], dst[order], dist[order]
     k_pr = np.bincount(src, minlength=n)
     offsets = np.concatenate([[0], np.cumsum(k_pr)])
-    delta, c1 = guard_zone(config.sir0, config.alpha)
     return NetworkState(
         positions=pos,
         r=config.r,
@@ -199,8 +197,6 @@ def generate_network(config: NetworkConfig) -> NetworkState:
         neighbor_offsets=offsets.astype(np.int64),
         neighbors=dst.astype(np.int64),
         neighbor_dist=dist,
-        delta=delta,
-        c1=c1,
     )
 
 
@@ -316,7 +312,7 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
     if guard_only:
         # Interferer j can break link i only within (1+Delta) d_i G*_rx G*_tx
         # <= (1+Delta) d_i of R_i, since G* <= 1 and rounding is monotone.
-        reach = (1.0 + state.delta) * d
+        reach = (1.0 + guard_zone(config.sir0, alpha)[0]) * d
         near = _cell_search((t_x, t_y), (r_x, r_y), slot, reach, state.n)
 
     # Receivers are keyed by (slot, receiver id), ascending; runs take whole keys.
@@ -483,7 +479,7 @@ def interference_free_activity_bound(state: NetworkState, p_t: float):
 
 def _success_bounds(state, config, w_eff, edges):
     """Per-bin success-probability bracket from the guard-zone analysis."""
-    n, p_t, c1 = state.n, config.p_t, state.c1
+    n, p_t, c1 = state.n, config.p_t, guard_zone(config.sir0, config.alpha)[1]
     m_prod, _, _ = interference_free_activity_bound(state, p_t)
     lo = (1.0 - p_t) * m_prod * np.clip(
         1.0 - c1 * p_t * edges[1:] ** 2 * w_eff, 0.0, 1.0
@@ -655,7 +651,8 @@ def _forced_link_tables(state, config, tx_node, rx_node):
     plain = g_rx * g_tx * dist ** (-alpha) * np.ones(len(ks))
     # G* = G**(1/alpha), as gain_starred computes it.
     gs_rx, gs_tx = np.power(g_rx, 1.0 / alpha), np.power(g_tx, 1.0 / alpha)
-    starred = dist - (1.0 + state.delta) * d_i * gs_rx * gs_tx * np.ones(len(ks))
+    guard = (1.0 + guard_zone(config.sir0, alpha)[0]) * d_i
+    starred = dist - guard * gs_rx * gs_tx * np.ones(len(ks))
     return nodes, offsets, plain, starred, d_i
 
 

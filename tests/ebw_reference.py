@@ -5,7 +5,8 @@ shard at once.  The library's effective_beam_width reads the same stretches in
 blocks (`test_ebw.py`); the sampled joint probability and the sandwich check
 are the oracles of the library's exact interference_probability and of
 acceptance criteria 6 and 7.  Also a log-sum midpoint rule for W_B at degrees
-where a plain null product overflows (`test_cli.py`)."""
+where a plain null product overflows (`test_cli.py`), and W_B at D/lambda = 1/2
+and integer order as a Bessel sum (`test_ebw.py`)."""
 
 from __future__ import annotations
 
@@ -13,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0
 
 from beamnet._parallel import derive_seed, shard_sizes
 from beamnet.ebw import BasisDistribution, EbwEstimate
-from beamnet.patterns import TWO_PI
+from beamnet.patterns import TWO_PI, _null_factor
 
 
 def _distances(dist, rng, m):
@@ -114,3 +116,30 @@ def esnla_beam_width_log_sum(n: int, points: int) -> float:
     for k in range(0, len(u_k), 256):
         log_af += np.log(np.abs(1.0 - u[:, None] / u_k[None, k : k + 256])).sum(axis=1)
     return float(np.exp(log_af).mean())
+
+
+def bessel_beam_width(pattern, m: int) -> float:
+    """mean_theta G(theta)^m of an array built from its nulls at D/lambda = 1/2, as
+    sum_k a_k J0(pi k) (Watson, A Treatise on the Theory of Bessel Functions, 1944).
+
+    In psi = pi sin(theta), G is a cosine polynomial of degree
+    deg = 2 len(null_u) + lone_nulls (module docstring of patterns), so G^m is one
+    of degree K = m deg, sum_k a_k cos(k psi), and E[cos(k psi)] = J0(pi k) for
+    theta uniform.  The a_k come exactly from an FFT of G^m at 2K + 2 equispaced
+    psi in [-pi, pi), whose offset -pi turns the k-th coefficient's sign by
+    (-1)^k.  G^m is sampled as the unclamped null product raised to the power 2m,
+    at sines psi/pi in [-1, 1), which the product's rescaling bound assumes.  The
+    sum shares only _null_factor with the library, so it checks the quadrature
+    (the null split, Gauss-Jacobi, node counts) and the rescaled product, not the
+    gain kernel."""
+    if pattern.d_ratio != 0.5:
+        raise ValueError("the Bessel sum is an oracle at D/lambda = 1/2 only")
+    degree = m * (2 * len(pattern.null_u) + pattern.lone_nulls)
+    points = 2 * degree + 2
+    psi = -np.pi + TWO_PI * np.arange(points) / points
+    f = _null_factor(psi / np.pi, 0.5, pattern.null_u, pattern.null_c, pattern.lone_nulls,
+                     pattern._rescaled)
+    c = np.fft.rfft(f ** (2 * m))[: degree + 1].real / points
+    c[1:] *= 2.0
+    c[1::2] *= -1.0
+    return float(np.dot(c, j0(np.pi * np.arange(degree + 1))))

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from beamnet.analytic import guard_zone
 from beamnet.netsim import NetworkConfig, NetworkState, _forced_link_tables, _gain
 
 
@@ -75,7 +76,7 @@ def dense_evaluate_slot(state, config, tx, rx, d, rng) -> np.ndarray:
     alpha = config.alpha
     if config.model == "pairwise" and not rayleigh:
         g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=True)
-        ok = dist >= (1.0 + state.delta) * d[:, None] * g_rx * g_tx
+        ok = dist >= (1.0 + guard_zone(config.sir0, alpha)[0]) * d[:, None] * g_rx * g_tx
     elif config.model == "pairwise":
         g_rx, g_tx, dist = _link_gains(state, config, tx, rx, starred=False)
         ok = f_sig[:, None] * dist**alpha >= config.sir0 * f_int * g_rx * g_tx * (
@@ -108,7 +109,7 @@ def pairwise_success(link, active_links, state: NetworkState, config: NetworkCon
     ti, ri = link
     pos = state.positions
     d_i = float(torus_distance(pos[ti], pos[ri]))
-    scale = (1.0 + state.delta) * d_i
+    scale = (1.0 + guard_zone(config.sir0, config.alpha)[0]) * d_i
     v1 = torus_delta(pos[ri], pos[ti])
     for tj, rj in active_links:
         if tj == ti or tj == ri:

@@ -185,6 +185,21 @@ def test_optimal_transport_radius_maximizes_bracket():
     assert reg.r == pytest.approx(r_star, rel=0.01)
 
 
+@pytest.mark.parametrize("n", [100, 1000, 10**4])
+@pytest.mark.parametrize("fraction", [0.999, 1e-3])
+def test_transport_radius_is_capped_at_the_longest_torus_link(n, fraction):
+    """Below W_B = 4 transport_root(n) / c1 the bracket's optimum r0 lies past
+    sqrt(2)/2, the longest link on the torus: the radius is capped there and
+    flagged, the bracket is finite, and over [floor, sqrt(2)/2] it peaks at the cap."""
+    w_b = fraction * 4.0 * transport_root(n) / C1_REF
+    reg = optimal_params(n, w_b, "transport", C1_REF)
+    assert reg.r == analytic.MAX_LINK_LENGTH and reg.r_clamped
+    assert math.isfinite(analytic_total_throughput(n, reg.p_t, reg.r, w_b, C1_REF))
+    r_grid = np.linspace(math.sqrt(math.log(n) / n), analytic.MAX_LINK_LENGTH, 10**4)
+    f2 = (1 - (1 - C1_REF * 0.5 * r_grid**2 * w_b) ** (n - 1)) / (w_b * r_grid)
+    assert r_grid[np.argmax(f2)] == reg.r
+
+
 def test_optimal_params_pt_clamp_flag():
     # W_B log n < 2 makes the large-W_B transport branch ask for p_t > 1/2
     reg = optimal_params(10**4, 0.15, "transport", C1_REF)

@@ -262,6 +262,42 @@ def test_exact_matches_mpmath_quadrature(family, n, d, r_ms):
     assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "family,n,m",
+    [("esnla", n, m) for n in (4, 20, 200, 1854, 1856) for m in (1, 2)]
+    + [("binomial", n, m) for n in (20, 200) for m in (1, 2)]
+    + [("chebyshev", n, m) for n in (7, 40, 1195, 1196) for m in (1, 2)]
+    + [("esnla", 10**4, 1)],
+)
+def test_exact_matches_bessel_sum(family, n, m):
+    """At D/lambda = 1/2 and integer e = m the exact W_B is a Bessel sum
+    (ebw_reference.bessel_beam_width), on both sides of each rescale threshold:
+    ESNLA N = 1856 and Chebyshev (R_MS 30) N = 1196 are the first rescaled degrees."""
+    p = build_pattern(family, n=n, d_ratio=0.5, r_ms=30.0)
+    assert p._rescaled == (n >= {"esnla": 1856, "binomial": math.inf, "chebyshev": 1196}[family])
+    want = ebw_reference.bessel_beam_width(p, m)
+    assert abs(exact_beam_width(p, BasisDistribution(float(m)), 1.0) / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "family,n,d",
+    [("esnla", 1000, 0.5), ("esnla", 3600, 0.5), ("esnla", 2000, 1 / 16),
+     ("chebyshev", 1000, 0.5), ("chebyshev", 3000, 1 / 16), ("binomial", 1000, 0.5)],
+)
+def test_fractional_orders_converge_at_large_n(family, n, d, monkeypatch):
+    """The node counts, tuned on N <= 200, converge at N in the thousands for
+    fractional e = 2/alpha in {1/4, 1/2, 2/3, 4/5}: doubling NODE_SCALE and
+    NODES_PER_PIECE moves no W_B by more than 1e-13 relative.  (It does not check
+    the null split; the Bessel sum does that at integer e.)"""
+    p = build_pattern(family, n=n, d_ratio=d, r_ms=30.0)
+    alphas = (8.0, 4.0, 3.0, 2.5)
+    want = [exact_beam_width(p, BasisDistribution(2.0), a) for a in alphas]
+    monkeypatch.setattr(ebw, "NODE_SCALE", 2 * ebw.NODE_SCALE)
+    monkeypatch.setattr(ebw, "NODES_PER_PIECE", 2 * ebw.NODES_PER_PIECE)
+    for a, w in zip(alphas, want):
+        assert abs(exact_beam_width(p, BasisDistribution(2.0), a) / w - 1.0) <= 1e-13, a
+
+
 JACOBI_ORDERS = (0.0, 0.25, 0.5, 0.75, 0.99)
 JACOBI_PAIRS = [(a, b) for a in JACOBI_ORDERS for b in JACOBI_ORDERS]
 JACOBI_SPREAD = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 300)

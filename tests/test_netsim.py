@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from beamnet import netsim
 from beamnet.analytic import guard_zone
-from beamnet.ebw import BasisDistribution, effective_beam_width
+from beamnet.ebw import BasisDistribution, effective_beam_width, exact_beam_width
 from beamnet.netsim import (
     NetworkConfig,
     NetworkState,
@@ -44,15 +44,14 @@ def make_config(**kw):
     return NetworkConfig(**base)
 
 
-def make_state(positions, r=0.3, sir0=10.0, alpha=4.0):
+def make_state(positions, r=0.3):
     """Bare state for scalar-operation tests; adjacency left empty."""
     pos = np.asarray(positions, dtype=float)
-    delta, c1 = guard_zone(sir0, alpha)
     n = len(pos)
     return NetworkState(
         positions=pos, r=r, k_pr=np.zeros(n, np.int64),
         neighbor_offsets=np.zeros(n + 1, np.int64), neighbors=np.zeros(0, np.int64),
-        neighbor_dist=np.zeros(0), delta=delta, c1=c1,
+        neighbor_dist=np.zeros(0),
     )
 
 
@@ -125,13 +124,18 @@ def test_generate_network_mean_degree():
     assert state.k_pr.mean() == pytest.approx(1000 * math.pi * 0.06**2, abs=0.6)
 
 
-def test_generate_network_guard_constants():
-    state = generate_network(make_config(sir0=10.0, alpha=4.0))
-    assert state.delta == pytest.approx(0.778, abs=5e-4)
-    assert state.c1 == pytest.approx(9.935, abs=5e-4)
-    state = generate_network(make_config(sir0=16.0, alpha=4.0))
-    assert state.delta == pytest.approx(1.0, abs=1e-12)
-    assert state.c1 == pytest.approx(4 * math.pi, abs=1e-9)
+def test_generate_network_reads_only_n_r_and_seed():
+    """A placement is a function of (n, r, seed): configs that differ in anything
+    else give equal arrays."""
+    base = make_config(n=300, r=0.1, seed=5)
+    want = generate_network(base)
+    for kw in (dict(p_t=0.5), dict(alpha=3.0), dict(sir0=100.0), dict(tx_pattern=esnla(4, 0.5)),
+               dict(rx_pattern=sector(0.25)), dict(model="multi"), dict(fading="rayleigh"),
+               dict(slots=7)):
+        got = generate_network(replace(base, **kw))
+        assert got.r == want.r, kw
+        for field in ("positions", "k_pr", "neighbor_offsets", "neighbors", "neighbor_dist"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (kw, field)
 
 
 def test_large_radius_pair_search_matches_brute_force():
@@ -276,9 +280,9 @@ def test_slot_guard_boundary_is_inclusive():
     cfg = make_config(n=4, sir0=16.0)
     tx, rx = np.array([0, 2]), np.array([1, 3])
     for y, harmless in ((0.75, True), (np.nextafter(0.75, 0.0), False)):
-        state = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, y), (0.25, 0.95)], sir0=16.0)
+        state = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, y), (0.25, 0.95)])
         d = torus_distance(state.positions[tx], state.positions[rx])
-        assert (1.0 + state.delta) * d[0] == 0.5
+        assert (1.0 + guard_zone(cfg.sir0, cfg.alpha)[0]) * d[0] == 0.5
         for evaluate in (netsim._evaluate_slots, dense_evaluate_slots):
             slot = netsim._SlotDraw(tx=tx, rx=rx, d=d, live=np.ones(2, dtype=bool),
                                     rng=np.random.default_rng(0))
@@ -286,9 +290,10 @@ def test_slot_guard_boundary_is_inclusive():
             assert ok[0] == harmless, (y, evaluate.__name__)
 
 
-def guard_grid(state, slots):
+def guard_grid(state, cfg, slots):
     """Cells per side of the torus grid the pairwise/none engine uses for a block."""
-    reach = (1.0 + state.delta) * max(s.d.max() for s in slots if len(s.d)) + netsim._REACH_PAD
+    longest = max(s.d.max() for s in slots if len(s.d))
+    reach = (1.0 + guard_zone(cfg.sir0, cfg.alpha)[0]) * longest + netsim._REACH_PAD
     g = min(int(1.0 / reach), math.isqrt(state.n))
     return g if g >= 3 else 1
 
@@ -301,7 +306,7 @@ def test_guard_grid_matches_dense_reference(n, r, g):
                       seed=n)
     state = generate_network(cfg)
     drawn = netsim._draw_slots(state, cfg, [slot_seed(cfg, t) for t in range(6)])
-    assert guard_grid(state, drawn) == g
+    assert guard_grid(state, cfg, drawn) == g
     want = dense_evaluate_slots(state, cfg, drawn)
     got = netsim._evaluate_slots(state, cfg, drawn)
     for t, (a, b) in enumerate(zip(got, want)):
@@ -321,7 +326,7 @@ def test_guard_grid_block_of_slots_with_different_reaches():
         keep = full.d <= cfg.r * k / 4
         slots.append(netsim._SlotDraw(tx=full.tx[keep], rx=full.rx[keep], d=full.d[keep],
                                       live=full.live[keep], rng=full.rng))
-    assert len(slots[0].tx) == 0 and guard_grid(state, slots) == 5
+    assert len(slots[0].tx) == 0 and guard_grid(state, cfg, slots) == 5
     assert len({round(float(s.d.max()), 3) for s in slots[1:]}) == 4
     for k, (a, b) in enumerate(zip(netsim._evaluate_slots(state, cfg, slots),
                                    dense_evaluate_slots(state, cfg, slots))):
@@ -343,14 +348,13 @@ def test_guard_grid_boundary_across_the_seam(shift):
     filler = [(0.5, 0.1 + k / 40) for k in range(32)]
     # One ulp up in both coordinates brings T_2 closer to R_1 across the seam.
     for t, harmless in ((t2, True), (np.nextafter(t2, 1.0), False)):
-        state = make_state([r1 + (0.078125, 0.0), r1, t, (t + (0.03, 0.0)) % 1.0] + filler,
-                           sir0=16.0)
+        state = make_state([r1 + (0.078125, 0.0), r1, t, (t + (0.03, 0.0)) % 1.0] + filler)
         d = torus_distance(state.positions[tx], state.positions[rx])
-        assert (1.0 + state.delta) * d[0] == 0.15625
+        assert (1.0 + guard_zone(cfg.sir0, cfg.alpha)[0]) * d[0] == 0.15625
         assert torus_distance(state.positions[1], state.positions[2]) <= 0.15625
         slot = netsim._SlotDraw(tx=tx, rx=rx, d=d, live=np.ones(2, dtype=bool),
                                 rng=np.random.default_rng(0))
-        assert guard_grid(state, [slot]) == 6
+        assert guard_grid(state, cfg, [slot]) == 6
         for evaluate in (netsim._evaluate_slots, dense_evaluate_slots):
             (ok,) = evaluate(state, cfg, [slot])
             assert ok[0] == harmless, (shift, harmless, evaluate.__name__)
@@ -444,7 +448,7 @@ def test_guard_slot_memory_is_bounded_in_one_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (1.0 + state.delta) * out.d.max() > 1 / 3 and len(out.tx) > 900
+    assert (1.0 + guard_zone(cfg.sir0, cfg.alpha)[0]) * out.d.max() > 1 / 3 and len(out.tx) > 900
     assert peak < 100 * 2**20, peak
 
 
@@ -454,12 +458,12 @@ def test_guard_slot_memory_is_bounded_in_one_cell():
 def test_pairwise_inclusive_guard_boundary():
     # SIR0 = 16, alpha = 4 makes (1 + Delta) exactly 2; d_i = 0.25, guard = 0.5
     positions = [(0.5, 0.25), (0.25, 0.25), (0.25, 0.75), (0.25, 0.95)]
-    state = make_state(positions, sir0=16.0)
+    state = make_state(positions)
     cfg = make_config(n=4, sir0=16.0)
     link, active = (0, 1), [(0, 1), (2, 3)]
     assert torus_distance(state.positions[1], state.positions[2]) == 0.5
     assert pairwise_success(link, active, state, cfg)  # exactly on the boundary
-    inside = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, 0.75 - 1e-6), (0.25, 0.95)], sir0=16.0)
+    inside = make_state([(0.5, 0.25), (0.25, 0.25), (0.25, 0.75 - 1e-6), (0.25, 0.95)])
     assert not pairwise_success(link, active, inside, cfg)
 
 
@@ -750,6 +754,29 @@ def test_bin_table_structure():
         assert 0 <= b.successes <= b.links
         assert b.bound_lo <= b.bound_hi + 1e-12
         assert b.bin_lo < b.bin_hi <= cfg.r + 1e-12
+
+
+@pytest.mark.parametrize("model,fading", MODEL_FADINGS)
+@pytest.mark.parametrize("change", [dict(sir0=100.0), dict(alpha=3.0)], ids=["sir0", "alpha"])
+def test_placement_reused_under_another_config(change, model, fading):
+    """One placement evaluated under config B gives the same bits whether it was
+    built from B or from A, whose guard zone differs (SIR0 10 against 100, or
+    alpha 4 against 3): every call takes Delta and c1 from its own config."""
+    a = make_config(n=1000, r=0.06, p_t=0.05, tx_pattern=esnla(4, 0.5), model=model,
+                    fading=fading, slots=40, seed=42)
+    b = replace(a, **change)
+    w_eff = exact_beam_width(b.tx_pattern, BasisDistribution(2.0), b.alpha)
+    runs = []
+    for state in (generate_network(a), generate_network(b)):
+        link = nearest_neighbor_link(state)
+        stats = estimate_throughput(state, b, w_b_effective=w_eff)
+        flags = [run_slot(state, b, slot_seed(b, t)).success.tolist() for t in range(3)]
+        p_hat = link_success_probability(state, b, *link, 500, seed=1)
+        pred = (multi_rayleigh_prediction(state, b, *link)
+                if (model, fading) == ("multi", "rayleigh") else None)
+        runs.append((repr(stats), flags, p_hat, pred))
+    assert runs[0] == runs[1]
+    assert any(map(any, runs[0][1]))  # some link of the three slots succeeds
 
 
 def test_pairwise_rayleigh_combo_runs():
