@@ -6,6 +6,7 @@ from .patterns import (
     AntennaPattern,
     binomial_array,
     chebyshev_array,
+    chebyshev_arrays,
     esnla,
     omni,
     sector,
@@ -16,6 +17,7 @@ from .ebw import (
     MixtureDistribution,
     effective_beam_width,
     exact_beam_width,
+    exact_beam_widths,
     interference_probability,
 )
 from .scaling import PowerLawFit, SweepTable, fit_power_law, optimize_chebyshev_rms, sweep
@@ -33,10 +35,12 @@ __all__ = [
     "SweepTable",
     "binomial_array",
     "chebyshev_array",
+    "chebyshev_arrays",
     "effective_beam_width",
     "esnla",
     "estimate_throughput",
     "exact_beam_width",
+    "exact_beam_widths",
     "f_alpha",
     "fit_power_law",
     "generate_network",

@@ -13,23 +13,32 @@ For a mixture it lies between that product and the smaller width: both means
 fall as e grows (G <= 1), so Chebyshev's sum inequality gives the lower bound,
 and a mean of at most 1 the upper.  G depends on theta only through sin(theta),
 so each mean is (2/pi) times the integral of G^e over [0, pi/2].  These are
-exact_beam_width and interference_probability.
+exact_beam_widths, exact_beam_width and interference_probability.
 
 The integral is taken by a null-split Gauss-Jacobi rule (Golub & Welsch, Math.
 Comp. 23, 1969; Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).  An array
-built from its nulls knows them in closed form (AntennaPattern.null_sines), and
-at a null of multiplicity mu, G^e has a cusp |theta - theta_k|^(2 mu e) (at the
-horizon theta = pi/2, |pi/2 - theta|^(4 mu e)).  The rule splits [0, pi/2] at
-the visible nulls and gives each piece a Gauss-Jacobi weight that carries the
-fractional part of the order at each end; the integer part stays in the
-integrand, which is then analytic on the piece.  A piece is bisected while it
-is more than SPLIT_RATIO times as long as its distance to the nearest zero of G
-off its ends: the mirrored nulls -theta_k and pi - theta_k, and the complex
-zeros pi/2 +- i arccosh(s') of nulls past the horizon (sin(theta) = s' > 1).
+built from its nulls knows them in closed form (u_k and c_k give their sines
+s_k = sin(theta_k), _null_split), and at a null of multiplicity mu, G^e has a
+cusp |theta - theta_k|^(2 mu e) (at the horizon theta = pi/2,
+|pi/2 - theta|^(4 mu e)).  The rule splits [0, pi/2] at the visible nulls and
+gives each piece a Gauss-Jacobi weight that carries the fractional part of the
+order at each end; the integer part stays in the integrand, which is then
+analytic on the piece.  A piece is bisected while it is more than SPLIT_RATIO
+times as long as its distance to the nearest zero of G off its ends: the
+mirrored nulls -theta_k and pi - theta_k, and the complex zeros
+pi/2 +- i arccosh(s') of nulls past the horizon (sin(theta) = s' > 1).
 The integrand is then analytic inside a Bernstein ellipse of rho >= 1 + sqrt(2)
 around each piece, and the piece's node count grows with the phase it spans.
 Against 40-digit quadrature the rule agrees to about 1e-13 for ESNLA, binomial
 and Chebyshev arrays up to N = 200.
+
+exact_beam_widths takes a batch of patterns through the rule at once: the
+pieces of all of them are bisected level by level, and then runs of patterns
+with at most _BLOCK // 4 nodes in all (_runs) get their nodes, placed one rule
+at a time, and their gains, with a pair factor per node.  Each pattern's mean
+is np.dot over its own nodes, in the order a pattern alone would place them,
+so a W_B has the same bits in any batch as on its own.  exact_beam_width is a
+batch of one pattern, and interference_probability one of two.
 
 effective_beam_width samples W_B with a standard error, for the sweeps.
 It splits the samples into shards of 2^20 (`_parallel`), and shard i draws from
@@ -43,7 +52,6 @@ stretch, made one after another on the shard's generator.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -51,7 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed, shard_cursors, shard_sizes
-from .patterns import _BLOCK, TWO_PI, AntennaPattern, check_alpha
+from .patterns import (_BLOCK, _RESCALE_LOG2_BOUND, TWO_PI, AntennaPattern, _null_product,
+                       _unit_clamp, check_alpha)
 
 DEFAULT_SAMPLES = 10**6
 
@@ -143,9 +152,13 @@ def effective_beam_width(
     threads: int = 1,
 ) -> EbwEstimate:
     """Monte Carlo estimate of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist,
-    from `samples` Bernoulli trials read in blocks of _BLOCK (module docstring)."""
+    from `samples` Bernoulli trials read in blocks of _BLOCK (module docstring).
+    An omni pattern has G* = 1 > X on every trial, so its estimate is exactly
+    1 with SE 0, and nothing is drawn."""
     check_alpha(alpha)
     sizes = shard_sizes(samples)
+    if pattern.kind == "omni":
+        return EbwEstimate(value=1.0, stderr=0.0, samples=samples)
 
     def hits(i: int) -> int:
         m = sizes[i]
@@ -204,74 +217,221 @@ def _jacobi_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return xp1, v
 
 
-def _null_split(pattern: AntennaPattern) -> list[tuple[float, float, float, float]]:
-    """Pieces of [0, pi/2] in theta as (lo, hi, order at lo, order at hi): the order
+def _pairs(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The null pairs of every pattern in `arrays`, one after another: each pair's
+    pattern index, u_k and c_k, and each pattern's pair count."""
+    count = np.array([len(p.null_u) for p in arrays])
+    owner = np.repeat(np.arange(len(arrays)), count)
+    return (owner, np.concatenate([p.null_u for p in arrays]),
+            np.concatenate([p.null_c for p in arrays]), count)
+
+
+def _null_split(arrays) -> tuple[np.ndarray, ...]:
+    """Pieces of [0, pi/2] in theta for every pattern in `arrays`, as arrays (pattern
+    index, lo, hi, order at lo, order at hi), by pattern and then by lo: the order
     of G's zero at an end, as a power of the distance per unit of e = h/alpha."""
-    s, mult = pattern.null_sines()
+    index = np.arange(len(arrays))
+    d = np.array([p.d_ratio for p in arrays])
+    lone = np.array([p.lone_nulls for p in arrays])
+    # Where G vanishes, as s = sin(theta) >= 0 with the null's multiplicity:
+    # s_k = psi_k/(2 pi D/lambda) once per null pair, ascending, then s = 1/(2 D/lambda)
+    # for the lone nulls.  A null with s < 1 is visible at theta = arcsin(s) and
+    # pi - arcsin(s); s = 1 is the horizon theta = pi/2; s > 1 is not visible.
+    owner, u, c, _ = _pairs(arrays)
+    with_lone = lone > 0
+    pat = np.concatenate([owner, index[with_lone]])
+    s = np.concatenate([np.arctan2(np.sqrt(u), np.sqrt(c)) / (math.pi * d)[owner],
+                        0.5 / d[with_lone]])
+    mult = np.concatenate([np.ones(len(u), dtype=int), lone[with_lone]])
+    order = np.lexsort((s, np.arange(len(s)) >= len(u), pat))
+    pat, s, mult = pat[order], s[order], mult[order]
+    horizon = 4.0 * np.bincount(pat[s == 1.0], mult[s == 1.0], len(arrays))
+    # The nearest complex zero off the real line: pi/2 +- i arccosh(s') for the least
+    # s' > 1 with u(s') = u_k (the invisible nulls and the aliases 1/(D/lambda) - s_k).
+    beyond = np.concatenate([s, (1.0 / d)[pat] - s])
+    past = beyond > 1.0
+    least = np.full(len(arrays), math.inf)
+    np.minimum.at(least, np.concatenate([pat, pat])[past], beyond[past])
+    tau = np.array([math.acosh(x) for x in least.tolist()])
+
+    # Interval i of pattern p (row start[p] + i) runs between its ends E_i and
+    # E_{i+1}, E = 0, the visible nulls t_1 < ... < t_m, pi/2.  The zeros of G on
+    # the real line are the t_k, their mirrors -t_k and pi - t_k, and the horizon.
+    # So the nearest zero below a piece's lo is zeros_below[row] (t_i, or -t_1 for
+    # i = 0), or the one before it when lo is E_i; the nearest above its hi is
+    # zeros_above[row + p] (t_{i+1}, or past t_m the horizon, then pi - t_m), or
+    # the one after it when hi is E_{i+1} and that is a zero.
     visible = s < 1.0
-    nulls = np.arcsin(s[visible]).tolist()
-    horizon = 4.0 * float(mult[s == 1.0].sum())
-    ends = [0.0, *nulls, HALF_PI]
-    orders = [0.0, *(2.0 * mult[visible]).tolist(), horizon]
-    # Zeros of G off the pieces' ends: the visible nulls, their mirrors -theta_k
-    # and pi - theta_k, the horizon, and pi/2 +- i arccosh(s') for each s' > 1 with
-    # u(s') = u_k (the invisible nulls and the aliases 1/(D/lambda) - s_k).
-    mirrors = nulls[::-1]
-    real = [-math.inf, *(-t for t in mirrors), *nulls, *([HALF_PI] if horizon else []),
-            *(math.pi - t for t in mirrors), math.inf]
-    beyond = np.concatenate([s, 1.0 / pattern.d_ratio - s])
-    beyond = beyond[beyond > 1.0]
-    tau = math.acosh(beyond.min()) if beyond.size else math.inf
+    t, t_pat, t_order = np.arcsin(s[visible]), pat[visible], 2.0 * mult[visible]
+    m = np.bincount(t_pat, minlength=len(arrays))
+    start = np.cumsum(m + 1) - (m + 1)
+    rows = int(np.sum(m + 1))
+    row_pat = np.repeat(index, m + 1)
+    at = np.arange(len(t)) + t_pat
+    left, right = np.zeros(rows), np.full(rows, HALF_PI)
+    left[at + 1] = right[at] = t
+    o_left, o_right = np.zeros(rows), horizon[row_pat]
+    o_left[at + 1] = o_right[at] = t_order
+    has = m > 0
+    zeros_below = left.copy()
+    zeros_below[start] = np.where(has, -left[np.minimum(start + 1, rows - 1)], -math.inf)
+    mirror = np.where(has, math.pi - right[np.maximum(start + m - 1, 0)], math.inf)
+    zeros_above = np.empty(rows + len(arrays))
+    zeros_above[at + t_pat] = t
+    zeros_above[start + index + m] = np.where(horizon > 0.0, HALF_PI, mirror)
+    zeros_above[start + index + m + 1] = mirror
 
-    pieces = []
-    todo = list(zip(ends[:-1], ends[1:], orders[:-1], orders[1:]))[::-1]
-    while todo:
-        lo, hi, o_lo, o_hi = todo.pop()
-        reach = min(lo - real[bisect.bisect_left(real, lo) - 1],
-                    real[bisect.bisect_right(real, hi)] - hi,
-                    math.hypot(HALF_PI - hi, tau))
-        if hi - lo > SPLIT_RATIO * reach:
-            mid = 0.5 * (lo + hi)
-            todo += [(mid, hi, 0.0, o_hi), (lo, mid, o_lo, 0.0)]
+    # Bisect every piece more than SPLIT_RATIO times as long as its distance to the
+    # nearest zero off its ends, level by level.
+    done = []
+    row, lo, hi, o_lo, o_hi = np.arange(rows), left, right, o_left, o_right
+    while row.size:
+        p = row_pat[row]
+        i = row - start[p]
+        below = zeros_below[row - ((lo == left[row]) & (i > 0))]
+        above = zeros_above[row + p + ((hi == right[row]) & ((i < m[p]) | (horizon[p] > 0.0)))]
+        width = hi - lo
+        split = (width > SPLIT_RATIO * (lo - below)) | (width > SPLIT_RATIO * (above - hi))
+        # The complex zeros lie hypot(pi/2 - hi, tau) >= max(pi/2 - hi, tau) away: only
+        # pieces longer than SPLIT_RATIO times that maximum need the distance itself.
+        near = ~split & (width > SPLIT_RATIO * np.maximum(HALF_PI - hi, tau[p]))
+        if near.any():
+            reach = [math.hypot(HALF_PI - x, y) for x, y in zip(hi[near].tolist(),
+                                                                 tau[p[near]].tolist())]
+            split[near] = width[near] > SPLIT_RATIO * np.array(reach)
+        keep = ~split
+        done.append((row[keep], lo[keep], hi[keep], o_lo[keep], o_hi[keep]))
+        row, lo, hi, o_lo, o_hi = row[split], lo[split], hi[split], o_lo[split], o_hi[split]
+        mid = 0.5 * (lo + hi)
+        zero = np.zeros(len(mid))
+        row, lo, hi, o_lo, o_hi = (np.concatenate(halves) for halves in (
+            (row, row), (lo, mid), (mid, hi), (o_lo, zero), (zero, o_hi)))
+    row, lo, hi, o_lo, o_hi = (np.concatenate(col) for col in zip(*done))
+    order = np.lexsort((lo, row))
+    return row_pat[row[order]], lo[order], hi[order], o_lo[order], o_hi[order]
+
+
+def _node_counts(arrays, pieces, e: float) -> np.ndarray:
+    """Each piece's node count: NODES_PER_PIECE plus NODE_SCALE * sqrt(e N) per
+    radian of phase it spans (module docstring)."""
+    pat, lo, hi = pieces[:3]
+    degree = np.array([2 * len(p.null_u) + p.lone_nulls for p in arrays])
+    d = np.array([p.d_ratio for p in arrays])
+    per_sine = NODE_SCALE * np.sqrt(e * degree) * 2.0 * math.pi * d
+    return NODES_PER_PIECE + np.ceil(per_sine[pat] * (np.sin(hi) - np.sin(lo))).astype(int)
+
+
+def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sines of angles in [0, pi/2] and weights v with int_0^{pi/2} G^e = sum v G^e
+    for each pattern of `pieces`, its nodes one after another.  A piece's
+    Gauss-Jacobi rule is keyed by its node count and fractional end orders; a
+    pattern's nodes run key by key, in the order of each key's first piece, and
+    piece by piece within a key."""
+    pat, lo, hi, o_lo, o_hi = pieces
+    # (hi - theta)^(o_hi e) is (hi - theta)^a times an integer power, which is
+    # analytic: the weight carries only the fractional part of each order.
+    a, b = o_hi * e % 1.0, o_lo * e % 1.0
+    by_key = np.lexsort((pat, b, a, nodes))  # stable: by piece within (key, pattern)
+    key = np.ones(len(by_key), dtype=bool)
+    key[1:] = np.diff(nodes[by_key]) != 0
+    key[1:] |= (np.diff(a[by_key]) != 0) | (np.diff(b[by_key]) != 0)
+    run = key.copy()
+    run[1:] |= np.diff(pat[by_key]) != 0
+    first = np.empty(len(by_key), dtype=int)  # the first piece of each (pattern, key)
+    first[by_key] = by_key[run][np.cumsum(run) - 1]
+    layout = np.argsort(first, kind="stable")
+    offset = np.empty(len(by_key), dtype=int)
+    offset[layout] = np.cumsum(nodes[layout]) - nodes[layout]
+    sines, weights = np.empty(nodes.sum()), np.empty(nodes.sum())
+    starts = np.flatnonzero(key)
+    for j, stop in zip(starts, [*starts[1:], len(by_key)]):
+        k = by_key[j:stop]
+        xp1, v = _jacobi_rule(int(nodes[k[0]]), float(a[k[0]]), float(b[k[0]]))
+        half = 0.5 * (hi[k] - lo[k])[:, None]
+        at = offset[k][:, None] + np.arange(len(xp1))
+        sines[at] = np.sin(lo[k][:, None] + half * xp1)
+        weights[at] = half * v
+    return sines, weights
+
+
+def _runs(kind, nodes):
+    """Split patterns, with `kind` (lone nulls, rescaling) and `nodes` nodes each,
+    into runs k:l: one pattern, or consecutive patterns of one kind with at most
+    _BLOCK // 4 nodes together.  A run's gains hold about a dozen arrays of its
+    nodes at once: runs of a full _BLOCK left reproduce_tableC's peak RSS about
+    1 MB higher than runs of a quarter, and were no faster (2-vCPU x86 virtual
+    machine)."""
+    k = 0
+    while k < len(kind):
+        l, total = k + 1, nodes[k]
+        while l < len(kind) and kind[l] == kind[k] and total + nodes[l] <= _BLOCK // 4:
+            l, total = l + 1, total + nodes[l]
+        yield k, l
+        k = l
+
+
+def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
+    """mean_theta G(theta)**e for each pattern and each e in `exponents` (module
+    docstring): 1 for omni, the beam fraction for a sector, whose G is an indicator,
+    and for the arrays the null-split Gauss-Jacobi rule, split once for every e.
+    The arrays go through the rule together, a run of patterns (_runs) at a time:
+    one pattern's gains come from its gain_from_sine, and a longer run's from one
+    _null_product with each node's pair factors.  Each mean is np.dot over its
+    own pattern's nodes, so it does not depend on the other patterns.  An array
+    given by its taper has no null set, and raises ValueError."""
+    means: list = [None] * len(patterns)
+    arrays = []
+    for i, p in enumerate(patterns):
+        if p.kind == "omni":
+            means[i] = [1.0] * len(exponents)
+        elif p.kind == "sector":
+            means[i] = [p.beam_fraction] * len(exponents)
+        elif p.null_u is None:
+            raise ValueError(f"{p.label} has no null set (null_u): it is given by its taper")
         else:
-            pieces.append((lo, hi, o_lo, o_hi))
-    return pieces
+            arrays.append(i)
+    if not arrays:
+        return means
+    batch = [patterns[i] for i in arrays]
+    pieces = _null_split(batch)
+    cut = np.searchsorted(pieces[0], np.arange(len(batch) + 1))  # each pattern's pieces
 
+    owner, u, c, count = _pairs(batch)
+    shape = (count.max(), len(batch))  # pair factors, one column per pattern
+    r, b = np.zeros(shape), np.ones(shape)
+    rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
+    r[rank, owner], b[rank, owner] = -1.0 / u, c / u
+    d = np.array([p.d_ratio for p in batch])
+    # AntennaPattern._rescaled's bound is at most (pairs) * log2(1/min u_k), so only
+    # the patterns past half the bound by that measure need the property itself.
+    least = np.full(len(batch), math.inf)
+    np.minimum.at(least, owner, u)
+    plain = count * np.log2(np.maximum(1.0, 1.0 / least)) <= 0.5 * _RESCALE_LOG2_BOUND
+    kind = [(p.lone_nulls, not ok and p._rescaled) for p, ok in zip(batch, plain.tolist())]
 
-def _quadrature(pattern: AntennaPattern, pieces, e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles in [0, pi/2] and weights v with int_0^{pi/2} G^e = sum v G^e."""
-    degree = 2 * len(pattern.null_u) + pattern.lone_nulls
-    per_sine = NODE_SCALE * math.sqrt(e * degree) * 2.0 * math.pi * pattern.d_ratio
-    groups: dict[tuple, list] = {}
-    for lo, hi, o_lo, o_hi in pieces:
-        nodes = NODES_PER_PIECE + math.ceil(per_sine * (math.sin(hi) - math.sin(lo)))
-        # (hi - theta)^(o_hi e) is (hi - theta)^a times an integer power, which is
-        # analytic: the weight carries only the fractional part of each order.
-        groups.setdefault((nodes, o_hi * e % 1.0, o_lo * e % 1.0), []).append((lo, hi))
-    angles, weights = [], []
-    for key, ends in groups.items():
-        xp1, v = _jacobi_rule(*key)
-        lo, hi = np.array(ends).T
-        half = 0.5 * (hi - lo)[:, None]
-        angles.append((lo[:, None] + half * xp1).ravel())
-        weights.append((half * v).ravel())
-    return np.concatenate(angles), np.concatenate(weights)
-
-
-def _gain_means(pattern: AntennaPattern, exponents: list[float]) -> list[float]:
-    """mean_theta G(theta)**e for each e in `exponents` (module docstring): 1 for
-    omni, the beam fraction for a sector, whose G is an indicator, and for an array
-    the null-split Gauss-Jacobi rule, split once for every e.  An array given by
-    its taper has no null set, and raises ValueError."""
-    if pattern.kind == "omni":
-        return [1.0] * len(exponents)
-    if pattern.kind == "sector":
-        return [pattern.beam_fraction] * len(exponents)
-    pieces = _null_split(pattern)
-    means = []
+    per_e = []
     for e in exponents:
-        theta, v = _quadrature(pattern, pieces, e)
-        means.append(float(np.dot(v, pattern.gain_from_sine(np.sin(theta)) ** e)) / HALF_PI)
+        nodes = _node_counts(batch, pieces, e)
+        per_pattern = np.add.reduceat(nodes, cut[:-1]).tolist()
+        row = []
+        for k, l in _runs(kind, per_pattern):
+            part = slice(cut[k], cut[l])
+            sines, v = _quadrature([col[part] for col in pieces], nodes[part], e)
+            if l == k + 1:
+                g = batch[k].gain_from_sine(sines)
+            else:
+                node = np.repeat(np.arange(k, l), per_pattern[k:l])
+                width = int(count[k:l].max())
+                rows = ((r[j].take(node), b[j].take(node)) for j in range(width))
+                g = _null_product(sines, d.take(node), rows if width else None, *kind[k])
+                g *= g
+                _unit_clamp(g)
+            g_e, ends = g ** e, np.cumsum(per_pattern[k:l]).tolist()
+            for lo, hi in zip([0, *ends[:-1]], ends):
+                row.append(float(np.dot(v[lo:hi], g_e[lo:hi])) / HALF_PI)
+        per_e.append(row)
+    for i, row in zip(arrays, zip(*per_e)):
+        means[i] = list(row)
     return means
 
 
@@ -283,11 +443,18 @@ def _law_mean(dist: Distribution, terms: list[float]) -> float:
     return t0 + sum(w * (t - t0) for (w, _), t in zip(dist.components, terms))
 
 
-def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
-    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha) (module docstring),
-    each mean from _gain_means; an array given by its taper raises ValueError."""
+def exact_beam_widths(patterns, dist: Distribution, alpha: float) -> list[float]:
+    """Exact W_B = sum_h w_h * mean_theta G(theta)**(h/alpha) (module docstring) of
+    each pattern, all means from one _gain_means; an array given by its taper raises
+    ValueError."""
     check_alpha(alpha)
-    return _law_mean(dist, _gain_means(pattern, [h / alpha for _, h in dist.components]))
+    exponents = [h / alpha for _, h in dist.components]
+    return [_law_mean(dist, means) for means in _gain_means(patterns, exponents)]
+
+
+def exact_beam_width(pattern: AntennaPattern, dist: Distribution, alpha: float) -> float:
+    """exact_beam_widths of the one pattern."""
+    return exact_beam_widths([pattern], dist, alpha)[0]
 
 
 def interference_probability(rx: AntennaPattern, tx: AntennaPattern, dist: Distribution,
@@ -296,6 +463,5 @@ def interference_probability(rx: AntennaPattern, tx: AntennaPattern, dist: Distr
     with Y = G*_rx(theta), Z = G*_tx(phi), theta and phi i.i.d. uniform and
     independent of X (module docstring)."""
     check_alpha(alpha)
-    exponents = [h / alpha for _, h in dist.components]
-    means = zip(_gain_means(rx, exponents), _gain_means(tx, exponents))
-    return _law_mean(dist, [a * b for a, b in means])
+    rx_means, tx_means = _gain_means([rx, tx], [h / alpha for _, h in dist.components])
+    return _law_mean(dist, [a * b for a, b in zip(rx_means, tx_means)])

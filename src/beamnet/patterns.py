@@ -78,9 +78,18 @@ def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls, rescale):
     its powers of two are applied at the end; scaling by 2^k is exact, so the
     result keeps its bits wherever the plain product neither overflows nor
     underflows (AntennaPattern._rescaled says when it could overflow)."""
+    pairs = zip(-1.0 / null_u, null_c / null_u) if len(null_u) else None
+    return _null_product(sin_theta, d_ratio, pairs, lone_nulls, rescale)
+
+
+def _null_product(sin_theta, d_ratio, pairs, lone_nulls, rescale):
+    """_null_factor with each pair factor given as (r, b) = (-1/u_k, c_k/u_k), or
+    None for no pairs.  d_ratio, r and b are scalars or hold one value per angle,
+    which lets ebw evaluate the nodes of many patterns at once; a pattern with
+    fewer pairs than its batch mates gets the exact unit factor r = 0, b = 1."""
     half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2, in [-pi/2, pi/2]
     f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
-    if not len(null_u):
+    if pairs is None:
         return f
     # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair factor is
     # 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
@@ -93,7 +102,7 @@ def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls, rescale):
     t, t2 = np.empty_like(y), np.empty_like(y)
     if rescale:
         power, e = np.zeros(y.shape, dtype=int), np.empty(y.shape, dtype=np.intc)
-    for r, b in zip(-1.0 / null_u, null_c / null_u):
+    for r, b in pairs:
         np.multiply(y, r, out=t)
         t += low
         np.multiply(high, b, out=t2)
@@ -150,22 +159,6 @@ class AntennaPattern:
             f *= f
             out[a : a + _BLOCK] = _unit_clamp(f)
         return g
-
-    def null_sines(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where an array built from its nulls vanishes, as s = sin(theta) >= 0, and
-        the multiplicity of each null of the array factor: s_k = psi_k/(2 pi D/lambda)
-        once per null pair, ascending, then s = 1/(2 D/lambda) for the lone nulls
-        (multiplicity m).  A null with s < 1 is visible at theta = arcsin(s) and
-        pi - arcsin(s); s = 1 is the horizon theta = pi/2; s > 1 is not visible."""
-        if self.null_u is None:
-            raise ValueError(f"{self.label} has no null set (null_u): it is given by its taper")
-        s = np.sort(np.arctan2(np.sqrt(self.null_u), np.sqrt(self.null_c)))
-        s /= math.pi * self.d_ratio
-        mult = np.ones(len(s), dtype=int)
-        if self.lone_nulls:
-            s = np.append(s, 0.5 / self.d_ratio)
-            mult = np.append(mult, self.lone_nulls)
-        return s, mult
 
     def gain(self, theta) -> np.ndarray | float:
         """Normalized power gain G(theta) in [0, 1]."""
@@ -251,7 +244,14 @@ def binomial_array(n: int, d_ratio: float = 0.5) -> AntennaPattern:
 
 
 def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
-    """Dolph-Chebyshev array with main-lobe-to-side-lobe field ratio R_MS.
+    """Dolph-Chebyshev array with main-lobe-to-side-lobe field ratio R_MS
+    (chebyshev_arrays)."""
+    return chebyshev_arrays(n, d_ratio, [r_ms])[0]
+
+
+def chebyshev_arrays(n: int, d_ratio: float, r_values) -> list[AntennaPattern]:
+    """Dolph-Chebyshev arrays of degree N, one per main-lobe-to-side-lobe field
+    ratio R_MS in `r_values`, their nulls computed together.
 
     Sidelobes sit at equal power level 1/R_MS**2 relative to the main beam.  The
     factor is T_N(x0 cos(psi/2)) with x0 = cosh(arccosh(R_MS)/N) in the phase
@@ -262,17 +262,22 @@ def chebyshev_array(n: int, d_ratio: float, r_ms: float) -> AntennaPattern:
     """
     if n < 1:
         raise ValueError(f"chebyshev degree must be >= 1, got {n}")
-    if not 1.0 < r_ms < math.inf:
-        raise ValueError(f"r_ms must be finite and exceed 1, got {r_ms}")
-    t = math.acosh(r_ms) / n
-    x0 = math.cosh(t)
+    for r_ms in r_values:
+        if not 1.0 < r_ms < math.inf:
+            raise ValueError(f"r_ms must be finite and exceed 1, got {r_ms}")
+    t = [math.acosh(r_ms) / n for r_ms in r_values]
+    x0 = [math.cosh(v) for v in t]
     a = (2 * np.arange(1, n // 2 + 1) - 1) * np.pi / (2 * n)
     # 1 - c^2/x0^2 = (x0 - c)(x0 + c)/x0^2 with x0 - c = 2 sinh^2(t/2) + 2 sin^2(a/2),
-    # free of cancellation when x0 and c are both near 1.
-    null_u = 2.0 * (math.sinh(t / 2) ** 2 + np.sin(a / 2) ** 2) * (x0 + np.cos(a)) / x0**2
-    null_c = (np.cos(a) / x0) ** 2
-    label = f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})"
-    return _array_pattern(d_ratio, label, null_u=null_u, null_c=null_c, lone_nulls=n % 2)
+    # free of cancellation when x0 and c are both near 1.  One row per R_MS; the
+    # scalars are Python floats, so each row has the bits of a single build.
+    sinh2 = np.array([math.sinh(v / 2) ** 2 for v in t]).reshape(-1, 1)
+    x0_col, x0_sq = np.array(x0).reshape(-1, 1), np.array([x**2 for x in x0]).reshape(-1, 1)
+    null_u = 2.0 * (sinh2 + np.sin(a / 2) ** 2) * (x0_col + np.cos(a)) / x0_sq
+    null_c = (np.cos(a) / x0_col) ** 2
+    return [_array_pattern(d_ratio, f"chebyshev({n},{float(d_ratio):g},{float(r_ms):g})",
+                           null_u=u, null_c=c, lone_nulls=n % 2)
+            for r_ms, u, c in zip(r_values, null_u, null_c)]
 
 
 # Pattern families: name -> (constructor, its parameters as (name, type, default)),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import patterns
 from ._parallel import derive_seed, run_indexed
-from .ebw import BasisDistribution, effective_beam_width, exact_beam_width
+from .ebw import BasisDistribution, effective_beam_width, exact_beam_widths
 
 # Families with a degree N.  The order is part of every sweep cell's seed.
 FAMILIES = ("omni", "esnla", "binomial", "chebyshev")
@@ -46,6 +46,12 @@ class SweepRow:
     w_b: float
     stderr: float
     r_ms: float | None = None  # chebyshev only: the per-N optimized ratio
+
+
+def _check_alpha_star(alpha_star: float) -> None:
+    """Reject an alpha* that is not finite and >= 1/2 (alpha = 2 alpha* >= 1), NaN included."""
+    if not 0.5 <= alpha_star < math.inf:
+        raise ValueError(f"alpha_star must be finite and >= 1/2, got {alpha_star}")
 
 
 def _check_n_values(ns) -> list[int]:
@@ -92,30 +98,29 @@ def sweep(
     threads: int = 1,
     optimizer_samples: int | None = None,
 ) -> SweepTable:
-    """Estimate W_B by Monte Carlo for each N.  Chebyshev rows first optimize
-    R_MS per N on the exact W_B.
+    """Estimate W_B by Monte Carlo for each N.  A Chebyshev sweep first optimizes
+    R_MS for every N on the exact W_B, in one optimize_chebyshev_rms call.
 
     `optimizer_samples` is ignored, since the R_MS search is exact; it stays in
     the signature because perfbench/workloads.py passes it.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 0.0 < alpha_star < math.inf:
-        raise ValueError(f"alpha_star must be finite and positive, got {alpha_star}")
+    _check_alpha_star(alpha_star)
     alpha = 2.0 * alpha_star
     n_list = _check_n_values(n_list)  # before any cell is computed
+    r_ms = [None] * len(n_list)
+    if family == "chebyshev":
+        r_ms = [r for r, _ in optimize_chebyshev_rms(n_list, alpha_star, d_ratio)]
 
     def cell(i: int) -> SweepRow:
         n = n_list[i]
         cell_seed = derive_seed(
             seed, _FAMILY_CODE[family], n, round(alpha_star * 10**6), round(d_ratio * 10**6)
         )
-        r_ms = None
-        if family == "chebyshev":
-            r_ms, _ = optimize_chebyshev_rms(n, alpha_star, d_ratio)
-        p = patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r_ms)
+        p = patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r_ms[i])
         est = effective_beam_width(p, BasisDistribution(2.0), alpha, samples, cell_seed)
-        return SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r_ms)
+        return SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r_ms[i])
 
     rows = run_indexed(cell, len(n_list), threads)
     return SweepTable(family=family, alpha_star=alpha_star, d_ratio=d_ratio, rows=tuple(rows))
@@ -137,8 +142,10 @@ def fit_power_law(table: SweepTable) -> PowerLawFit:
     return PowerLawFit(b1=10.0**intercept, gamma=-slope, r2=r2)
 
 
-def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> tuple[float, float]:
-    """Search R_MS minimizing the exact W_B of a degree-N Chebyshev array.
+def optimize_chebyshev_rms(ns, alpha_star: float,
+                           d_ratio: float = 0.5) -> list[tuple[float, float]]:
+    """Search, for each N in `ns`, the R_MS minimizing the exact W_B of a degree-N
+    Chebyshev array; returns one (R_MS, W_B) per N.
 
     W_B(R_MS) can have more than one local minimum (secondary minima within
     2e-3, relative, of the global one at alpha* = 4, D/lambda <= 1/4), where a
@@ -147,50 +154,72 @@ def optimize_chebyshev_rms(n: int, alpha_star: float, d_ratio: float = 0.5) -> t
     to 1e-3 in log10 R_MS, the bracket between the grid neighbors of each
     strict local minimum of the grid (a point below each neighbor it has), or
     of the best point when there is none (at N = 1, W_B does not depend on
-    R_MS).  Returns the lowest (R_MS, W_B) evaluated, ties to the smaller R_MS;
-    the R_MS is the exact float its W_B was computed at.
+    R_MS).  Each N's result is the lowest (R_MS, W_B) evaluated, ties to the
+    smaller R_MS; the R_MS is the exact float its W_B was computed at.
+
+    The N values share their W_B evaluations: one exact_beam_widths batch takes
+    every N's grid, and the brackets of all N then advance in lockstep, one
+    batch per golden-section step (about 13 batches in all).  Each point is the
+    one a search of that N alone would evaluate, and its W_B keeps its bits in
+    any batch, so the results do not depend on the other N.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_alpha_star(alpha_star)
+    ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise ValueError(f"n must be >= 1, got {min(ns)}")
     alpha = 2.0 * alpha_star
     basis = BasisDistribution(2.0)
 
-    def objective(log_r: float) -> float:
-        return exact_beam_width(patterns.chebyshev_array(n, d_ratio, 10.0**log_r), basis, alpha)
-
     grid = np.linspace(math.log10(RMS_GRID_LO), math.log10(RMS_GRID_HI), RMS_GRID_POINTS)
-    values = np.array([objective(g) for g in grid])
-    best = min(zip(values, grid))
-    walled = np.concatenate([[math.inf], values, [math.inf]])
-    minima = np.flatnonzero((values < walled[:-2]) & (values < walled[2:]))
-    for k in minima if len(minima) else [int(np.argmin(values))]:
-        bounds = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
-        best = min(best, _golden_section(objective, *bounds, xatol=1e-3))
-    w_best, log_r = best
-    return float(10.0**log_r), float(w_best)
+    grid_r = [10.0**g for g in grid]
+    arrays = [p for n in ns for p in patterns.chebyshev_arrays(n, d_ratio, grid_r)]
+    values = np.reshape(exact_beam_widths(arrays, basis, alpha), (len(ns), len(grid)))
+    best = [min(zip(row, grid)) for row in values]
+    owners, searches = [], []
+    for i, row in enumerate(values):
+        walled = np.concatenate([[math.inf], row, [math.inf]])
+        minima = np.flatnonzero((row < walled[:-2]) & (row < walled[2:]))
+        for k in minima if len(minima) else [int(np.argmin(row))]:
+            bounds = (grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)])
+            owners.append(i)
+            searches.append(_golden_section(*bounds, xatol=1e-3))
+    points = {j: next(search) for j, search in enumerate(searches)}
+    while points:
+        arrays = [patterns.chebyshev_array(ns[owners[j]], d_ratio, 10.0**x)
+                  for j, x in points.items()]
+        sent = exact_beam_widths(arrays, basis, alpha)
+        for j, w in zip(list(points), sent):
+            try:
+                points[j] = searches[j].send(w)
+            except StopIteration as stop:
+                del points[j]
+                best[owners[j]] = min(best[owners[j]], stop.value)
+    return [(float(10.0**log_r), float(w_best)) for w_best, log_r in best]
 
 
-def _golden_section(f, a: float, b: float, xatol: float) -> tuple[float, float]:
-    """Minimize f on [a, b] by golden-section search (Kiefer, Proc. AMS 4, 1953).
-    Two interior points split the bracket in the golden ratio; each step drops the
-    part beyond the worse of them (ties keep the left part) and evaluates one new
-    point, until the bracket is at most xatol wide.  That takes a fixed
-    2 + ceil(ln((b - a)/xatol)/ln phi) evaluations.  Returns the lowest (f(x), x)
-    evaluated, ties to the smaller x."""
+def _golden_section(a: float, b: float, xatol: float):
+    """Minimize f on [a, b] by golden-section search (Kiefer, Proc. AMS 4, 1953), as
+    a generator: it yields each point x in turn, is sent f(x) back, and returns
+    the lowest (f(x), x) evaluated, ties to the smaller x.  Two interior points
+    split the bracket in the golden ratio; each step drops the part beyond the
+    worse of them (ties keep the left part) and evaluates one new point, until
+    the bracket is at most xatol wide.  That takes a fixed
+    2 + ceil(ln((b - a)/xatol)/ln phi) evaluations."""
     steps = math.ceil(math.log((b - a) / xatol) / -math.log1p(-_GOLDEN))
     c, d = a + _GOLDEN * (b - a), b - _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     best = min((fc, c), (fd, d))
     for _ in range(steps):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = a + _GOLDEN * (b - a)
-            fc = f(c)
+            fc = yield c
             best = min(best, (fc, c))
         else:
             a, c, fc = c, d, fd
             d = b - _GOLDEN * (b - a)
-            fd = f(d)
+            fd = yield d
             best = min(best, (fd, d))
     return best
 

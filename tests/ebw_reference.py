@@ -4,12 +4,16 @@ interference probability) then the law's stretches, and evaluates the whole
 shard at once.  The library's effective_beam_width reads the same stretches in
 blocks (`test_ebw.py`); the sampled joint probability and the sandwich check
 are the oracles of the library's exact interference_probability and of
-acceptance criteria 6 and 7.  Also a log-sum midpoint rule for W_B at degrees
-where a plain null product overflows (`test_cli.py`), and W_B at D/lambda = 1/2
-and integer order as a Bessel sum (`test_ebw.py`)."""
+acceptance criteria 6 and 7.  The exact W_B one pattern at a time, split,
+placed and summed with per-pattern Python, the bit-exact oracle of the
+library's batch (`exact_beam_width`, `exact_interference_probability`).  Also a
+log-sum midpoint rule for W_B at degrees where a plain null product overflows
+(`test_cli.py`), and W_B at D/lambda = 1/2 and integer order as a Bessel sum
+(`test_ebw.py`)."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -17,7 +21,8 @@ import numpy as np
 from scipy.special import j0
 
 from beamnet._parallel import derive_seed, shard_sizes
-from beamnet.ebw import BasisDistribution, EbwEstimate
+from beamnet.ebw import (HALF_PI, NODE_SCALE, NODES_PER_PIECE, SPLIT_RATIO, BasisDistribution,
+                         EbwEstimate, _jacobi_rule, _law_mean)
 from beamnet.patterns import TWO_PI, _null_factor
 
 
@@ -143,3 +148,93 @@ def bessel_beam_width(pattern, m: int) -> float:
     c[1:] *= 2.0
     c[1::2] *= -1.0
     return float(np.dot(c, j0(np.pi * np.arange(degree + 1))))
+
+
+def null_sines(pattern) -> tuple[np.ndarray, np.ndarray]:
+    """Where an array built from its nulls vanishes, as s = sin(theta) >= 0, and
+    the multiplicity of each null of the array factor: s_k = psi_k/(2 pi D/lambda)
+    once per null pair, ascending, then s = 1/(2 D/lambda) for the lone nulls
+    (multiplicity m)."""
+    s = np.sort(np.arctan2(np.sqrt(pattern.null_u), np.sqrt(pattern.null_c)))
+    s /= math.pi * pattern.d_ratio
+    mult = np.ones(len(s), dtype=int)
+    if pattern.lone_nulls:
+        s = np.append(s, 0.5 / pattern.d_ratio)
+        mult = np.append(mult, pattern.lone_nulls)
+    return s, mult
+
+
+def null_split(pattern) -> list[tuple[float, float, float, float]]:
+    """One pattern's pieces of [0, pi/2] as (lo, hi, order at lo, order at hi), by
+    a depth-first bisection over the sorted real zeros of G."""
+    s, mult = null_sines(pattern)
+    visible = s < 1.0
+    nulls = np.arcsin(s[visible]).tolist()
+    horizon = 4.0 * float(mult[s == 1.0].sum())
+    ends = [0.0, *nulls, HALF_PI]
+    orders = [0.0, *(2.0 * mult[visible]).tolist(), horizon]
+    mirrors = nulls[::-1]
+    real = [-math.inf, *(-t for t in mirrors), *nulls, *([HALF_PI] if horizon else []),
+            *(math.pi - t for t in mirrors), math.inf]
+    beyond = np.concatenate([s, 1.0 / pattern.d_ratio - s])
+    beyond = beyond[beyond > 1.0]
+    tau = math.acosh(beyond.min()) if beyond.size else math.inf
+
+    pieces = []
+    todo = list(zip(ends[:-1], ends[1:], orders[:-1], orders[1:]))[::-1]
+    while todo:
+        lo, hi, o_lo, o_hi = todo.pop()
+        reach = min(lo - real[bisect.bisect_left(real, lo) - 1],
+                    real[bisect.bisect_right(real, hi)] - hi,
+                    math.hypot(HALF_PI - hi, tau))
+        if hi - lo > SPLIT_RATIO * reach:
+            mid = 0.5 * (lo + hi)
+            todo += [(mid, hi, 0.0, o_hi), (lo, mid, o_lo, 0.0)]
+        else:
+            pieces.append((lo, hi, o_lo, o_hi))
+    return pieces
+
+
+def quadrature(pattern, pieces, e: float) -> tuple[np.ndarray, np.ndarray]:
+    """One pattern's angles in [0, pi/2] and weights v, with the pieces grouped by
+    rule in a dict."""
+    degree = 2 * len(pattern.null_u) + pattern.lone_nulls
+    per_sine = NODE_SCALE * math.sqrt(e * degree) * 2.0 * math.pi * pattern.d_ratio
+    groups: dict[tuple, list] = {}
+    for lo, hi, o_lo, o_hi in pieces:
+        nodes = NODES_PER_PIECE + math.ceil(per_sine * (math.sin(hi) - math.sin(lo)))
+        groups.setdefault((nodes, o_hi * e % 1.0, o_lo * e % 1.0), []).append((lo, hi))
+    angles, weights = [], []
+    for key, ends in groups.items():
+        xp1, v = _jacobi_rule(*key)
+        lo, hi = np.array(ends).T
+        half = 0.5 * (hi - lo)[:, None]
+        angles.append((lo[:, None] + half * xp1).ravel())
+        weights.append((half * v).ravel())
+    return np.concatenate(angles), np.concatenate(weights)
+
+
+def gain_means(pattern, exponents) -> list[float]:
+    """mean_theta G(theta)**e of one pattern for each e in `exponents`."""
+    if pattern.kind == "omni":
+        return [1.0] * len(exponents)
+    if pattern.kind == "sector":
+        return [pattern.beam_fraction] * len(exponents)
+    pieces = null_split(pattern)
+    means = []
+    for e in exponents:
+        theta, v = quadrature(pattern, pieces, e)
+        means.append(float(np.dot(v, pattern.gain_from_sine(np.sin(theta)) ** e)) / HALF_PI)
+    return means
+
+
+def exact_beam_width(pattern, dist, alpha) -> float:
+    """The exact W_B of one pattern, by the per-pattern route."""
+    return _law_mean(dist, gain_means(pattern, [h / alpha for _, h in dist.components]))
+
+
+def exact_interference_probability(rx, tx, dist, alpha) -> float:
+    """The exact Pr(Y*Z > X), by the per-pattern route."""
+    exponents = [h / alpha for _, h in dist.components]
+    means = zip(gain_means(rx, exponents), gain_means(tx, exponents))
+    return _law_mean(dist, [a * b for a, b in means])

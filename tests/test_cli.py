@@ -211,6 +211,16 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     assert not (tmp_path / "x").exists()  # reproduce's output directory included
 
 
+@pytest.mark.parametrize("family", ["omni", "esnla", "chebyshev"])
+def test_scan_alpha_star_below_one_half_is_usage_error(tmp_path, capsys, family):
+    # The message names the value typed, not the alpha = 2 alpha* it stands for.
+    out = tmp_path / "x.csv"
+    assert main(["scan", "--family", family, "--n-list", "2,4", "--alpha-star", "0.3",
+                 "--samples", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: alpha_star must be finite and >= 1/2, got 0.3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows", ["0", "-3"])
 def test_rows_below_one_is_usage_error(tmp_path, capsys, rows):
     out = tmp_path / "x.csv"
@@ -257,7 +267,7 @@ def test_sweep_csv_records_rms_and_fits_with_or_without_it(tmp_path):
                  "--out", str(sweep_csv)]) == 0
     header, rows = read_rows(sweep_csv)
     assert header[6] == "R_MS"
-    want = [beamnet.optimize_chebyshev_rms(n, 2.0, 0.5)[0] for n in (2, 4, 6)]
+    want = [beamnet.optimize_chebyshev_rms([n], 2.0, 0.5)[0][0] for n in (2, 4, 6)]
     assert [float(r[6]) for r in rows] == pytest.approx(want, rel=1e-11)
     old_csv = tmp_path / "old.csv"
     old_csv.write_text("".join(",".join(r[:6]) + "\n" for r in [header] + rows))
@@ -391,7 +401,7 @@ def test_import_loads_numpy_alone():
 import beamnet
 before = loaded("scipy", "concurrent.futures", "numpy.polynomial")
 beamnet.exact_beam_width(beamnet.esnla(4), beamnet.BasisDistribution(2.0), 4.0)
-beamnet.optimize_chebyshev_rms(4, 2.0)
+beamnet.optimize_chebyshev_rms([4], 2.0)
 beamnet.transport_root(50)
 print(json.dumps([before, loaded("scipy")]))
 """)

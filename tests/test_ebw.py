@@ -17,6 +17,7 @@ from beamnet.ebw import (
     MixtureDistribution,
     effective_beam_width,
     exact_beam_width,
+    exact_beam_widths,
     interference_probability,
 )
 from beamnet.patterns import (
@@ -323,6 +324,50 @@ def test_gauss_jacobi_rule_nodes_and_moments(i):
             assert abs(float(np.dot(w, (1.0 + x) ** k)) / moments[k] - 1.0) <= 1e-13, (n, k)
 
 
+# The batch's families: every N in BATCH_NS at every spacing, Chebyshev at three
+# R_MS, and the degrees on either side of where the null product starts to rescale.
+BATCH_NS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 40, 200)
+BATCH_PATTERNS = [
+    p for d in (1 / 16, 1 / 8, 1 / 4, 1 / 2) for n in BATCH_NS
+    for p in ([esnla(n, d)] if n % 2 == 0 else []) + [binomial_array(n, d)]
+    + [chebyshev_array(n, d, r) for r in (1.5, 30.0, 1e4)]
+] + [chebyshev_array(1195, 0.5, 30.0), chebyshev_array(1196, 0.5, 30.0), esnla(1854), esnla(1856)]
+
+
+@pytest.mark.parametrize("e", [1 / 8, 1 / 4, 1 / 2, 2 / 3, 1.0, 2.0])
+def test_batch_members_equal_the_per_pattern_oracle(e):
+    """Each W_B of one batch has the bits of the per-pattern route (ebw_reference)."""
+    dist = BasisDistribution(e)
+    got = exact_beam_widths(BATCH_PATTERNS, dist, 1.0)
+    want = [ebw_reference.exact_beam_width(p, dist, 1.0) for p in BATCH_PATTERNS]
+    assert [p.label for p, g, w in zip(BATCH_PATTERNS, got, want) if g != w] == []
+
+
+def test_batch_member_does_not_depend_on_its_mates():
+    """Alone, or among patterns of other families, spacings and null counts, before
+    or after them, in one run of nodes with them or not: the same bits."""
+    targets = [chebyshev_array(7, 0.5, 30.0), esnla(20, 0.25), binomial_array(5, 0.125),
+               chebyshev_array(40, 1 / 16, 1e4)]
+    mates = [omni(), sector(0.3), esnla(2, 0.5), esnla(200, 0.5), binomial_array(40, 0.25),
+             chebyshev_array(1, 0.5, 2.0), chebyshev_array(8, 0.125, 1.5),
+             chebyshev_array(7, 0.25, 30.0), chebyshev_array(1196, 0.5, 30.0)]
+    for dist in (BasisDistribution(2.0), MixtureDistribution((0.3, 0.7), (1.0, 4.0))):
+        alone = [exact_beam_widths([p], dist, 4.0)[0] for p in targets]
+        assert alone == [ebw_reference.exact_beam_width(p, dist, 4.0) for p in targets]
+        for batch in (targets + mates, mates + targets, mates[::2] + targets + mates[1::2],
+                      [q for p in targets for q in (p, *mates[:3])], targets * 3):
+            got = dict(zip(map(id, batch), exact_beam_widths(batch, dist, 4.0)))
+            assert [got[id(p)] for p in targets] == alone
+
+
+def test_interference_probability_matches_the_per_pattern_oracle():
+    for rx, tx in [(esnla(4), chebyshev_array(7, 0.25, 30.0)), (omni(), binomial_array(6)),
+                   (sector(0.4), esnla(12, 0.125))]:
+        for dist in (BasisDistribution(2.0), MIXED_ORDERS):
+            want = ebw_reference.exact_interference_probability(rx, tx, dist, 4.0)
+            assert interference_probability(rx, tx, dist, 4.0) == want
+
+
 def test_exact_rejects_taper_patterns():
     # A taper has no null set for the null-split rule to split at.
     taper = from_coefficients([1.0, 2.0, 1.0], 0.5, "taper")
@@ -490,6 +535,16 @@ def test_block_evaluation_matches_one_shot_stream(samples, dist, threads):
     p = esnla(4, 0.5)
     got = effective_beam_width(p, dist, 4.0, samples, seed=23, threads=threads)
     assert got == ebw_reference.effective_beam_width(p, dist, 4.0, samples, 23)
+
+
+@pytest.mark.parametrize("dist", LAYOUT_LAWS, ids=lambda d: d.describe())
+@pytest.mark.parametrize("samples", (1, 2**14 + 1, 10**5))
+def test_omni_estimate_is_the_sampled_one_without_drawing(samples, dist, monkeypatch):
+    # G* = 1 > X on every trial: the closed form is the one-shot sampler's estimate.
+    want = ebw_reference.effective_beam_width(omni(), dist, 4.0, samples, 5)
+    monkeypatch.setattr(ebw, "shard_cursors", None)  # nothing is drawn
+    got = effective_beam_width(omni(), dist, 4.0, samples, seed=5)
+    assert got == want == ebw.EbwEstimate(1.0, 0.0, samples)
 
 
 @pytest.mark.parametrize("threads", (1, 2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamnet import scaling
-from beamnet.ebw import BasisDistribution, exact_beam_width
-from beamnet.patterns import chebyshev_array
+from beamnet.ebw import BasisDistribution, exact_beam_width, exact_beam_widths
+from beamnet.patterns import chebyshev_array, chebyshev_arrays
 from beamnet.scaling import (
     PowerLawFit,
     SweepRow,
@@ -115,6 +116,26 @@ def test_sweep_validation():
         sweep("esnla", [2, 4], alpha_star=-1.0, samples=100)
 
 
+@pytest.mark.parametrize("a_star", [0.3, 0.4999, -1.0, 0.0, math.nan, math.inf])
+def test_alpha_star_below_one_half_is_rejected_up_front(a_star, monkeypatch):
+    # alpha = 2 alpha* must be >= 1; the error names alpha_star, before any cell runs.
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(scaling, "effective_beam_width", no_cell)
+    monkeypatch.setattr(scaling, "exact_beam_widths", no_cell)
+    for family in ("omni", "esnla", "chebyshev"):
+        with pytest.raises(ValueError, match="alpha_star must be finite and >= 1/2"):
+            sweep(family, [2, 4], alpha_star=a_star, samples=100)
+    with pytest.raises(ValueError, match="alpha_star must be finite and >= 1/2"):
+        optimize_chebyshev_rms([2, 4], a_star)
+
+
+def test_alpha_star_of_one_half_is_accepted():
+    t = sweep("esnla", [2, 4], alpha_star=0.5, samples=1000)
+    assert t.alpha_star == 0.5
+
+
 def test_chebyshev_sweep_records_rms():
     t = sweep("chebyshev", [2, 4], alpha_star=2.0, samples=5 * 10**4, seed=2)
     assert all(r.r_ms is not None and r.r_ms > 1.0 for r in t.rows)
@@ -123,7 +144,7 @@ def test_chebyshev_sweep_records_rms():
 
 def test_optimizer_beats_grid_neighbors():
     n, a_star = 4, 2.0
-    r_best, w_best = optimize_chebyshev_rms(n, a_star, 0.5)
+    r_best, w_best = optimize_chebyshev_rms([n], a_star, 0.5)[0]
     assert w_best == exact_beam_width(chebyshev_array(n, 0.5, r_best), BasisDistribution(2.0), 4.0)
     grid = np.logspace(math.log10(scaling.RMS_GRID_LO), math.log10(scaling.RMS_GRID_HI),
                        scaling.RMS_GRID_POINTS)
@@ -138,23 +159,23 @@ def test_optimizer_finds_the_global_minimum_among_several():
     near R_MS = 48 (W_B 0.309775) next to the best point of the coarse grid, and
     its global minimum near R_MS = 20 (W_B 0.309169).  The search finds the
     global one, at least as low as on a 2000-point log grid and within its spacing."""
-    r_best, w_best = optimize_chebyshev_rms(22, 4.0, 0.125)
+    r_best, w_best = optimize_chebyshev_rms([22], 4.0, 0.125)[0]
     fine = np.geomspace(scaling.RMS_GRID_LO, scaling.RMS_GRID_HI, 2000)
-    w = [exact_beam_width(chebyshev_array(22, 0.125, r), BasisDistribution(2.0), 8.0) for r in fine]
+    w = exact_beam_widths(chebyshev_arrays(22, 0.125, fine), BasisDistribution(2.0), 8.0)
     k = int(np.argmin(w))
     assert w_best <= w[k]
     assert fine[k - 1] <= r_best <= fine[k + 1]
 
 
 def test_optimizer_beats_huge_rms():
-    r_best, w_best = optimize_chebyshev_rms(4, 2.0, 0.5)
+    r_best, w_best = optimize_chebyshev_rms([4], 2.0, 0.5)[0]
     assert exact_beam_width(chebyshev_array(4, 0.5, 1e6), BasisDistribution(2.0), 4.0) >= w_best
 
 
 def rms_objective(n, a_star, d):
-    """The R_MS search's objective: the exact W_B at R_MS = 10**log_r."""
-    return lambda log_r: exact_beam_width(chebyshev_array(n, d, 10.0**log_r),
-                                          BasisDistribution(2.0), 2.0 * a_star)
+    """The R_MS search's objective: the exact W_B at each R_MS in r_values, in one batch."""
+    return lambda r_values: exact_beam_widths(chebyshev_arrays(n, d, r_values),
+                                              BasisDistribution(2.0), 2.0 * a_star)
 
 
 TABLE_C_CELLS = [(n, 2.0, 0.5) for n in scaling.DEFAULT_N_LIST]
@@ -167,10 +188,9 @@ def test_rms_search_meets_a_fine_grid(n, a_star, d):
     """Oracle: a 2000-point log grid over the search's range.  The search's W_B is
     at most the grid's minimum, and its R_MS lies within one spacing of the grid's
     argmin (the table C cells, and cells at other alpha* and D/lambda)."""
-    r_best, w_best = optimize_chebyshev_rms(n, a_star, d)
+    r_best, w_best = optimize_chebyshev_rms([n], a_star, d)[0]
     fine = np.geomspace(scaling.RMS_GRID_LO, scaling.RMS_GRID_HI, 2000)
-    f = rms_objective(n, a_star, d)
-    w = [f(math.log10(r)) for r in fine]
+    w = rms_objective(n, a_star, d)(fine)
     k = int(np.argmin(w))
     assert w_best <= w[k]
     assert fine[max(k - 1, 0)] <= r_best <= fine[min(k + 1, len(fine) - 1)]
@@ -184,18 +204,86 @@ def test_golden_section_on_closed_forms(f, lo, hi, argmin):
     """On a unimodal f with an irrational argmin, golden-section search lands within
     xatol of it after a fixed 2 + ceil(ln((hi - lo)/xatol)/ln phi) evaluations."""
     xs = []
-
-    def counted(x):
-        xs.append(x)
-        return f(x)
-
     xatol = 1e-5
-    fx, x = scaling._golden_section(counted, lo, hi, xatol)
+    search = scaling._golden_section(lo, hi, xatol)
+    x = next(search)
+    while True:
+        xs.append(x)
+        try:
+            x = search.send(f(x))
+        except StopIteration as stop:
+            fx, x = stop.value
+            break
     phi = 0.5 * (1.0 + math.sqrt(5.0))
     assert len(xs) == 2 + math.ceil(math.log((hi - lo) / xatol) / math.log(phi))
     assert len(set(xs)) == len(xs)  # no point is evaluated twice
     assert abs(x - argmin) <= xatol
     assert (fx, x) == min((f(v), v) for v in xs)
+
+
+# optimize_chebyshev_rms at alpha* = 2, D/lambda = 1/2 in version 0.12.0, which
+# searched one N at a time.
+RMS_0_12_0 = {
+    2: (23.14082538290576, 0.3423271547193877),
+    3: (11.906610291327379, 0.2600503442178942),
+    4: (23.278921996136855, 0.22045199359589387),
+    5: (19.674844421185888, 0.18239688090549347),
+    6: (31.5720569149954, 0.16297734254690693),
+    7: (28.307597738703745, 0.14122586372307608),
+    8: (41.144212748968364, 0.12967864835851128),
+    9: (37.57456451510002, 0.11557900559063698),
+    10: (51.38128902702431, 0.10792366034544226),
+    11: (47.27469305087785, 0.09801877719577737),
+    12: (62.02912013802595, 0.09257286606056299),
+    13: (57.35639677081895, 0.08521742920412624),
+    14: (73.02720211780127, 0.08114646239988366),
+    15: (67.73839661052476, 0.07545802272711111),
+    16: (84.29050157146749, 0.0723008261158585),
+    17: (78.43192963276549, 0.06776339373854325),
+    18: (95.73584208578458, 0.06524428940168445),
+    19: (89.25485087938287, 0.06153579166955361),
+    20: (107.35578258206738, 0.05947983651037886),
+}
+
+
+def test_lockstep_search_equals_each_n_alone_and_0_12_0():
+    ns = list(RMS_0_12_0)
+    together = optimize_chebyshev_rms(ns, 2.0, 0.5)
+    assert together == [optimize_chebyshev_rms([n], 2.0, 0.5)[0] for n in ns]
+    assert [(repr(r), repr(w)) for r, w in together] == [
+        (repr(r), repr(w)) for r, w in RMS_0_12_0.values()
+    ]
+
+
+def test_chebyshev_sweep_batches_its_rms_search(monkeypatch):
+    """A Chebyshev sweep over N = 2..20 searches R_MS in one call: one batch for
+    every N's grid, then one per golden-section step of the brackets in lockstep."""
+    batches = []
+
+    def counted(arrays, dist, alpha):
+        batches.append(len(arrays))
+        return exact_beam_widths(arrays, dist, alpha)
+
+    monkeypatch.setattr(scaling, "exact_beam_widths", counted)
+    t = sweep("chebyshev", list(range(2, 21)), alpha_star=2.0, samples=1000)
+    assert len(batches) <= 16
+    assert batches[0] == 19 * scaling.RMS_GRID_POINTS
+    assert [r.r_ms for r in t.rows] == [r for r, _ in RMS_0_12_0.values()]
+
+
+def test_grid_batch_memory_stays_small():
+    """The 640 patterns of a ten-N grid batch: per-node temporaries stay within a
+    _BLOCK, plus the batch's node and piece arrays."""
+    grid = np.logspace(math.log10(scaling.RMS_GRID_LO), math.log10(scaling.RMS_GRID_HI),
+                       scaling.RMS_GRID_POINTS)
+    arrays = [p for n in range(2, 21, 2) for p in chebyshev_arrays(n, 0.5, grid)]
+    tracemalloc.start()
+    try:
+        exact_beam_widths(arrays, BasisDistribution(2.0), 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_chebyshev_sweep_ignores_optimizer_samples():
