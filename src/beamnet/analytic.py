@@ -115,6 +115,11 @@ class CapacityRegime:
     r_clamped: bool  # optimal radius fell outside [connectivity floor, sqrt(2)/2]
 
 
+def total_throughput_rule(n: int) -> tuple[float, float]:
+    """(p_t, r) choice maximizing total throughput: p_t = 1/2, r at the connectivity floor."""
+    return 0.5, math.sqrt(math.log(n) / n)
+
+
 def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityRegime:
     """Pick (p_t, r) maximizing the throughput bracket, with the regime label.
 
@@ -136,10 +141,8 @@ def optimal_params(n: int, w_b: float, objective: str, c1: float) -> CapacityReg
 
     if objective == "total":
         regime = "Theta(n / (W_B log n))" if w_b >= 1.0 / log_n else "Theta(n)"
-        return CapacityRegime(
-            objective=objective, regime=regime, p_t=0.5, r=floor,
-            pt_clamped=False, r_clamped=False,
-        )
+        p_t, r = total_throughput_rule(n)
+        return CapacityRegime(objective, regime, p_t, r, pt_clamped=False, r_clamped=False)
 
     if w_b >= 1.0 / log_n:
         want = 1.0 / (w_b * log_n)

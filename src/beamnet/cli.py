@@ -274,6 +274,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_netsim(args) -> int:
+    for flag, value in (("--slots", args.slots), ("--bins", args.bins)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     config = netsim.NetworkConfig(
         n=args.n,
         r=args.r,

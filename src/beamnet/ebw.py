@@ -35,7 +35,8 @@ and Chebyshev arrays up to N = 200.
 exact_beam_widths takes a batch of patterns through the rule at once: the
 pieces of all of them are bisected level by level, and then runs of patterns
 with at most _BLOCK // 4 nodes in all (_runs) get their nodes, placed one rule
-at a time, and their gains, with a pair factor per node.  Each pattern's mean
+at a time into a grid of one row per pattern, and their gains from the kernel
+every array's gain goes through (patterns._null_gains).  Each pattern's mean
 is np.dot over its own nodes, in the order a pattern alone would place them,
 so a W_B has the same bits in any batch as on its own.  exact_beam_width is a
 batch of one pattern, and interference_probability one of two.
@@ -59,8 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed, shard_cursors, shard_sizes
-from .patterns import (_BLOCK, _RESCALE_LOG2_BOUND, TWO_PI, AntennaPattern, _null_product,
-                       _unit_clamp, check_alpha)
+from .patterns import _BLOCK, TWO_PI, AntennaPattern, _null_gains, _rescale_flags, check_alpha
 
 DEFAULT_SAMPLES = 10**6
 
@@ -226,10 +226,11 @@ def _pairs(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([p.null_c for p in arrays]), count)
 
 
-def _null_split(arrays) -> tuple[np.ndarray, ...]:
-    """Pieces of [0, pi/2] in theta for every pattern in `arrays`, as arrays (pattern
-    index, lo, hi, order at lo, order at hi), by pattern and then by lo: the order
-    of G's zero at an end, as a power of the distance per unit of e = h/alpha."""
+def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
+    """Pieces of [0, pi/2] in theta for every pattern in `arrays`, whose `pairs` are
+    _pairs(arrays), as arrays (pattern index, lo, hi, order at lo, order at hi), by
+    pattern and then by lo: the order of G's zero at an end, as a power of the
+    distance per unit of e = h/alpha."""
     index = np.arange(len(arrays))
     d = np.array([p.d_ratio for p in arrays])
     lone = np.array([p.lone_nulls for p in arrays])
@@ -237,7 +238,7 @@ def _null_split(arrays) -> tuple[np.ndarray, ...]:
     # s_k = psi_k/(2 pi D/lambda) once per null pair, ascending, then s = 1/(2 D/lambda)
     # for the lone nulls.  A null with s < 1 is visible at theta = arcsin(s) and
     # pi - arcsin(s); s = 1 is the horizon theta = pi/2; s > 1 is not visible.
-    owner, u, c, _ = _pairs(arrays)
+    owner, u, c, _ = pairs
     with_lone = lone > 0
     pat = np.concatenate([owner, index[with_lone]])
     s = np.concatenate([np.arctan2(np.sqrt(u), np.sqrt(c)) / (math.pi * d)[owner],
@@ -282,33 +283,27 @@ def _null_split(arrays) -> tuple[np.ndarray, ...]:
     zeros_above[start + index + m + 1] = mirror
 
     # Bisect every piece more than SPLIT_RATIO times as long as its distance to the
-    # nearest zero off its ends, level by level.
+    # nearest zero off its ends, level by level.  The complex zeros lie
+    # hypot(pi/2 - hi, tau) away.
     done = []
-    row, lo, hi, o_lo, o_hi = np.arange(rows), left, right, o_left, o_right
+    row, lo, hi = np.arange(rows), left, right
     while row.size:
         p = row_pat[row]
         i = row - start[p]
         below = zeros_below[row - ((lo == left[row]) & (i > 0))]
         above = zeros_above[row + p + ((hi == right[row]) & ((i < m[p]) | (horizon[p] > 0.0)))]
-        width = hi - lo
-        split = (width > SPLIT_RATIO * (lo - below)) | (width > SPLIT_RATIO * (above - hi))
-        # The complex zeros lie hypot(pi/2 - hi, tau) >= max(pi/2 - hi, tau) away: only
-        # pieces longer than SPLIT_RATIO times that maximum need the distance itself.
-        near = ~split & (width > SPLIT_RATIO * np.maximum(HALF_PI - hi, tau[p]))
-        if near.any():
-            reach = [math.hypot(HALF_PI - x, y) for x, y in zip(hi[near].tolist(),
-                                                                 tau[p[near]].tolist())]
-            split[near] = width[near] > SPLIT_RATIO * np.array(reach)
-        keep = ~split
-        done.append((row[keep], lo[keep], hi[keep], o_lo[keep], o_hi[keep]))
-        row, lo, hi, o_lo, o_hi = row[split], lo[split], hi[split], o_lo[split], o_hi[split]
+        reach = np.minimum(np.minimum(lo - below, above - hi), np.hypot(HALF_PI - hi, tau[p]))
+        split = hi - lo > SPLIT_RATIO * reach
+        done.append((row[~split], lo[~split], hi[~split]))
+        row, lo, hi = row[split], lo[split], hi[split]
         mid = 0.5 * (lo + hi)
-        zero = np.zeros(len(mid))
-        row, lo, hi, o_lo, o_hi = (np.concatenate(halves) for halves in (
-            (row, row), (lo, mid), (mid, hi), (o_lo, zero), (zero, o_hi)))
-    row, lo, hi, o_lo, o_hi = (np.concatenate(col) for col in zip(*done))
+        row, lo, hi = (np.concatenate(h) for h in ((row, row), (lo, mid), (mid, hi)))
+    row, lo, hi = (np.concatenate(col) for col in zip(*done))
     order = np.lexsort((lo, row))
-    return row_pat[row[order]], lo[order], hi[order], o_lo[order], o_hi[order]
+    row, lo, hi = row[order], lo[order], hi[order]
+    # A piece keeps its interval's order at an end it shares with the interval.
+    return (row_pat[row], lo, hi, np.where(lo == left[row], o_left[row], 0.0),
+            np.where(hi == right[row], o_right[row], 0.0))
 
 
 def _node_counts(arrays, pieces, e: float) -> np.ndarray:
@@ -323,7 +318,8 @@ def _node_counts(arrays, pieces, e: float) -> np.ndarray:
 
 def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
     """Sines of angles in [0, pi/2] and weights v with int_0^{pi/2} G^e = sum v G^e
-    for each pattern of `pieces`, its nodes one after another.  A piece's
+    for each pattern of `pieces` (consecutive indices), one row per pattern,
+    padded with sin(theta) = 0 and v = 0 to the longest row.  A piece's
     Gauss-Jacobi rule is keyed by its node count and fractional end orders; a
     pattern's nodes run key by key, in the order of each key's first piece, and
     piece by piece within a key."""
@@ -342,7 +338,11 @@ def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
     layout = np.argsort(first, kind="stable")
     offset = np.empty(len(by_key), dtype=int)
     offset[layout] = np.cumsum(nodes[layout]) - nodes[layout]
-    sines, weights = np.empty(nodes.sum()), np.empty(nodes.sum())
+    row = pat - pat[0]
+    count = np.bincount(row, nodes).astype(int)  # each pattern's nodes
+    width = int(count.max())
+    offset += row * width - (np.cumsum(count) - count)[row]  # into the padded grid
+    sines, weights = np.zeros(len(count) * width), np.zeros(len(count) * width)
     starts = np.flatnonzero(key)
     for j, stop in zip(starts, [*starts[1:], len(by_key)]):
         k = by_key[j:stop]
@@ -351,7 +351,7 @@ def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
         at = offset[k][:, None] + np.arange(len(xp1))
         sines[at] = np.sin(lo[k][:, None] + half * xp1)
         weights[at] = half * v
-    return sines, weights
+    return sines.reshape(-1, width), weights.reshape(-1, width)
 
 
 def _runs(kind, nodes):
@@ -374,11 +374,11 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
     """mean_theta G(theta)**e for each pattern and each e in `exponents` (module
     docstring): 1 for omni, the beam fraction for a sector, whose G is an indicator,
     and for the arrays the null-split Gauss-Jacobi rule, split once for every e.
-    The arrays go through the rule together, a run of patterns (_runs) at a time:
-    one pattern's gains come from its gain_from_sine, and a longer run's from one
-    _null_product with each node's pair factors.  Each mean is np.dot over its
-    own pattern's nodes, so it does not depend on the other patterns.  An array
-    given by its taper has no null set, and raises ValueError."""
+    The arrays go through the rule together, a run of patterns (_runs) at a time,
+    each run's gains from one _null_gains call on its padded grid of nodes.  Each
+    mean is np.dot over its own pattern's nodes, so it does not depend on the
+    other patterns.  An array given by its taper has no null set, and raises
+    ValueError."""
     means: list = [None] * len(patterns)
     arrays = []
     for i, p in enumerate(patterns):
@@ -393,21 +393,15 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
     if not arrays:
         return means
     batch = [patterns[i] for i in arrays]
-    pieces = _null_split(batch)
+    owner, u, c, count = pairs = _pairs(batch)
+    pieces = _null_split(batch, pairs)
     cut = np.searchsorted(pieces[0], np.arange(len(batch) + 1))  # each pattern's pieces
-
-    owner, u, c, count = _pairs(batch)
     shape = (count.max(), len(batch))  # pair factors, one column per pattern
     r, b = np.zeros(shape), np.ones(shape)
     rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
     r[rank, owner], b[rank, owner] = -1.0 / u, c / u
     d = np.array([p.d_ratio for p in batch])
-    # AntennaPattern._rescaled's bound is at most (pairs) * log2(1/min u_k), so only
-    # the patterns past half the bound by that measure need the property itself.
-    least = np.full(len(batch), math.inf)
-    np.minimum.at(least, owner, u)
-    plain = count * np.log2(np.maximum(1.0, 1.0 / least)) <= 0.5 * _RESCALE_LOG2_BOUND
-    kind = [(p.lone_nulls, not ok and p._rescaled) for p, ok in zip(batch, plain.tolist())]
+    kind = list(zip([p.lone_nulls for p in batch], _rescale_flags(u, d, owner).tolist()))
 
     per_e = []
     for e in exponents:
@@ -417,18 +411,10 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
         for k, l in _runs(kind, per_pattern):
             part = slice(cut[k], cut[l])
             sines, v = _quadrature([col[part] for col in pieces], nodes[part], e)
-            if l == k + 1:
-                g = batch[k].gain_from_sine(sines)
-            else:
-                node = np.repeat(np.arange(k, l), per_pattern[k:l])
-                width = int(count[k:l].max())
-                rows = ((r[j].take(node), b[j].take(node)) for j in range(width))
-                g = _null_product(sines, d.take(node), rows if width else None, *kind[k])
-                g *= g
-                _unit_clamp(g)
-            g_e, ends = g ** e, np.cumsum(per_pattern[k:l]).tolist()
-            for lo, hi in zip([0, *ends[:-1]], ends):
-                row.append(float(np.dot(v[lo:hi], g_e[lo:hi])) / HALF_PI)
+            w = count[k:l].max()  # the run's pair factors, unit-padded
+            g_e = _null_gains(sines, d[k:l], *kind[k], r[:w, k:l], b[:w, k:l]) ** e
+            for i, n in enumerate(per_pattern[k:l]):
+                row.append(float(np.dot(v[i, :n], g_e[i, :n])) / HALF_PI)
         per_e.append(row)
     for i, row in zip(arrays, zip(*per_e)):
         means[i] = list(row)

@@ -61,7 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._parallel import derive_seed, run_indexed
-from .analytic import MAX_LINK_LENGTH, check_sir0, guard_zone
+from .analytic import MAX_LINK_LENGTH, check_sir0, guard_zone, total_throughput_rule
 from .patterns import _BLOCK, AntennaPattern, check_alpha, omni
 
 MODELS = ("pairwise", "multi")
@@ -563,11 +563,6 @@ def estimate_throughput(
         bins=tuple(bin_stats),
         w_b_effective=w_b_effective,
     )
-
-
-def total_throughput_rule(n: int) -> tuple[float, float]:
-    """(p_t, r) choice maximizing total throughput: p_t = 1/2, r at the connectivity floor."""
-    return 0.5, math.sqrt(math.log(n) / n)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ and G(0) = 1 exactly.  Where |psi| > pi/2, u is above 1/2 and 1 - u/u_k would
 lose relative accuracy next to a null with psi_k near pi; there the factors
 come from c = cos^2(psi/2) and c_k = cos^2(psi_k/2) instead, as (c_k - c)/u_k.
 The sine is of |psi/2| folded into [0, pi/4], which gives u or c, whichever is
-at most 1/2.  Arrays given by an arbitrary taper (`from_coefficients`)
+at most 1/2.  One kernel (_null_gains) evaluates G for one pattern and for
+ebw's grids of one row per pattern.  Arrays given by a taper (`from_coefficients`)
 evaluate the polynomial at z and are normalized by their power at theta = 0.
 """
 
@@ -35,7 +36,7 @@ TWO_PI = 2.0 * math.pi
 NULL_CLAMP = 1e-300
 
 # Null products whose partial products could exceed 2 to this power are renormalized
-# as they go (AntennaPattern._rescaled); below 1023, where float64 overflows.
+# as they go (_rescale_flags); below 1023, where float64 overflows.
 _RESCALE_LOG2_BOUND = 1000
 
 # The library's one cache-block size, in elements: angles per block of the null-product
@@ -70,48 +71,65 @@ def _taper_factor(sin_theta, d_ratio, coeffs):
     return np.abs(npoly.polyval(np.exp(-2j * np.pi * d_ratio * sin_theta), coeffs))
 
 
-def _null_factor(sin_theta, d_ratio, null_u, null_c, lone_nulls, rescale):
-    """AF(theta)/AF(0) up to sign for nulls on the unit circle, in real arithmetic
-    (module docstring).  Lone-null factors are cos(psi/2), not sqrt(1 - u), which
-    would lose relative accuracy next to the null at psi = pi.  With `rescale`
-    the partial product is renormalized to [1/2, 1) after each pair factor and
-    its powers of two are applied at the end; scaling by 2^k is exact, so the
-    result keeps its bits wherever the plain product neither overflows nor
-    underflows (AntennaPattern._rescaled says when it could overflow)."""
-    pairs = zip(-1.0 / null_u, null_c / null_u) if len(null_u) else None
-    return _null_product(sin_theta, d_ratio, pairs, lone_nulls, rescale)
+def _rescale_flags(null_u, d_ratio, owner) -> np.ndarray:
+    """Whether each pattern's null product may overflow, and so is renormalized as
+    it goes (_null_gains), from its D/lambda and its pairs' u_k (`owner` gives
+    each u_k's pattern).  Sines in [-1, 1] keep u = sin^2(psi/2) at most
+    u_max = sin^2(pi D/lambda), so a pair factor |1 - u/u_k| is at most
+    max(1, u_max/u_k - 1) and a lone-null factor at most 1: every partial product
+    stays below 2^_RESCALE_LOG2_BOUND when the sum of log2 max(1, u_max/u_k - 1)
+    does."""
+    u_max = np.sin(np.pi * d_ratio) ** 2
+    bits = np.log2(np.maximum(1.0, u_max[owner] / null_u - 1.0))
+    return np.bincount(owner, bits, len(d_ratio)) > _RESCALE_LOG2_BOUND
 
 
-def _null_product(sin_theta, d_ratio, pairs, lone_nulls, rescale):
-    """_null_factor with each pair factor given as (r, b) = (-1/u_k, c_k/u_k), or
-    None for no pairs.  d_ratio, r and b are scalars or hold one value per angle,
-    which lets ebw evaluate the nodes of many patterns at once; a pattern with
-    fewer pairs than its batch mates gets the exact unit factor r = 0, b = 1."""
-    half = np.multiply(sin_theta, math.pi * d_ratio)  # psi/2, in [-pi/2, pi/2]
-    f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
-    if pairs is None:
-        return f
-    # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair factor is
-    # 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
-    a = np.abs(half)
-    y = np.minimum(a, 0.5 * math.pi - a)
-    np.sin(y, out=y)
-    y *= y
-    high = (a > 0.25 * math.pi).astype(float)
-    low = 1.0 - high
-    t, t2 = np.empty_like(y), np.empty_like(y)
-    if rescale:
-        power, e = np.zeros(y.shape, dtype=int), np.empty(y.shape, dtype=np.intc)
-    for r, b in pairs:
-        np.multiply(y, r, out=t)
-        t += low
-        np.multiply(high, b, out=t2)
-        t += t2
-        f *= t
-        if rescale:
-            np.frexp(f, out=(f, e))
-            power += e
-    return np.ldexp(f, power, out=f) if rescale else f
+def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
+    """Clamped gains G at `sines`, one row per pattern built from its nulls, in
+    blocks of at most _BLOCK: row i has D/lambda d_ratio[i] and pair factors
+    (r, b)[:, i] = (-1/u_k, c_k/u_k), or the exact unit r = 0, b = 1 past its
+    pairs.  The rows share lone_nulls, whose factors are cos(psi/2) (sqrt(1 - u)
+    loses accuracy next to psi = pi), and `rescale`: renormalizing the partial
+    product to [1/2, 1) after each pair factor, which keeps G's bits wherever
+    the plain product neither overflows nor underflows (scaling by 2^k is exact)."""
+    g = np.empty(sines.shape)
+    rows = min(len(sines), _BLOCK // max(1, sines.shape[1])) or 1
+    for i in range(0, len(sines), rows):
+        # A block of one row takes its pattern's values as scalars, which NumPy
+        # applies with less overhead than a column it broadcasts.
+        if rows == 1:
+            at, scale, r_i, b_i = i, math.pi * d_ratio[i], r[:, i], b[:, i]
+        else:
+            at = slice(i, i + rows)
+            scale, r_i, b_i = math.pi * d_ratio[at, None], r[:, at, None], b[:, at, None]
+        for j in range(0, sines.shape[1], _BLOCK):
+            half = sines[at, j : j + _BLOCK] * scale  # psi/2, in [-pi/2, pi/2]
+            f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
+            if len(r):
+                # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair
+                # factor is 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
+                a = np.abs(half)
+                y = np.minimum(a, 0.5 * math.pi - a)
+                np.sin(y, out=y)
+                y *= y
+                high = (a > 0.25 * math.pi).astype(float)
+                low = 1.0 - high
+                t, t2 = np.empty_like(y), np.empty_like(y)
+                if rescale:
+                    power, e = np.zeros(y.shape, dtype=int), np.empty(y.shape, dtype=np.intc)
+                for r_k, b_k in zip(r_i, b_i):
+                    np.multiply(y, r_k, out=t)
+                    t += low
+                    np.multiply(high, b_k, out=t2)
+                    t += t2
+                    f *= t
+                    if rescale:
+                        np.frexp(f, out=(f, e))
+                        power += e
+                if rescale:
+                    np.ldexp(f, power, out=f)
+            _unit_clamp(np.multiply(f, f, out=g[at, j : j + _BLOCK]))
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,31 +152,24 @@ class AntennaPattern:
 
     @functools.cached_property
     def _rescaled(self) -> bool:
-        """Whether the null product may overflow, and so is renormalized as it goes
-        (_null_factor).  Sines in [-1, 1] keep u = sin^2(psi/2) at most
-        u_max = sin^2(pi D/lambda), so a pair factor |1 - u/u_k| is at most
-        max(1, u_max/u_k - 1) and a lone-null factor at most 1: every partial
-        product stays below 2^_RESCALE_LOG2_BOUND when the sum of
-        log2 max(1, u_max/u_k - 1) does."""
-        u_max = math.sin(math.pi * self.d_ratio) ** 2
-        bound = np.log2(np.maximum(1.0, u_max / self.null_u - 1.0)).sum()
-        return bool(bound > _RESCALE_LOG2_BOUND)
+        """Whether the null product is renormalized as it goes (_rescale_flags)."""
+        owner = np.zeros(len(self.null_u), dtype=int)
+        return bool(_rescale_flags(self.null_u, np.array([self.d_ratio]), owner)[0])
+
+    @functools.cached_property
+    def _null_args(self) -> tuple:
+        """_null_gains' arguments after the sines, for this pattern as one row."""
+        return (np.array([self.d_ratio]), self.lone_nulls, self._rescaled,
+                -1.0 / self.null_u[:, None], (self.null_c / self.null_u)[:, None])
 
     def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
         """Normalized gain of an array pattern at angles given by their sines, which
         lie in [-1, 1] up to rounding (an array factor depends on theta only through
-        sin(theta); _rescaled's bound relies on that range)."""
+        sin(theta); _rescale_flags' bound relies on that range)."""
         s = np.asarray(sin_theta, dtype=float)
         if self.null_u is None:
             return _unit_clamp(_taper_factor(s, self.d_ratio, self.taper) ** 2 / self.peak_power)
-        g = np.empty(s.shape)
-        flat, out = s.reshape(-1), g.reshape(-1)
-        for a in range(0, flat.size, _BLOCK):
-            f = _null_factor(flat[a : a + _BLOCK], self.d_ratio, self.null_u, self.null_c,
-                              self.lone_nulls, self._rescaled)
-            f *= f
-            out[a : a + _BLOCK] = _unit_clamp(f)
-        return g
+        return _null_gains(s.reshape(1, -1), *self._null_args).reshape(s.shape)
 
     def gain(self, theta) -> np.ndarray | float:
         """Normalized power gain G(theta) in [0, 1]."""

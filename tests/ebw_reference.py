@@ -23,7 +23,7 @@ from scipy.special import j0
 from beamnet._parallel import derive_seed, shard_sizes
 from beamnet.ebw import (HALF_PI, NODE_SCALE, NODES_PER_PIECE, SPLIT_RATIO, BasisDistribution,
                          EbwEstimate, _jacobi_rule, _law_mean)
-from beamnet.patterns import TWO_PI, _null_factor
+from beamnet.patterns import TWO_PI, _null_gains
 
 
 def _distances(dist, rng, m):
@@ -132,19 +132,18 @@ def bessel_beam_width(pattern, m: int) -> float:
     of degree K = m deg, sum_k a_k cos(k psi), and E[cos(k psi)] = J0(pi k) for
     theta uniform.  The a_k come exactly from an FFT of G^m at 2K + 2 equispaced
     psi in [-pi, pi), whose offset -pi turns the k-th coefficient's sign by
-    (-1)^k.  G^m is sampled as the unclamped null product raised to the power 2m,
-    at sines psi/pi in [-1, 1), which the product's rescaling bound assumes.  The
-    sum shares only _null_factor with the library, so it checks the quadrature
-    (the null split, Gauss-Jacobi, node counts) and the rescaled product, not the
-    gain kernel."""
+    (-1)^k.  G^m is sampled from the gain kernel at sines psi/pi in [-1, 1),
+    which its rescaling bound assumes; the clamp moves G only where it is below
+    1e-300.  The sum shares only that kernel with the library, so it checks the
+    quadrature (the null split, Gauss-Jacobi, node counts) and the rescaled
+    product."""
     if pattern.d_ratio != 0.5:
         raise ValueError("the Bessel sum is an oracle at D/lambda = 1/2 only")
     degree = m * (2 * len(pattern.null_u) + pattern.lone_nulls)
     points = 2 * degree + 2
-    psi = -np.pi + TWO_PI * np.arange(points) / points
-    f = _null_factor(psi / np.pi, 0.5, pattern.null_u, pattern.null_c, pattern.lone_nulls,
-                     pattern._rescaled)
-    c = np.fft.rfft(f ** (2 * m))[: degree + 1].real / points
+    psi = (-np.pi + TWO_PI * np.arange(points) / points).reshape(1, -1)
+    g = _null_gains(psi / np.pi, *pattern._null_args)[0]
+    c = np.fft.rfft(g ** m)[: degree + 1].real / points
     c[1:] *= 2.0
     c[1::2] *= -1.0
     return float(np.dot(c, j0(np.pi * np.arange(degree + 1))))

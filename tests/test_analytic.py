@@ -162,6 +162,14 @@ def test_optimal_params_total_omni():
     assert "W_B" in reg.regime and "log" in reg.regime
 
 
+@pytest.mark.parametrize("n", [3, 50, 10**4, 10**6])
+@pytest.mark.parametrize("w_b", [1.0, 0.01, 1e-9])
+def test_optimal_params_total_is_the_total_throughput_rule(n, w_b):
+    # One rule for the total objective, shared with netsim.capacity_curve.
+    reg = optimal_params(n, w_b, "total", C1_REF)
+    assert (reg.p_t, reg.r) == analytic.total_throughput_rule(n)
+
+
 def test_optimal_params_tiny_wb_transport_is_linear_regime():
     reg = optimal_params(10**4, 1e-5, "transport", C1_REF)
     assert reg.regime == "Theta(n)"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import beamnet
+from beamnet import netsim
 from beamnet.cli import build_parser, main
 from beamnet.ebw import BasisDistribution, MixtureDistribution, exact_beam_width
 from beamnet.patterns import TWO_PI, chebyshev_array, esnla, omni, sector
@@ -229,6 +230,22 @@ def test_rows_below_one_is_usage_error(tmp_path, capsys, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--slots", "0"), ("--slots", "-2"), ("--bins", "0"),
+                                        ("--bins", "-1")])
+def test_netsim_slots_or_bins_below_one_is_usage_error(tmp_path, capsys, monkeypatch, flag,
+                                                        value):
+    # Rejected before the network is built: a build here would fail the test.
+    def no_build(config):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(netsim, "generate_network", no_build)
+    out = tmp_path / "x.csv"
+    assert main(["netsim", "--n", "400000", "--r", "0.004", "--pt", "0.2", flag, value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+    assert not out.exists() and not (tmp_path / "x_bins.csv").exists()
+
+
 @pytest.mark.parametrize("spec", ["0.5:1,0.5", "0.5,", "0.5:1:2", "0.5:1,,0.5:2", "a:1"])
 def test_ebw_bad_mixture_part_is_named(tmp_path, capsys, spec):
     out = tmp_path / "x.csv"
@@ -399,6 +416,7 @@ def test_import_loads_numpy_alone():
     # transport-radius root (its bisection).  The thread pool and numpy.polynomial load on use.
     before, after = run_fresh("""\
 import beamnet
+from beamnet import netsim
 before = loaded("scipy", "concurrent.futures", "numpy.polynomial")
 beamnet.exact_beam_width(beamnet.esnla(4), beamnet.BasisDistribution(2.0), 4.0)
 beamnet.optimize_chebyshev_rms([4], 2.0)

@@ -360,6 +360,32 @@ def test_batch_member_does_not_depend_on_its_mates():
             assert [got[id(p)] for p in targets] == alone
 
 
+def test_null_split_equals_the_per_pattern_split():
+    """One mixed batch's pieces (pattern, lo, hi, order at lo, order at hi) are the
+    per-pattern depth-first split's, bit for bit.  The batch has horizon nulls
+    (odd-N Chebyshev and binomial at D/lambda = 1/2) and nulls past the horizon
+    (D/lambda <= 1/4), whose complex zeros bound the pieces next to pi/2."""
+    pieces = ebw._null_split(BATCH_PATTERNS, ebw._pairs(BATCH_PATTERNS))
+    got = list(zip(*(col.tolist() for col in pieces)))
+    want = [(i, *piece) for i, p in enumerate(BATCH_PATTERNS)
+            for piece in ebw_reference.null_split(p)]
+    assert got == want
+
+
+def test_large_degree_exact_memory_is_bounded():
+    """ESNLA N = 10^4 (65 013 nodes at e = 1): only its node grid, weights and gains span
+    all its nodes, and the gain kernel's temporaries stay within a _BLOCK."""
+    p = esnla(10**4)
+    tracemalloc.start()
+    try:
+        w = exact_beam_width(p, BasisDistribution(4.0), 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < w < 1e-3
+    assert peak < 4 * 2**20, peak
+
+
 def test_interference_probability_matches_the_per_pattern_oracle():
     for rx, tx in [(esnla(4), chebyshev_array(7, 0.25, 30.0)), (omni(), binomial_array(6)),
                    (sector(0.4), esnla(12, 0.125))]:

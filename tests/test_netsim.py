@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamnet import netsim
-from beamnet.analytic import guard_zone
+from beamnet.analytic import guard_zone, total_throughput_rule
 from beamnet.ebw import BasisDistribution, effective_beam_width, exact_beam_width
 from beamnet.netsim import (
     NetworkConfig,
@@ -22,7 +22,6 @@ from beamnet.netsim import (
     link_success_probability,
     multi_rayleigh_prediction,
     run_slot,
-    total_throughput_rule,
 )
 from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
 from netsim_reference import (

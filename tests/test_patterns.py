@@ -370,12 +370,13 @@ def test_rescaling_keeps_the_bits(p):
     # Scaling by 2^k is exact: wherever the plain product neither overflows nor
     # underflows, the rescaled one gives the same gains bit for bit, so only the
     # patterns past the bound rescale, and they change only where G overflowed.
-    s = np.sin(np.linspace(-math.pi, math.pi, 1 << 14, endpoint=False))
-    args = (s, p.d_ratio, p.null_u, p.null_c, p.lone_nulls)
-    plain, rescaled = patterns._null_factor(*args, False), patterns._null_factor(*args, True)
-    kept = np.abs(plain) >= 1e-150  # the squared gain stays above NULL_CLAMP
+    s = np.sin(np.linspace(-math.pi, math.pi, 1 << 14, endpoint=False)).reshape(1, -1)
+    d, lone, _, r, b = p._null_args
+    plain = patterns._null_gains(s, d, lone, False, r, b)
+    rescaled = patterns._null_gains(s, d, lone, True, r, b)
+    kept = plain > 0.0  # the gain stays above NULL_CLAMP
     assert np.array_equal(plain[kept], rescaled[kept])
-    assert np.all(rescaled[~kept] < 1e-140)
+    assert np.all(rescaled[~kept] < 1e-280)
 
 
 def test_rescaling_starts_past_the_bound():
