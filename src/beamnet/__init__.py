@@ -1,6 +1,6 @@
 """Effective beam width of directional antennas and ALOHA network capacity experiments."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .patterns import (
     AntennaPattern,
@@ -16,6 +16,7 @@ from .ebw import (
     EbwEstimate,
     MixtureDistribution,
     effective_beam_width,
+    effective_beam_widths,
     exact_beam_width,
     exact_beam_widths,
     interference_probability,
@@ -37,6 +38,7 @@ __all__ = [
     "chebyshev_array",
     "chebyshev_arrays",
     "effective_beam_width",
+    "effective_beam_widths",
     "esnla",
     "estimate_throughput",
     "exact_beam_width",

@@ -4,8 +4,8 @@ Shard boundaries depend only on the requested sample count, and every shard
 draws from its own (seed, shard_index) substream, so results are bit-identical
 for any worker count.  A shard's stream is laid out as consecutive stretches of
 one uniform per sample, one stretch per variate; `shard_cursors` opens each
-stretch at its start, so a shard can be read in blocks of any size without
-changing a draw.
+stretch at any of its draws, so a shard can be read in blocks of any size, and
+its blocks split among workers, without changing a draw.
 """
 
 from __future__ import annotations
@@ -22,15 +22,18 @@ def shard_sizes(samples: int) -> list[int]:
             for i in range((samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
 
-def shard_cursors(seed: int, index: int, stretches: int, size: int) -> list[np.random.Generator]:
-    """Generators at the starts of the `stretches` stretches of `size` uniforms
-    in shard `index`'s stream: the k-th is the shard's PCG64 advanced by k * size
-    outputs, since Generator.random takes one 64-bit output per float64 (a jump
-    ahead, L'Ecuyer et al., Oper. Res. 50(6), 2002).  Reading the k-th cursor
-    in blocks gives the k-th of `stretches` calls rng.random(size) made one after
-    another on the shard's generator, draw for draw."""
+def shard_cursors(seed: int, index: int, stretches: int, size: int,
+                  start: int) -> list[np.random.Generator]:
+    """Generators at uniform `start` of each of the `stretches` stretches of `size`
+    uniforms in shard `index`'s stream: the k-th is the shard's PCG64 advanced by
+    k * size + start outputs, since Generator.random takes one 64-bit output per
+    float64 (a jump ahead, L'Ecuyer et al., Oper. Res. 50(6), 2002).  Reading the
+    k-th cursor in blocks gives the k-th of `stretches` calls rng.random(size)
+    made one after another on the shard's generator, from its `start`-th draw on,
+    draw for draw."""
     ss = np.random.SeedSequence([int(seed), int(index)])
-    return [np.random.Generator(np.random.PCG64(ss).advance(k * size)) for k in range(stretches)]
+    return [np.random.Generator(np.random.PCG64(ss).advance(k * size + start))
+            for k in range(stretches)]
 
 
 def derive_seed(seed: int, *key: int) -> int:

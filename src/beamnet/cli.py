@@ -6,7 +6,8 @@ destination; explicit flags win), and all but analytic take --out.  A pattern
 is one spec string such as esnla:4:0.5 (pattern and ebw --pattern, netsim
 --tx-pattern and --rx-pattern), and ebw's --h takes a distance-law order (2)
 or mixture (0.5:1,0.5:4).  scan, reproduce and netsim, which draw random
-numbers and can run in parallel, also take --seed and --threads (at least 1).
+numbers and can run in parallel, also take --seed (at least 0) and --threads
+(at least 1), checked before any work.
 No command writes anything but CSV files.
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
@@ -153,7 +154,16 @@ def _sweep_rows(table: scaling.SweepTable):
     ]
 
 
+def _check_seed_and_threads(args) -> None:
+    """Reject --seed below 0 and --threads below 1, before the command does any work."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
+
+
 def cmd_scan(args) -> int:
+    _check_seed_and_threads(args)
     table = scaling.sweep(
         args.family,
         _parse_n_list(args.n_list),
@@ -225,6 +235,7 @@ def _reproduce_bundle(args, curves, out_dir):
 
 
 def cmd_reproduce(args) -> int:
+    _check_seed_and_threads(args)
     out_dir = Path(args.out or "reproduce_out")  # made by the first file written
     ok = True
     if args.figure == "fig4":
@@ -274,6 +285,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_netsim(args) -> int:
+    _check_seed_and_threads(args)
     for flag, value in (("--slots", args.slots), ("--bins", args.bins)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")

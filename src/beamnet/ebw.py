@@ -41,14 +41,20 @@ is np.dot over its own nodes, in the order a pattern alone would place them,
 so a W_B has the same bits in any batch as on its own.  exact_beam_width is a
 batch of one pattern, and interference_probability one of two.
 
-effective_beam_width samples W_B with a standard error, for the sweeps.
-It splits the samples into shards of 2^20 (`_parallel`), and shard i draws from
-its own (seed, i) stream, laid out as one stretch of uniforms per variate: phi,
-then the law's stretches (for a mixture, the component, then x).  A shard is
-evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
-(`shard_cursors`), so an estimate holds O(2^14) samples per worker whatever the
-sample and thread counts, and its value is that of one call rng.random(m) per
-stretch, made one after another on the shard's generator.
+effective_beam_widths samples the W_B of a batch of patterns with standard
+errors, for the sweeps, all patterns from the same draws (common random
+numbers).  It splits the samples into shards of 2^20 (`_parallel`), and shard i
+draws from its own (seed, i) stream, laid out as one stretch of uniforms per
+variate: phi, then the law's stretches (for a mixture, the component, then x).
+A shard is evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
+(`shard_cursors`); a block's phi, X and sin(phi) are taken once and every
+pattern counts its hits G*(phi) > X among them.  So an estimate holds O(2^14)
+samples per worker whatever the sample and thread counts, and each pattern's
+value is that of one call rng.random(m) per stretch, made one after another on
+the shard's generator: the same bits in any batch as alone
+(effective_beam_width is a batch of one).  Threads split the draws, never the
+patterns: each takes a run of whole blocks of a shard, opened at its first draw,
+and the hit counts are integers, so no result depends on the thread count.
 """
 
 from __future__ import annotations
@@ -143,6 +149,56 @@ class EbwEstimate:
     samples: int
 
 
+def effective_beam_widths(
+    patterns,
+    dist: Distribution,
+    alpha: float,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    threads: int = 1,
+) -> list[EbwEstimate]:
+    """Monte Carlo estimates of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist,
+    of each pattern from the same `samples` draws of (phi, X), read in blocks of
+    _BLOCK (module docstring).  A block's phi, X and sin(phi) are taken once for
+    all patterns, so each pattern's estimate has the bits it has alone.  An omni
+    pattern has G* = 1 > X on every trial, so its estimate is exactly 1 with SE 0;
+    a batch of omni patterns draws nothing."""
+    check_alpha(alpha)
+    sizes = shard_sizes(samples)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    drawn = [p for p in patterns if p.kind != "omni"]
+    arrays = any(p.kind == "array" for p in drawn)
+    exponent = 1.0 / alpha
+    # Each shard's blocks in up to `threads` runs of whole blocks, a task each.
+    tasks = []
+    for i, m in enumerate(sizes if drawn else ()):
+        step = _BLOCK * -(-m // (_BLOCK * threads))
+        tasks += [(i, a, min(a + step, m)) for a in range(0, m, step)]
+
+    def hits(k: int) -> np.ndarray:
+        i, start, stop = tasks[k]
+        cursors = shard_cursors(seed, i, 1 + dist.stretches, sizes[i], start)
+        count = np.zeros(len(drawn), dtype=np.int64)
+        for a in range(start, stop, _BLOCK):
+            u_phi, *u_x = (c.random(min(_BLOCK, stop - a)) for c in cursors)
+            x = dist.from_uniforms(*u_x)
+            theta = u_phi * TWO_PI
+            sines = np.sin(theta) if arrays else None
+            for j, p in enumerate(drawn):
+                g = p.gain_from_sine(sines) if p.kind == "array" else p.gain(theta)
+                count[j] += np.count_nonzero(np.power(g, exponent) > x)
+        return count
+
+    counts = iter(sum(run_indexed(hits, len(tasks), threads), np.zeros(len(drawn), np.int64)))
+    out = []
+    for p in patterns:
+        value = 1.0 if p.kind == "omni" else int(next(counts)) / samples
+        out.append(EbwEstimate(value=value, stderr=math.sqrt(value * (1.0 - value) / samples),
+                               samples=samples))
+    return out
+
+
 def effective_beam_width(
     pattern: AntennaPattern,
     dist: Distribution,
@@ -151,27 +207,8 @@ def effective_beam_width(
     seed: int = 0,
     threads: int = 1,
 ) -> EbwEstimate:
-    """Monte Carlo estimate of W_B = Pr(G*(phi) > X), phi ~ U[0, 2pi), X ~ dist,
-    from `samples` Bernoulli trials read in blocks of _BLOCK (module docstring).
-    An omni pattern has G* = 1 > X on every trial, so its estimate is exactly
-    1 with SE 0, and nothing is drawn."""
-    check_alpha(alpha)
-    sizes = shard_sizes(samples)
-    if pattern.kind == "omni":
-        return EbwEstimate(value=1.0, stderr=0.0, samples=samples)
-
-    def hits(i: int) -> int:
-        m = sizes[i]
-        cursors = shard_cursors(seed, i, 1 + dist.stretches, m)
-        count = 0
-        for a in range(0, m, _BLOCK):
-            u_phi, *u_x = (c.random(min(_BLOCK, m - a)) for c in cursors)
-            x = dist.from_uniforms(*u_x)
-            count += int(np.count_nonzero(pattern.gain_starred(u_phi * TWO_PI, alpha) > x))
-        return count
-
-    p = sum(run_indexed(hits, len(sizes), threads)) / samples
-    return EbwEstimate(value=p, stderr=math.sqrt(p * (1.0 - p) / samples), samples=samples)
+    """effective_beam_widths of the one pattern."""
+    return effective_beam_widths([pattern], dist, alpha, samples, seed, threads)[0]
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

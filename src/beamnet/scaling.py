@@ -4,6 +4,14 @@ Sweeps estimate W_B across array degree N for one family at a fixed effective
 path-loss exponent alpha* (realized as alpha = 2*alpha*, h = 2, which shares
 the same W_B).  The fitted decay W_B = b1 / N**gamma summarizes how fast a
 family's beam width shrinks as elements are added.
+
+A sweep's cells share their draws: one effective_beam_widths call estimates
+every N from the same (phi, X) samples, drawn from a seed of (seed, alpha*,
+D/lambda) alone (common random numbers, Glasserman & Yao, Management Science
+38(6), 1992).  So the sweeps of different families at one (seed, alpha*,
+D/lambda) draw the same samples too, and every comparison across N or across
+families is paired.  Each cell is still a plain Monte Carlo estimate with its
+own law and SE.
 """
 
 from __future__ import annotations
@@ -14,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import patterns
-from ._parallel import derive_seed, run_indexed
-from .ebw import BasisDistribution, effective_beam_width, exact_beam_widths
+from ._parallel import derive_seed
+# effective_beam_width is not called here, but stays a name of this module:
+# perfbench/spans.py wraps scaling.effective_beam_width by name.
+from .ebw import BasisDistribution, effective_beam_width, effective_beam_widths, exact_beam_widths
 
-# Families with a degree N.  The order is part of every sweep cell's seed.
+# Families with a degree N.
 FAMILIES = ("omni", "esnla", "binomial", "chebyshev")
-_FAMILY_CODE = {name: i for i, name in enumerate(FAMILIES)}
 
 DEFAULT_N_LIST = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 
@@ -98,8 +107,11 @@ def sweep(
     threads: int = 1,
     optimizer_samples: int | None = None,
 ) -> SweepTable:
-    """Estimate W_B by Monte Carlo for each N.  A Chebyshev sweep first optimizes
-    R_MS for every N on the exact W_B, in one optimize_chebyshev_rms call.
+    """Estimate W_B by Monte Carlo for each N, every N from the same `samples`
+    draws (module docstring): one effective_beam_widths call on `threads`
+    threads, at the seed derive_seed(seed, round(alpha* 10^6),
+    round(D/lambda 10^6)).  A Chebyshev sweep first optimizes R_MS for every N
+    on the exact W_B, in one optimize_chebyshev_rms call.
 
     `optimizer_samples` is ignored, since the R_MS search is exact; it stays in
     the signature because perfbench/workloads.py passes it.
@@ -113,17 +125,14 @@ def sweep(
     if family == "chebyshev":
         r_ms = [r for r, _ in optimize_chebyshev_rms(n_list, alpha_star, d_ratio)]
 
-    def cell(i: int) -> SweepRow:
-        n = n_list[i]
-        cell_seed = derive_seed(
-            seed, _FAMILY_CODE[family], n, round(alpha_star * 10**6), round(d_ratio * 10**6)
-        )
-        p = patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r_ms[i])
-        est = effective_beam_width(p, BasisDistribution(2.0), alpha, samples, cell_seed)
-        return SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r_ms[i])
-
-    rows = run_indexed(cell, len(n_list), threads)
-    return SweepTable(family=family, alpha_star=alpha_star, d_ratio=d_ratio, rows=tuple(rows))
+    cells = [patterns.build_pattern(family, n=n, d_ratio=d_ratio, r_ms=r)
+             for n, r in zip(n_list, r_ms)]
+    sweep_seed = derive_seed(seed, round(alpha_star * 10**6), round(d_ratio * 10**6))
+    estimates = effective_beam_widths(cells, BasisDistribution(2.0), alpha, samples,
+                                      sweep_seed, threads)
+    rows = tuple(SweepRow(n=n, w_b=est.value, stderr=est.stderr, r_ms=r)
+                 for n, est, r in zip(n_list, estimates, r_ms))
+    return SweepTable(family=family, alpha_star=alpha_star, d_ratio=d_ratio, rows=rows)
 
 
 def fit_power_law(table: SweepTable) -> PowerLawFit:

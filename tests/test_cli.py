@@ -212,6 +212,33 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     assert not (tmp_path / "x").exists()  # reproduce's output directory included
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--threads", "0", "threads must be >= 1, got 0"),
+    ("--threads", "-1", "threads must be >= 1, got -1"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+], ids=["threads-0", "threads--1", "seed--1"])
+@pytest.mark.parametrize(
+    "cmd",
+    [["scan", "--family", "chebyshev", "--n-list", "2,4"],
+     ["reproduce", "tableC", "--n-list", "2,4,6"],
+     ["netsim", "--n", "20000", "--r", "0.02", "--pt", "0.2"]],
+    ids=["scan", "reproduce", "netsim"],
+)
+def test_seed_or_threads_out_of_range_is_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch, cmd, flag, value, message):
+    """The message names the flag and the value, and comes before any network,
+    pattern, R_MS search or sweep is built."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the usage check")
+
+    for name in ("netsim.generate_network", "scaling.sweep", "scaling.optimize_chebyshev_rms",
+                 "patterns.build_pattern", "patterns.parse_pattern_spec"):
+        monkeypatch.setattr(f"beamnet.{name}", no_work)
+    assert main(cmd + [flag, value, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("family", ["omni", "esnla", "chebyshev"])
 def test_scan_alpha_star_below_one_half_is_usage_error(tmp_path, capsys, family):
     # The message names the value typed, not the alpha = 2 alpha* it stands for.
@@ -534,7 +561,7 @@ def test_bad_n_list_is_usage_error_before_any_work(tmp_path, capsys, monkeypatch
     def no_sweep(*args, **kwargs):
         raise AssertionError("a W_B sweep cell ran")
 
-    monkeypatch.setattr("beamnet.scaling.effective_beam_width", no_sweep)
+    monkeypatch.setattr("beamnet.scaling.effective_beam_widths", no_sweep)
     monkeypatch.chdir(tmp_path)
     assert main(cmd + ["--samples", "1000"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")

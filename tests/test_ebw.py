@@ -16,6 +16,7 @@ from beamnet.ebw import (
     BasisDistribution,
     MixtureDistribution,
     effective_beam_width,
+    effective_beam_widths,
     exact_beam_width,
     exact_beam_widths,
     interference_probability,
@@ -602,3 +603,43 @@ def test_estimator_validation():
         effective_beam_width(omni(), BasisDistribution(2.0), 0.5, 100)
     with pytest.raises(ValueError):
         effective_beam_width(omni(), BasisDistribution(2.0), 4.0, 0)
+
+
+@pytest.mark.parametrize("threads", (0, -1))
+def test_threads_below_one_is_rejected_before_the_omni_closed_form(threads):
+    for batch in ([omni()], [omni(), esnla(4, 0.5)]):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            effective_beam_widths(batch, BasisDistribution(2.0), 4.0, 100, threads=threads)
+
+
+# Every kind of pattern the estimator evaluates: omni (closed form), a sector
+# (gain(theta)), ESNLA, binomial (lone nulls only), odd-N Chebyshev (pairs and a
+# lone null), and Chebyshev N = 1196, the first degree whose null product rescales
+# at R_MS = 30; its gains take about 1.6 s per 2^20 samples, so it runs at 2^14 + 17.
+BATCH = [omni(), sector(0.25), esnla(4, 0.5), binomial_array(6, 0.5),
+         chebyshev_array(7, 0.5, 30.0)]
+RESCALED = chebyshev_array(1196, 0.5, 30.0)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("dist", LAYOUT_LAWS, ids=lambda d: d.describe())
+@pytest.mark.parametrize("samples,batch", [(2**20 + 17, BATCH), (2**14 + 17, BATCH + [RESCALED])],
+                         ids=["two-shards", "two-blocks-rescaled"])
+def test_batch_estimates_are_the_single_estimates(samples, batch, dist, threads):
+    """Each pattern of a batch gets, bit for bit, the estimate it gets alone and
+    the one-shot sampler's (ebw_reference): the batch shares its draws, and its
+    patterns do not disturb one another, across shards, blocks and threads."""
+    assert RESCALED._rescaled
+    got = effective_beam_widths(batch, dist, 4.0, samples, seed=29, threads=threads)
+    assert len(got) == len(batch)
+    for p, est in zip(batch, got):
+        assert est == effective_beam_width(p, dist, 4.0, samples, seed=29, threads=threads)
+        assert est == ebw_reference.effective_beam_width(p, dist, 4.0, samples, 29)
+
+
+def test_batch_does_not_depend_on_order_or_company():
+    dist = BasisDistribution(2.0)
+    forward = effective_beam_widths(BATCH, dist, 4.0, 3 * 10**4, seed=31)
+    backward = effective_beam_widths(BATCH[::-1], dist, 4.0, 3 * 10**4, seed=31)
+    assert forward == backward[::-1]
+    assert effective_beam_widths([], dist, 4.0, 3 * 10**4, seed=31) == []

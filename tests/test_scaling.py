@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamnet import scaling
-from beamnet.ebw import BasisDistribution, exact_beam_width, exact_beam_widths
-from beamnet.patterns import chebyshev_array, chebyshev_arrays
+from beamnet._parallel import derive_seed
+from beamnet.ebw import BasisDistribution, effective_beam_widths, exact_beam_width, exact_beam_widths
+from beamnet.patterns import build_pattern, chebyshev_array, chebyshev_arrays
 from beamnet.scaling import (
     PowerLawFit,
     SweepRow,
@@ -70,7 +71,7 @@ def test_sweep_rejects_bad_n_list_before_any_cell(n_list, monkeypatch):
     def no_cell(*args, **kwargs):
         raise AssertionError("a sweep cell ran")
 
-    monkeypatch.setattr(scaling, "effective_beam_width", no_cell)
+    monkeypatch.setattr(scaling, "effective_beam_widths", no_cell)
     monkeypatch.setattr(scaling, "optimize_chebyshev_rms", no_cell)
     for family in ("omni", "chebyshev"):
         with pytest.raises(ValueError, match="N values must be strictly increasing integers >= 1"):
@@ -122,13 +123,27 @@ def test_alpha_star_below_one_half_is_rejected_up_front(a_star, monkeypatch):
     def no_cell(*args, **kwargs):
         raise AssertionError("a sweep cell ran")
 
-    monkeypatch.setattr(scaling, "effective_beam_width", no_cell)
+    monkeypatch.setattr(scaling, "effective_beam_widths", no_cell)
     monkeypatch.setattr(scaling, "exact_beam_widths", no_cell)
     for family in ("omni", "esnla", "chebyshev"):
         with pytest.raises(ValueError, match="alpha_star must be finite and >= 1/2"):
             sweep(family, [2, 4], alpha_star=a_star, samples=100)
     with pytest.raises(ValueError, match="alpha_star must be finite and >= 1/2"):
         optimize_chebyshev_rms([2, 4], a_star)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_sweep_rows_are_the_batch_at_the_derived_seed(threads):
+    """A sweep estimates every N in one effective_beam_widths call at the seed of
+    (seed, alpha*, D/lambda) alone, so its cells share their draws, and so do the
+    sweeps of every family at that seed."""
+    ns, a_star, d, samples, seed = (2, 4, 6), 1.5, 0.25, 3 * 10**4, 9
+    drawn = derive_seed(seed, round(a_star * 10**6), round(d * 10**6))
+    for family in scaling.FAMILIES:
+        t = sweep(family, ns, a_star, d, samples, seed, threads)
+        cells = [build_pattern(family, n=row.n, d_ratio=d, r_ms=row.r_ms) for row in t.rows]
+        want = effective_beam_widths(cells, BasisDistribution(2.0), 2.0 * a_star, samples, drawn)
+        assert [(row.w_b, row.stderr) for row in t.rows] == [(e.value, e.stderr) for e in want]
 
 
 def test_alpha_star_of_one_half_is_accepted():
