@@ -157,9 +157,9 @@ def _sweep_rows(table: scaling.SweepTable):
 def _check_seed_and_threads(args) -> None:
     """Reject --seed below 0 and --threads below 1, before the command does any work."""
     if args.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
 
 def cmd_scan(args) -> int:

@@ -48,13 +48,19 @@ draws from its own (seed, i) stream, laid out as one stretch of uniforms per
 variate: phi, then the law's stretches (for a mixture, the component, then x).
 A shard is evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
 (`shard_cursors`); a block's phi, X and sin(phi) are taken once and every
-pattern counts its hits G*(phi) > X among them.  So an estimate holds O(2^14)
+pattern counts its hits G*(phi) > X among them.  The arrays built from their
+nulls get their gains by kind (lone nulls, rescaling), two patterns to a
+_null_gains call on the block's one row of sines, from the unit-padded
+pair-factor columns the exact rule uses too (_null_columns); at one D/lambda
+the second reuses the first's terms of the angles, and the kernel allocates
+its scratch once per call (patterns._BLOCK).  So an estimate holds O(2^14)
 samples per worker whatever the sample and thread counts, and each pattern's
-value is that of one call rng.random(m) per stretch, made one after another on
-the shard's generator: the same bits in any batch as alone
+value is that of one call rng.random(m) per stretch, made one after another
+on the shard's generator: the same bits in any batch as alone
 (effective_beam_width is a batch of one).  Threads split the draws, never the
-patterns: each takes a run of whole blocks of a shard, opened at its first draw,
-and the hit counts are integers, so no result depends on the thread count.
+patterns: each takes a run of whole blocks of a shard, opened at its first
+draw, and the hit counts are integers, so no result depends on the thread
+count.
 """
 
 from __future__ import annotations
@@ -170,6 +176,23 @@ def effective_beam_widths(
     drawn = [p for p in patterns if p.kind != "omni"]
     arrays = any(p.kind == "array" for p in drawn)
     exponent = 1.0 / alpha
+    # The arrays built from their nulls go through _null_gains by kind (lone nulls,
+    # rescaling), two to a call that shares the block's sines, the sectors and
+    # tapers one at a time.  Two rows of gains stay in the heap beside the kernel's
+    # scratch; four made each reproduce_tableC round fault in 4.5k pages afresh and
+    # raised its peak RSS by 0.9 MB, to save at most 3% of its time.
+    built = [j for j, p in enumerate(drawn) if p.null_u is not None]
+    calls = []
+    if built:
+        batch = [drawn[j] for j in built]
+        pairs = _pairs(batch)
+        d, kind, r, b = _null_columns(batch, pairs)
+        for key in dict.fromkeys(kind):
+            same = [k for k, other in enumerate(kind) if other == key]
+            for c in (same[a : a + 2] for a in range(0, len(same), 2)):
+                w = pairs[3][c].max()  # the call's pair factors, unit-padded
+                calls.append(([built[k] for k in c], d[c], *key, r[:w, c], b[:w, c]))
+    others = [j for j, p in enumerate(drawn) if p.null_u is None]
     # Each shard's blocks in up to `threads` runs of whole blocks, a task each.
     tasks = []
     for i, m in enumerate(sizes if drawn else ()):
@@ -183,9 +206,13 @@ def effective_beam_widths(
         for a in range(start, stop, _BLOCK):
             u_phi, *u_x = (c.random(min(_BLOCK, stop - a)) for c in cursors)
             x = dist.from_uniforms(*u_x)
-            theta = u_phi * TWO_PI
+            theta = np.multiply(u_phi, TWO_PI, out=u_phi)
             sines = np.sin(theta) if arrays else None
-            for j, p in enumerate(drawn):
+            for rows, *args in calls:
+                g = _null_gains(sines[None], *args)
+                count[rows] += np.count_nonzero(np.power(g, exponent, out=g) > x, axis=1)
+            for j in others:
+                p = drawn[j]
                 g = p.gain_from_sine(sines) if p.kind == "array" else p.gain(theta)
                 count[j] += np.count_nonzero(np.power(g, exponent) > x)
         return count
@@ -261,6 +288,19 @@ def _pairs(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(arrays)), count)
     return (owner, np.concatenate([p.null_u for p in arrays]),
             np.concatenate([p.null_c for p in arrays]), count)
+
+
+def _null_columns(arrays, pairs) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """_null_gains' arguments for every pattern in `arrays`, whose `pairs` are
+    _pairs(arrays): each pattern's D/lambda and kind (lone nulls, rescaling), and
+    its pair factors (r, b) as a column, unit-padded to the most pairs of any."""
+    owner, u, c, count = pairs
+    shape = (count.max(), len(arrays))
+    r, b = np.zeros(shape), np.ones(shape)
+    rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
+    r[rank, owner], b[rank, owner] = -1.0 / u, c / u
+    d = np.array([p.d_ratio for p in arrays])
+    return d, list(zip([p.lone_nulls for p in arrays], _rescale_flags(u, d, owner).tolist())), r, b
 
 
 def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
@@ -394,10 +434,11 @@ def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
 def _runs(kind, nodes):
     """Split patterns, with `kind` (lone nulls, rescaling) and `nodes` nodes each,
     into runs k:l: one pattern, or consecutive patterns of one kind with at most
-    _BLOCK // 4 nodes together.  A run's gains hold about a dozen arrays of its
-    nodes at once: runs of a full _BLOCK left reproduce_tableC's peak RSS about
-    1 MB higher than runs of a quarter, and were no faster (2-vCPU x86 virtual
-    machine)."""
+    _BLOCK // 4 nodes together.  A run's gains hold ten arrays of its nodes at
+    once (sines, weights, gains and the kernel's seven of scratch; a rescaled
+    run one and a half more, the exponents): runs of a full _BLOCK left
+    reproduce_tableC's peak RSS about 1 MB higher than runs of a quarter, and
+    were no faster (2-vCPU x86 virtual machine)."""
     k = 0
     while k < len(kind):
         l, total = k + 1, nodes[k]
@@ -430,15 +471,11 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
     if not arrays:
         return means
     batch = [patterns[i] for i in arrays]
-    owner, u, c, count = pairs = _pairs(batch)
+    pairs = _pairs(batch)
+    count = pairs[3]
+    d, kind, r, b = _null_columns(batch, pairs)
     pieces = _null_split(batch, pairs)
     cut = np.searchsorted(pieces[0], np.arange(len(batch) + 1))  # each pattern's pieces
-    shape = (count.max(), len(batch))  # pair factors, one column per pattern
-    r, b = np.zeros(shape), np.ones(shape)
-    rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
-    r[rank, owner], b[rank, owner] = -1.0 / u, c / u
-    d = np.array([p.d_ratio for p in batch])
-    kind = list(zip([p.lone_nulls for p in batch], _rescale_flags(u, d, owner).tolist()))
 
     per_e = []
     for e in exponents:
@@ -449,7 +486,8 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
             part = slice(cut[k], cut[l])
             sines, v = _quadrature([col[part] for col in pieces], nodes[part], e)
             w = count[k:l].max()  # the run's pair factors, unit-padded
-            g_e = _null_gains(sines, d[k:l], *kind[k], r[:w, k:l], b[:w, k:l]) ** e
+            g_e = _null_gains(sines, d[k:l], *kind[k], r[:w, k:l], b[:w, k:l])
+            np.power(g_e, e, out=g_e)
             for i, n in enumerate(per_pattern[k:l]):
                 row.append(float(np.dot(v[i, :n], g_e[i, :n])) / HALF_PI)
         per_e.append(row)

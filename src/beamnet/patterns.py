@@ -17,8 +17,14 @@ and G(0) = 1 exactly.  Where |psi| > pi/2, u is above 1/2 and 1 - u/u_k would
 lose relative accuracy next to a null with psi_k near pi; there the factors
 come from c = cos^2(psi/2) and c_k = cos^2(psi_k/2) instead, as (c_k - c)/u_k.
 The sine is of |psi/2| folded into [0, pi/4], which gives u or c, whichever is
-at most 1/2.  One kernel (_null_gains) evaluates G for one pattern and for
-ebw's grids of one row per pattern.  Arrays given by a taper (`from_coefficients`)
+at most 1/2.  One kernel (_null_gains) evaluates G for one pattern, for
+ebw's grids of one row per pattern and for patterns that share their angles,
+in blocks of _BLOCK angles.  It allocates its block scratch once per call and
+computes every block in views of it: a block of float64 is 128 KiB, glibc's
+default mmap threshold, and such temporaries allocated and freed block by
+block get the heap trimmed and their pages faulted in afresh.  Patterns that
+share their angles and D/lambda share the terms of the angles too (psi/2, the
+lone-null factor, y and the masks).  Arrays given by a taper (`from_coefficients`)
 evaluate the polynomial at z and are normalized by their power at theta = 0.
 """
 
@@ -42,7 +48,10 @@ _RESCALE_LOG2_BOUND = 1000
 # The library's one cache-block size, in elements: angles per block of the null-product
 # kernel, samples per block of the Monte Carlo estimators (ebw) and (link, transmitter)
 # pairs per run of the slot engine's cutoff-free models (netsim).  Their temporaries
-# then stay in cache.
+# then stay in cache.  A block of float64 is 128 KiB, glibc's default mmap threshold:
+# seven such temporaries freed together get the heap trimmed, and the next call's
+# fault their pages in again, so the null-product kernel allocates its scratch
+# once per call (_null_gains).
 _BLOCK = 1 << 14
 
 
@@ -91,32 +100,64 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
     pairs.  The rows share lone_nulls, whose factors are cos(psi/2) (sqrt(1 - u)
     loses accuracy next to psi = pi), and `rescale`: renormalizing the partial
     product to [1/2, 1) after each pair factor, which keeps G's bits wherever
-    the plain product neither overflows nor underflows (scaling by 2^k is exact)."""
-    g = np.empty(sines.shape)
-    rows = min(len(sines), _BLOCK // max(1, sines.shape[1])) or 1
-    for i in range(0, len(sines), rows):
-        # A block of one row takes its pattern's values as scalars, which NumPy
-        # applies with less overhead than a column it broadcasts.
-        if rows == 1:
-            at, scale, r_i, b_i = i, math.pi * d_ratio[i], r[:, i], b[:, i]
-        else:
-            at = slice(i, i + rows)
-            scale, r_i, b_i = math.pi * d_ratio[at, None], r[:, at, None], b[:, at, None]
-        for j in range(0, sines.shape[1], _BLOCK):
-            half = sines[at, j : j + _BLOCK] * scale  # psi/2, in [-pi/2, pi/2]
-            f = np.cos(half) ** lone_nulls if lone_nulls else np.ones_like(half)
-            if len(r):
-                # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair
-                # factor is 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
-                a = np.abs(half)
-                y = np.minimum(a, 0.5 * math.pi - a)
-                np.sin(y, out=y)
-                y *= y
-                high = (a > 0.25 * math.pi).astype(float)
-                low = 1.0 - high
-                t, t2 = np.empty_like(y), np.empty_like(y)
+    the plain product neither overflows nor underflows (scaling by 2^k is exact).
+    `sines` has one row per pattern, or one row that every pattern shares; then
+    a pattern at the D/lambda of the one before it reuses that one's terms of
+    the angles (psi/2, the lone-null factor, y and the masks).  Every block,
+    partial ones included, is computed in views of scratch allocated once per
+    call (_BLOCK)."""
+    n, width = len(d_ratio), sines.shape[1]
+    g = np.empty((n, width))
+    shared = len(sines) < n
+    rows = 1 if shared else min(n, _BLOCK // max(1, width)) or 1
+    shape = (rows, width) if rows > 1 else (min(width, _BLOCK),)  # a block's, at most
+    # The lone-null factor, the product (the same array unless the sines are
+    # shared) and the pair factor t, psi/2 before the pair loop; with pairs also
+    # y, the high and low masks and t's second term; with rescaling the exponents.
+    paired = len(r) > 0
+    scratch = [*np.empty((7 if paired else 3, *shape))]
+    if rescale and paired:
+        scratch += [np.empty(shape, dtype=int), np.empty(shape, dtype=np.intc)]
+    for j in range(0, width, _BLOCK):
+        for i in range(0, n, rows):
+            # A block of one row takes its pattern's values as scalars, which NumPy
+            # applies with less overhead than a column it broadcasts, and only its
+            # own pairs, not the unit padding after them.
+            at = i if rows == 1 else slice(i, i + rows)
+            scale, r_i, b_i = math.pi * d_ratio[at], r[:, at], b[:, at]
+            if rows == 1:
+                pairs = np.count_nonzero(r_i)
+                r_i, b_i = r_i[:pairs], b_i[:pairs]
+            else:
+                scale, r_i, b_i = scale[:, None], r_i[..., None], b_i[..., None]
+            block = sines[0 if shared else at, j : j + _BLOCK]
+            f0, f, t, *rest = (buf[: len(block)] for buf in scratch)
+            if not (shared and i and d_ratio[i] == d_ratio[i - 1]):
+                half = np.multiply(block, scale, out=t)  # psi/2, in [-pi/2, pi/2]
+                if lone_nulls:
+                    np.cos(half, out=f0)
+                    f0 **= lone_nulls
+                else:
+                    f0.fill(1.0)
+                if paired:
+                    # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A
+                    # pair factor is 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
+                    y, high, low = rest[:3]
+                    a = np.abs(half, out=half)
+                    np.minimum(a, np.subtract(0.5 * math.pi, a, out=y), out=y)
+                    np.sin(y, out=y)
+                    y *= y
+                    np.greater(a, 0.25 * math.pi, out=high)
+                    np.subtract(1.0, high, out=low)
+            if shared:
+                np.copyto(f, f0)
+            else:
+                f = f0
+            if len(r_i):
+                y, high, low, t2, *exponents = rest
                 if rescale:
-                    power, e = np.zeros(y.shape, dtype=int), np.empty(y.shape, dtype=np.intc)
+                    power, e = exponents
+                    power.fill(0)
                 for r_k, b_k in zip(r_i, b_i):
                     np.multiply(y, r_k, out=t)
                     t += low

@@ -208,14 +208,14 @@ def test_readme_commands_parse():
 )
 def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     assert main(cmd + ["--threads", threads, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+    assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
     assert not (tmp_path / "x").exists()  # reproduce's output directory included
 
 
 @pytest.mark.parametrize("flag,value,message", [
-    ("--threads", "0", "threads must be >= 1, got 0"),
-    ("--threads", "-1", "threads must be >= 1, got -1"),
-    ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--threads", "0", "--threads must be >= 1, got 0"),
+    ("--threads", "-1", "--threads must be >= 1, got -1"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
 ], ids=["threads-0", "threads--1", "seed--1"])
 @pytest.mark.parametrize(
     "cmd",

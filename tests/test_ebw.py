@@ -22,6 +22,7 @@ from beamnet.ebw import (
     interference_probability,
 )
 from beamnet.patterns import (
+    _BLOCK,
     TWO_PI,
     binomial_array,
     build_pattern,
@@ -619,22 +620,46 @@ def test_threads_below_one_is_rejected_before_the_omni_closed_form(threads):
 BATCH = [omni(), sector(0.25), esnla(4, 0.5), binomial_array(6, 0.5),
          chebyshev_array(7, 0.5, 30.0)]
 RESCALED = chebyshev_array(1196, 0.5, 30.0)
+# A sweep's batch: many arrays of one kind, unit-padded to ESNLA N = 20's ten
+# pairs and sharing each block's sines and terms of the angles, Chebyshev arrays
+# of both parities, two rescaled arrays of one kind, and the patterns evaluated
+# one at a time, a taper and a sector.
+SWEEP_BATCH = ([esnla(n, 0.5) for n in range(2, 21, 2)]
+               + [chebyshev_array(6, 0.5, 30.0), chebyshev_array(9, 0.5, 30.0), RESCALED,
+                  esnla(1856, 0.5), from_coefficients([1.0, 2.0, 1.0], 0.5, "taper"),
+                  sector(0.25)])
 
 
 @pytest.mark.parametrize("threads", (1, 2))
 @pytest.mark.parametrize("dist", LAYOUT_LAWS, ids=lambda d: d.describe())
-@pytest.mark.parametrize("samples,batch", [(2**20 + 17, BATCH), (2**14 + 17, BATCH + [RESCALED])],
-                         ids=["two-shards", "two-blocks-rescaled"])
+@pytest.mark.parametrize("samples,batch", [(2**20 + 17, BATCH), (2**14 + 17, BATCH + [RESCALED]),
+                                           (2**14 + 17, SWEEP_BATCH)],
+                         ids=["two-shards", "two-blocks-rescaled", "two-blocks-sweep"])
 def test_batch_estimates_are_the_single_estimates(samples, batch, dist, threads):
     """Each pattern of a batch gets, bit for bit, the estimate it gets alone and
     the one-shot sampler's (ebw_reference): the batch shares its draws, and its
     patterns do not disturb one another, across shards, blocks and threads."""
-    assert RESCALED._rescaled
+    assert RESCALED._rescaled and esnla(1856, 0.5)._rescaled
     got = effective_beam_widths(batch, dist, 4.0, samples, seed=29, threads=threads)
     assert len(got) == len(batch)
     for p, est in zip(batch, got):
         assert est == effective_beam_width(p, dist, 4.0, samples, seed=29, threads=threads)
         assert est == ebw_reference.effective_beam_width(p, dist, 4.0, samples, 29)
+
+
+def test_sweep_block_memory_is_bounded():
+    """A block of a ten-pattern sweep (ESNLA N = 2..20, one kind) holds at most 16
+    blocks of float64 at once (15.2 measured): its draws, the gain kernel's scratch
+    and two rows of gains.  The ten rows' gains at once would add eight blocks."""
+    batch = [esnla(n, 0.5) for n in range(2, 21, 2)]
+    effective_beam_widths(batch, BasisDistribution(2.0), 4.0, _BLOCK, seed=3)  # warm caches
+    tracemalloc.start()
+    try:
+        effective_beam_widths(batch, BasisDistribution(2.0), 4.0, _BLOCK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * _BLOCK, peak / (8 * _BLOCK)
 
 
 def test_batch_does_not_depend_on_order_or_company():

@@ -20,6 +20,7 @@ from beamnet.patterns import (
     omni,
     sector,
 )
+import patterns_reference
 from patterns_reference import threshold_widths
 
 TWO_PI = 2.0 * math.pi
@@ -377,6 +378,81 @@ def test_rescaling_keeps_the_bits(p):
     kept = plain > 0.0  # the gain stays above NULL_CLAMP
     assert np.array_equal(plain[kept], rescaled[kept])
     assert np.all(rescaled[~kept] < 1e-280)
+
+
+# Rows for the kernel's bit oracle, cycled: pair counts 1 to 10 (unit-padded to
+# the most of any row), none at all (a binomial), and D/lambda from 1/16 to 1/2.
+KERNEL_ROWS = [esnla(2, 0.5), chebyshev_array(20, 0.25, 1e4), binomial_array(3, 0.5),
+               chebyshev_array(7, 0.5, 30.0), esnla(8, 1 / 16), esnla(12, 0.125)]
+BLOCK = patterns._BLOCK
+
+
+def kernel_args(rows, count):
+    """_null_gains' arguments after the sines for `count` rows cycling through
+    `rows`: D/lambda, and the pair factors as unit-padded columns."""
+    cycle = [rows[i % len(rows)] for i in range(count)]
+    r = np.zeros((max(len(p.null_u) for p in cycle), count))
+    b = np.ones_like(r)
+    for i, p in enumerate(cycle):
+        r[: len(p.null_u), i], b[: len(p.null_u), i] = -1.0 / p.null_u, p.null_c / p.null_u
+    return np.array([p.d_ratio for p in cycle]), r, b
+
+
+def kernel_sines(count, width, seed):
+    """Sines in [-1, 1] with the ends and boresight among them."""
+    s = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, width))
+    s.flat[:3] = (-1.0, 0.0, 1.0)[: s.size]
+    return s
+
+
+# (width, rows): the widths about the block size, and row counts that leave a
+# partial last block of rows (_BLOCK // width rows per block where width < _BLOCK).
+KERNEL_SHAPES = [(1, BLOCK + 3), (5000, 7), (BLOCK - 1, 3), (BLOCK + 1, 2), (3 * BLOCK + 5, 2)]
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["plain", "rescale"])
+@pytest.mark.parametrize("lone", [0, 1, 9], ids=lambda m: f"lone{m}")
+@pytest.mark.parametrize("width,count", KERNEL_SHAPES, ids=str)
+def test_kernel_has_the_bits_of_the_per_block_kernel(width, count, lone, rescale):
+    """The kernel computes every block in views of one scratch, and a row of one
+    block only over its own pairs: the gains of the kernel that allocates each
+    block's temporaries afresh and multiplies in every unit pair, bit for bit."""
+    sines = kernel_sines(count, width, width + count)
+    d, r, b = kernel_args(KERNEL_ROWS, count)
+    got = patterns._null_gains(sines, d, lone, rescale, r, b)
+    assert np.array_equal(got, patterns_reference.null_gains(sines, d, lone, rescale, r, b))
+    # Without pairs at all, only the lone nulls.
+    none = np.zeros((0, count))
+    got = patterns._null_gains(sines, d, lone, rescale, none, none)
+    assert np.array_equal(got, patterns_reference.null_gains(sines, d, lone, rescale, none, none))
+
+
+@pytest.mark.parametrize("rescale", [False, True], ids=["plain", "rescale"])
+@pytest.mark.parametrize("lone", [0, 1, 9], ids=lambda m: f"lone{m}")
+@pytest.mark.parametrize("width", [1, BLOCK - 1, 3 * BLOCK + 5], ids=str)
+def test_kernel_rows_sharing_their_sines_have_the_bits_of_their_own(width, lone, rescale):
+    """One row of sines for every pattern: a pattern at the D/lambda of the one
+    before it reuses that one's terms of the angles, also after a pattern
+    without pairs, and each gets the gains of its own copy of the row."""
+    rows = [esnla(2, 0.5), esnla(20, 0.5), esnla(8, 1 / 16), binomial_array(3, 0.5),
+            chebyshev_array(7, 0.5, 30.0), esnla(4, 1 / 16), esnla(12, 1 / 16)]
+    sines = kernel_sines(1, width, width)
+    d, r, b = kernel_args(rows, len(rows))
+    own = np.repeat(sines, len(rows), axis=0)
+    want = patterns_reference.null_gains(own, d, lone, rescale, r, b)
+    assert np.array_equal(patterns._null_gains(sines, d, lone, rescale, r, b), want)
+
+
+@pytest.mark.parametrize("width,count", [(5000, 3), (BLOCK + 1, 2)], ids=str)
+def test_kernel_keeps_the_bits_where_rows_rescale(width, count):
+    """Rows that overflow without rescaling (Chebyshev N = 1196, ESNLA N = 1856),
+    unit-padded beside a short one."""
+    rows = [chebyshev_array(1196, 0.5, 30.0), esnla(4, 0.5), esnla(1856, 0.5)]
+    assert rows[0]._rescaled and rows[2]._rescaled
+    sines = kernel_sines(count, width, 5)
+    d, r, b = kernel_args(rows, count)
+    got = patterns._null_gains(sines, d, 0, True, r, b)
+    assert np.array_equal(got, patterns_reference.null_gains(sines, d, 0, True, r, b))
 
 
 def test_rescaling_starts_past_the_bound():
