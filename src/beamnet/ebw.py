@@ -36,10 +36,11 @@ exact_beam_widths takes a batch of patterns through the rule at once: the
 pieces of all of them are bisected level by level, and then runs of patterns
 with at most _BLOCK // 4 nodes in all (_runs) get their nodes, placed one rule
 at a time into a grid of one row per pattern, and their gains from the kernel
-every array's gain goes through (patterns._null_gains).  Each pattern's mean
-is np.dot over its own nodes, in the order a pattern alone would place them,
-so a W_B has the same bits in any batch as on its own.  exact_beam_width is a
-batch of one pattern, and interference_probability one of two.
+every array's gain goes through (patterns._null_gains), all from one
+description of the batch (patterns._null_batch).  Each pattern's mean is
+np.dot over its own nodes, in the order a pattern alone would place them, so a
+W_B has the same bits in any batch as on its own.  exact_beam_width is a batch
+of one pattern, and interference_probability one of two.
 
 effective_beam_widths samples the W_B of a batch of patterns with standard
 errors, for the sweeps, all patterns from the same draws (common random
@@ -50,10 +51,9 @@ A shard is evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
 (`shard_cursors`); a block's phi, X and sin(phi) are taken once and every
 pattern counts its hits G*(phi) > X among them.  The arrays built from their
 nulls get their gains by kind (lone nulls, rescaling), two patterns to a
-_null_gains call on the block's one row of sines, from the unit-padded
-pair-factor columns the exact rule uses too (_null_columns); at one D/lambda
-the second reuses the first's terms of the angles, and the kernel allocates
-its scratch once per call (patterns._BLOCK).  So an estimate holds O(2^14)
+_null_gains call on the block's one row of sines (patterns._null_batch); at
+one D/lambda the second reuses the first's terms of the angles, and the kernel
+allocates its scratch once per call (patterns._BLOCK).  So an estimate holds O(2^14)
 samples per worker whatever the sample and thread counts, and each pattern's
 value is that of one call rng.random(m) per stretch, made one after another
 on the shard's generator: the same bits in any batch as alone
@@ -72,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed, shard_cursors, shard_sizes
-from .patterns import _BLOCK, TWO_PI, AntennaPattern, _null_gains, _rescale_flags, check_alpha
+from .patterns import _BLOCK, TWO_PI, AntennaPattern, _null_batch, _null_gains, check_alpha
 
 DEFAULT_SAMPLES = 10**6
 
@@ -176,22 +176,18 @@ def effective_beam_widths(
     drawn = [p for p in patterns if p.kind != "omni"]
     arrays = any(p.kind == "array" for p in drawn)
     exponent = 1.0 / alpha
-    # The arrays built from their nulls go through _null_gains by kind (lone nulls,
-    # rescaling), two to a call that shares the block's sines, the sectors and
-    # tapers one at a time.  Two rows of gains stay in the heap beside the kernel's
-    # scratch; four made each reproduce_tableC round fault in 4.5k pages afresh and
-    # raised its peak RSS by 0.9 MB, to save at most 3% of its time.
+    # Arrays built from their nulls go through _null_gains by kind, two to a call
+    # on the block's sines; four made each reproduce_tableC round fault in 4.5k
+    # pages afresh and raised its peak RSS by 0.9 MB, to save at most 3% of its time.
+    # Sectors and tapers go one at a time.
     built = [j for j, p in enumerate(drawn) if p.null_u is not None]
     calls = []
     if built:
-        batch = [drawn[j] for j in built]
-        pairs = _pairs(batch)
-        d, kind, r, b = _null_columns(batch, pairs)
-        for key in dict.fromkeys(kind):
-            same = [k for k, other in enumerate(kind) if other == key]
+        nulls = _null_batch([drawn[j] for j in built])
+        for key in dict.fromkeys(nulls.kind):
+            same = [k for k, other in enumerate(nulls.kind) if other == key]
             for c in (same[a : a + 2] for a in range(0, len(same), 2)):
-                w = pairs[3][c].max()  # the call's pair factors, unit-padded
-                calls.append(([built[k] for k in c], d[c], *key, r[:w, c], b[:w, c]))
+                calls.append(([built[k] for k in c], *nulls.rows(c)))
     others = [j for j, p in enumerate(drawn) if p.null_u is None]
     # Each shard's blocks in up to `threads` runs of whole blocks, a task each.
     tasks = []
@@ -281,41 +277,16 @@ def _jacobi_rule(nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     return xp1, v
 
 
-def _pairs(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The null pairs of every pattern in `arrays`, one after another: each pair's
-    pattern index, u_k and c_k, and each pattern's pair count."""
-    count = np.array([len(p.null_u) for p in arrays])
-    owner = np.repeat(np.arange(len(arrays)), count)
-    return (owner, np.concatenate([p.null_u for p in arrays]),
-            np.concatenate([p.null_c for p in arrays]), count)
-
-
-def _null_columns(arrays, pairs) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
-    """_null_gains' arguments for every pattern in `arrays`, whose `pairs` are
-    _pairs(arrays): each pattern's D/lambda and kind (lone nulls, rescaling), and
-    its pair factors (r, b) as a column, unit-padded to the most pairs of any."""
-    owner, u, c, count = pairs
-    shape = (count.max(), len(arrays))
-    r, b = np.zeros(shape), np.ones(shape)
-    rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
-    r[rank, owner], b[rank, owner] = -1.0 / u, c / u
-    d = np.array([p.d_ratio for p in arrays])
-    return d, list(zip([p.lone_nulls for p in arrays], _rescale_flags(u, d, owner).tolist())), r, b
-
-
-def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
-    """Pieces of [0, pi/2] in theta for every pattern in `arrays`, whose `pairs` are
-    _pairs(arrays), as arrays (pattern index, lo, hi, order at lo, order at hi), by
-    pattern and then by lo: the order of G's zero at an end, as a power of the
-    distance per unit of e = h/alpha."""
-    index = np.arange(len(arrays))
-    d = np.array([p.d_ratio for p in arrays])
-    lone = np.array([p.lone_nulls for p in arrays])
+def _null_split(nulls) -> tuple[np.ndarray, ...]:
+    """Pieces of [0, pi/2] in theta for every pattern of `nulls`, as arrays (pattern
+    index, lo, hi, order at lo, order at hi), by pattern and then by lo: the order of
+    G's zero at an end, as a power of the distance per unit of e = h/alpha."""
+    d, lone, owner, u, c = nulls.d_ratio, nulls.lone_nulls, nulls.owner, nulls.u, nulls.c
+    index = np.arange(len(d))
     # Where G vanishes, as s = sin(theta) >= 0 with the null's multiplicity:
     # s_k = psi_k/(2 pi D/lambda) once per null pair, ascending, then s = 1/(2 D/lambda)
     # for the lone nulls.  A null with s < 1 is visible at theta = arcsin(s) and
     # pi - arcsin(s); s = 1 is the horizon theta = pi/2; s > 1 is not visible.
-    owner, u, c, _ = pairs
     with_lone = lone > 0
     pat = np.concatenate([owner, index[with_lone]])
     s = np.concatenate([np.arctan2(np.sqrt(u), np.sqrt(c)) / (math.pi * d)[owner],
@@ -323,12 +294,12 @@ def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
     mult = np.concatenate([np.ones(len(u), dtype=int), lone[with_lone]])
     order = np.lexsort((s, np.arange(len(s)) >= len(u), pat))
     pat, s, mult = pat[order], s[order], mult[order]
-    horizon = 4.0 * np.bincount(pat[s == 1.0], mult[s == 1.0], len(arrays))
+    horizon = 4.0 * np.bincount(pat[s == 1.0], mult[s == 1.0], len(d))
     # The nearest complex zero off the real line: pi/2 +- i arccosh(s') for the least
     # s' > 1 with u(s') = u_k (the invisible nulls and the aliases 1/(D/lambda) - s_k).
     beyond = np.concatenate([s, (1.0 / d)[pat] - s])
     past = beyond > 1.0
-    least = np.full(len(arrays), math.inf)
+    least = np.full(len(d), math.inf)
     np.minimum.at(least, np.concatenate([pat, pat])[past], beyond[past])
     tau = np.array([math.acosh(x) for x in least.tolist()])
 
@@ -341,7 +312,7 @@ def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
     # the one after it when hi is E_{i+1} and that is a zero.
     visible = s < 1.0
     t, t_pat, t_order = np.arcsin(s[visible]), pat[visible], 2.0 * mult[visible]
-    m = np.bincount(t_pat, minlength=len(arrays))
+    m = np.bincount(t_pat, minlength=len(d))
     start = np.cumsum(m + 1) - (m + 1)
     rows = int(np.sum(m + 1))
     row_pat = np.repeat(index, m + 1)
@@ -354,7 +325,7 @@ def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
     zeros_below = left.copy()
     zeros_below[start] = np.where(has, -left[np.minimum(start + 1, rows - 1)], -math.inf)
     mirror = np.where(has, math.pi - right[np.maximum(start + m - 1, 0)], math.inf)
-    zeros_above = np.empty(rows + len(arrays))
+    zeros_above = np.empty(rows + len(d))
     zeros_above[at + t_pat] = t
     zeros_above[start + index + m] = np.where(horizon > 0.0, HALF_PI, mirror)
     zeros_above[start + index + m + 1] = mirror
@@ -383,13 +354,12 @@ def _null_split(arrays, pairs) -> tuple[np.ndarray, ...]:
             np.where(hi == right[row], o_right[row], 0.0))
 
 
-def _node_counts(arrays, pieces, e: float) -> np.ndarray:
+def _node_counts(nulls, pieces, e: float) -> np.ndarray:
     """Each piece's node count: NODES_PER_PIECE plus NODE_SCALE * sqrt(e N) per
     radian of phase it spans (module docstring)."""
     pat, lo, hi = pieces[:3]
-    degree = np.array([2 * len(p.null_u) + p.lone_nulls for p in arrays])
-    d = np.array([p.d_ratio for p in arrays])
-    per_sine = NODE_SCALE * np.sqrt(e * degree) * 2.0 * math.pi * d
+    degree = 2 * nulls.count + nulls.lone_nulls
+    per_sine = NODE_SCALE * np.sqrt(e * degree) * 2.0 * math.pi * nulls.d_ratio
     return NODES_PER_PIECE + np.ceil(per_sine[pat] * (np.sin(hi) - np.sin(lo))).astype(int)
 
 
@@ -470,23 +440,19 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
             arrays.append(i)
     if not arrays:
         return means
-    batch = [patterns[i] for i in arrays]
-    pairs = _pairs(batch)
-    count = pairs[3]
-    d, kind, r, b = _null_columns(batch, pairs)
-    pieces = _null_split(batch, pairs)
-    cut = np.searchsorted(pieces[0], np.arange(len(batch) + 1))  # each pattern's pieces
+    nulls = _null_batch([patterns[i] for i in arrays])
+    pieces = _null_split(nulls)
+    cut = np.searchsorted(pieces[0], np.arange(len(arrays) + 1))  # each pattern's pieces
 
     per_e = []
     for e in exponents:
-        nodes = _node_counts(batch, pieces, e)
+        nodes = _node_counts(nulls, pieces, e)
         per_pattern = np.add.reduceat(nodes, cut[:-1]).tolist()
         row = []
-        for k, l in _runs(kind, per_pattern):
+        for k, l in _runs(nulls.kind, per_pattern):
             part = slice(cut[k], cut[l])
             sines, v = _quadrature([col[part] for col in pieces], nodes[part], e)
-            w = count[k:l].max()  # the run's pair factors, unit-padded
-            g_e = _null_gains(sines, d[k:l], *kind[k], r[:w, k:l], b[:w, k:l])
+            g_e = _null_gains(sines, *nulls.rows(range(k, l)))
             np.power(g_e, e, out=g_e)
             for i, n in enumerate(per_pattern[k:l]):
                 row.append(float(np.dot(v[i, :n], g_e[i, :n])) / HALF_PI)

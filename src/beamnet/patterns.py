@@ -17,14 +17,15 @@ and G(0) = 1 exactly.  Where |psi| > pi/2, u is above 1/2 and 1 - u/u_k would
 lose relative accuracy next to a null with psi_k near pi; there the factors
 come from c = cos^2(psi/2) and c_k = cos^2(psi_k/2) instead, as (c_k - c)/u_k.
 The sine is of |psi/2| folded into [0, pi/4], which gives u or c, whichever is
-at most 1/2.  One kernel (_null_gains) evaluates G for one pattern, for
-ebw's grids of one row per pattern and for patterns that share their angles,
-in blocks of _BLOCK angles.  It allocates its block scratch once per call and
-computes every block in views of it: a block of float64 is 128 KiB, glibc's
-default mmap threshold, and such temporaries allocated and freed block by
-block get the heap trimmed and their pages faulted in afresh.  Patterns that
-share their angles and D/lambda share the terms of the angles too (psi/2, the
-lone-null factor, y and the masks).  Arrays given by a taper (`from_coefficients`)
+at most 1/2.  One kernel (_null_gains) evaluates G for one pattern, for ebw's
+grids of one row per pattern and for patterns that share their angles, in
+blocks of _BLOCK angles, from one builder's columns (_null_batch), for one
+pattern or many.  It allocates its block scratch once per call and computes
+every block in views of it: a block of float64 is 128 KiB, glibc's default
+mmap threshold, and such temporaries allocated and freed block by block get
+the heap trimmed and their pages faulted in afresh.  Patterns that share their
+angles and D/lambda share the terms of the angles too (psi/2, the lone-null
+factor, y and the masks).  Arrays given by a taper (`from_coefficients`)
 evaluate the polynomial at z and are normalized by their power at theta = 0.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +84,7 @@ def _taper_factor(sin_theta, d_ratio, coeffs):
 
 def _rescale_flags(null_u, d_ratio, owner) -> np.ndarray:
     """Whether each pattern's null product may overflow, and so is renormalized as
-    it goes (_null_gains), from its D/lambda and its pairs' u_k (`owner` gives
-    each u_k's pattern).  Sines in [-1, 1] keep u = sin^2(psi/2) at most
+    it goes (_null_gains).  Sines in [-1, 1] keep u = sin^2(psi/2) at most
     u_max = sin^2(pi D/lambda), so a pair factor |1 - u/u_k| is at most
     max(1, u_max/u_k - 1) and a lone-null factor at most 1: every partial product
     stays below 2^_RESCALE_LOG2_BOUND when the sum of log2 max(1, u_max/u_k - 1)
@@ -173,6 +174,31 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
     return g
 
 
+class _NullBatch(namedtuple("_NullBatch", "d_ratio lone_nulls kind count owner u c r b")):
+    """Arrays built from their nulls as _null_gains and the exact W_B rule read
+    them: per pattern its D/lambda, lone nulls, kind (lone nulls, rescaling: the
+    kernel's per-call scalars) and pair count; per pair its pattern (owner), u_k
+    and c_k; the pair factors (r, b) = (-1/u_k, c_k/u_k), unit-padded columns."""
+
+    def rows(self, at) -> tuple:
+        """_null_gains' arguments after the sines for the patterns `at`, of one kind."""
+        w = self.count[at].max()
+        return self.d_ratio[at], *self.kind[at[0]], self.r[:w, at], self.b[:w, at]
+
+
+def _null_batch(arrays) -> _NullBatch:
+    """_NullBatch of `arrays`, their pairs one pattern after another."""
+    count = np.array([len(p.null_u) for p in arrays])
+    owner = np.repeat(np.arange(len(arrays)), count)
+    u, c = (np.concatenate([getattr(p, f) for p in arrays]) for f in ("null_u", "null_c"))
+    d, lone = np.array([p.d_ratio for p in arrays]), np.array([p.lone_nulls for p in arrays])
+    r, b = np.zeros((count.max(), len(arrays))), np.ones((count.max(), len(arrays)))
+    rank = np.arange(len(u)) - np.repeat(np.cumsum(count) - count, count)
+    r[rank, owner], b[rank, owner] = -1.0 / u, c / u
+    kind = list(zip(lone.tolist(), _rescale_flags(u, d, owner).tolist()))
+    return _NullBatch(d, lone, kind, count, owner, u, c, r, b)
+
+
 @dataclass(frozen=True, eq=False)
 class AntennaPattern:
     """Immutable normalized azimuthal power pattern; evaluation is pure."""
@@ -192,16 +218,14 @@ class AntennaPattern:
     peak_power: float = 1.0
 
     @functools.cached_property
+    def _null_args(self) -> tuple:
+        """_null_gains' arguments after the sines: _null_batch of this pattern alone."""
+        return _null_batch([self]).rows([0])
+
+    @property
     def _rescaled(self) -> bool:
         """Whether the null product is renormalized as it goes (_rescale_flags)."""
-        owner = np.zeros(len(self.null_u), dtype=int)
-        return bool(_rescale_flags(self.null_u, np.array([self.d_ratio]), owner)[0])
-
-    @functools.cached_property
-    def _null_args(self) -> tuple:
-        """_null_gains' arguments after the sines, for this pattern as one row."""
-        return (np.array([self.d_ratio]), self.lone_nulls, self._rescaled,
-                -1.0 / self.null_u[:, None], (self.null_c / self.null_u)[:, None])
+        return self._null_args[2]
 
     def gain_from_sine(self, sin_theta: np.ndarray) -> np.ndarray:
         """Normalized gain of an array pattern at angles given by their sines, which

@@ -24,6 +24,7 @@ from beamnet.ebw import (
 from beamnet.patterns import (
     _BLOCK,
     TWO_PI,
+    _null_batch,
     binomial_array,
     build_pattern,
     chebyshev_array,
@@ -367,7 +368,7 @@ def test_null_split_equals_the_per_pattern_split():
     per-pattern depth-first split's, bit for bit.  The batch has horizon nulls
     (odd-N Chebyshev and binomial at D/lambda = 1/2) and nulls past the horizon
     (D/lambda <= 1/4), whose complex zeros bound the pieces next to pi/2."""
-    pieces = ebw._null_split(BATCH_PATTERNS, ebw._pairs(BATCH_PATTERNS))
+    pieces = ebw._null_split(_null_batch(BATCH_PATTERNS))
     got = list(zip(*(col.tolist() for col in pieces)))
     want = [(i, *piece) for i, p in enumerate(BATCH_PATTERNS)
             for piece in ebw_reference.null_split(p)]

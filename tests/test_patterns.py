@@ -463,6 +463,47 @@ def test_rescaling_starts_past_the_bound():
                                      chebyshev_array(1196, 0.5, 30.0), esnla(3000)))
 
 
+# The builder's kinds of row: pairs only (ESNLA), lone nulls only (binomial), both
+# (odd-N Chebyshev), the first rescaled degrees, and a large degree at D/lambda = 1/16.
+BUILDER_PATTERNS = [esnla(4), binomial_array(6), chebyshev_array(7, 0.5, 30.0),
+                    chebyshev_array(8, 0.5, 30.0), chebyshev_array(1196, 0.5, 30.0),
+                    esnla(1856), esnla(1000, 1 / 16)]
+
+
+def assert_same_args(got, want):
+    assert len(got) == len(want) == 5
+    for x, y in zip(got, want):
+        if isinstance(y, np.ndarray):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        else:
+            assert type(x) is type(y) and x == y
+
+
+@pytest.mark.parametrize("i", range(len(BUILDER_PATTERNS)),
+                         ids=[p.label for p in BUILDER_PATTERNS])
+def test_null_args_are_the_builders_batch_of_one_and_column_of_many(i):
+    """A pattern's own kernel arguments are the builder's batch of one, and its
+    column in a mixed batch trimmed to its pairs, array for array and flag for
+    flag; the column's padding is the exact unit factor (r = 0, b = 1)."""
+    p = BUILDER_PATTERNS[i]
+    args = p._null_args
+    pairs = len(p.null_u)
+    assert np.array_equal(args[3][:, 0], -1.0 / p.null_u)
+    assert np.array_equal(args[4][:, 0], p.null_c / p.null_u)
+    assert (args[1], args[2]) == (p.lone_nulls, p._rescaled)
+    assert_same_args(args, patterns._null_batch([p]).rows([0]))
+    mixed = patterns._null_batch(BUILDER_PATTERNS[::-1] + BUILDER_PATTERNS)
+    for at in (len(BUILDER_PATTERNS) - 1 - i, len(BUILDER_PATTERNS) + i):
+        column = (mixed.d_ratio[at : at + 1], *mixed.kind[at], mixed.r[:pairs, at : at + 1],
+                  mixed.b[:pairs, at : at + 1])
+        assert_same_args(args, column)
+        assert_same_args(args, mixed.rows([at]))
+        assert not mixed.r[pairs:, at].any() and np.all(mixed.b[pairs:, at] == 1.0)
+        assert mixed.count[at] == pairs
+        assert np.array_equal(mixed.u[mixed.owner == at], p.null_u)
+        assert np.array_equal(mixed.c[mixed.owner == at], p.null_c)
+
+
 @pytest.mark.parametrize(
     "taper", [np.exp(0.7j * np.arange(7)), [1.0, -0.5, 1.0], [1.0, 2.0 + 1e-9j], [0.0, 0.0]]
 )
