@@ -1,6 +1,6 @@
 """Effective beam width of directional antennas and ALOHA network capacity experiments."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .patterns import (
     AntennaPattern,

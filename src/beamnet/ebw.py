@@ -30,7 +30,8 @@ pi/2 +- i arccosh(s') of nulls past the horizon (sin(theta) = s' > 1).
 The integrand is then analytic inside a Bernstein ellipse of rho >= 1 + sqrt(2)
 around each piece, and the piece's node count grows with the phase it spans.
 Against 40-digit quadrature the rule agrees to about 1e-13 for ESNLA, binomial
-and Chebyshev arrays up to N = 200.
+and Chebyshev arrays up to N = 200.  At an order e < 1 a gain below
+patterns.NULL_CLAMP counts as exp(e ln G), not 0 (the kernel's `order`).
 
 exact_beam_widths takes a batch of patterns through the rule at once: the
 pieces of all of them are bisected level by level, and then runs of patterns
@@ -452,8 +453,7 @@ def _gain_means(patterns, exponents: list[float]) -> list[list[float]]:
         for k, l in _runs(nulls.kind, per_pattern):
             part = slice(cut[k], cut[l])
             sines, v = _quadrature([col[part] for col in pieces], nodes[part], e)
-            g_e = _null_gains(sines, *nulls.rows(range(k, l)))
-            np.power(g_e, e, out=g_e)
+            g_e = _null_gains(sines, *nulls.rows(range(k, l)), order=e)
             for i, n in enumerate(per_pattern[k:l]):
                 row.append(float(np.dot(v[i, :n], g_e[i, :n])) / HALF_PI)
         per_e.append(row)

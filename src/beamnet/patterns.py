@@ -94,7 +94,30 @@ def _rescale_flags(null_u, d_ratio, owner) -> np.ndarray:
     return np.bincount(owner, bits, len(d_ratio)) > _RESCALE_LOG2_BOUND
 
 
-def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
+def _log_roots(under, f, power, block, scale, lone_nulls, r, b) -> np.ndarray:
+    """ln |f| = ln(G)/2 at the angles `under` of a _null_gains block, whose G = f^2
+    fell below NULL_CLAMP, from the block's state: f, its binary exponent `power`
+    in rescaled rows (else None), the sines, psi/2 per sine (`scale`) and the pair
+    factors.  A rescaled f is a normalized mantissa, so ln |f| costs O(1).  A
+    plain product may have passed through the subnormals on its way and lost
+    bits, so its factors are summed again in logs, a pair at a time."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf at an analytic null
+        if power is not None:
+            return np.log(np.abs(f[under])) + power[under] * math.log(2.0)
+        rows = np.size(scale)
+        row, col = np.nonzero(under.reshape(-1, under.shape[-1]))
+        half = block.reshape(-1, block.shape[-1])[row, col] * np.reshape(scale, rows)[row]
+        row = row if rows > 1 else 0  # one row: its pair factors are scalars
+        a = np.abs(half)
+        y = np.sin(np.minimum(a, 0.5 * math.pi - a)) ** 2
+        high = a > 0.25 * math.pi
+        total = lone_nulls * np.log(np.abs(np.cos(half)))
+        for r_k, b_k in zip(r.reshape(len(r), rows), b.reshape(len(b), rows)):
+            total += np.log(np.abs(y * r_k[row] + np.where(high, b_k[row], 1.0)))
+        return total
+
+
+def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b, order=None) -> np.ndarray:
     """Clamped gains G at `sines`, one row per pattern built from its nulls, in
     blocks of at most _BLOCK: row i has D/lambda d_ratio[i] and pair factors
     (r, b)[:, i] = (-1/u_k, c_k/u_k), or the exact unit r = 0, b = 1 past its
@@ -106,7 +129,9 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
     a pattern at the D/lambda of the one before it reuses that one's terms of
     the angles (psi/2, the lone-null factor, y and the masks).  Every block,
     partial ones included, is computed in views of scratch allocated once per
-    call (_BLOCK)."""
+    call (_BLOCK).  With an `order` e it gives G^e, and where G is below
+    NULL_CLAMP and e < 1, which can lift G^e far above it, exp(2 e ln|f|)
+    (_log_roots) instead of 0."""
     n, width = len(d_ratio), sines.shape[1]
     g = np.empty((n, width))
     shared = len(sines) < n
@@ -154,6 +179,7 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
                 np.copyto(f, f0)
             else:
                 f = f0
+            root, power = f, None
             if len(r_i):
                 y, high, low, t2, *exponents = rest
                 if rescale:
@@ -169,8 +195,14 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b) -> np.ndarray:
                         np.frexp(f, out=(f, e))
                         power += e
                 if rescale:
-                    np.ldexp(f, power, out=f)
-            _unit_clamp(np.multiply(f, f, out=g[at, j : j + _BLOCK]))
+                    root = np.ldexp(f, power, out=t)  # f keeps the mantissas for ln G
+            g_at = _unit_clamp(np.multiply(root, root, out=g[at, j : j + _BLOCK]))
+            if order is not None:
+                under = g_at == 0.0
+                np.power(g_at, order, out=g_at)
+                if order < 1.0 and under.any():
+                    g_at[under] = np.exp((2.0 * order) * _log_roots(
+                        under, f, power, block, scale, lone_nulls, r_i, b_i))
     return g
 
 

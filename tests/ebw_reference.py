@@ -7,9 +7,10 @@ are the oracles of the library's exact interference_probability and of
 acceptance criteria 6 and 7.  The exact W_B one pattern at a time, split,
 placed and summed with per-pattern Python, the bit-exact oracle of the
 library's batch (`exact_beam_width`, `exact_interference_probability`).  Also a
-log-sum midpoint rule for W_B at degrees where a plain null product overflows
-(`test_cli.py`), and W_B at D/lambda = 1/2 and integer order as a Bessel sum
-(`test_ebw.py`)."""
+log-sum midpoint rule for W_B of any array built from its nulls, at degrees
+where a plain null product overflows (`test_cli.py`) and at orders where G
+underflows (`test_ebw.py`), and W_B at D/lambda = 1/2 and integer order as a
+Bessel sum (`test_ebw.py`)."""
 
 from __future__ import annotations
 
@@ -108,19 +109,37 @@ def verify_bounds(rx, tx, mixture, alpha, samples, seed=0) -> BoundsReport:
     )
 
 
-def esnla_beam_width_log_sum(n: int, points: int) -> float:
-    """W_B of ESNLA(n) at D/lambda = 1/2, alpha = 4, h = 2, the mean of G^(1/2) =
-    |AF/AF(0)| over theta in [0, pi/2], by the midpoint rule on `points` angles.
-    |AF/AF(0)| is summed in logs, prod_k |1 - u/u_k| with u = sin^2(psi/2), so it
-    cannot overflow at any degree."""
-    s = np.arange(1, n // 2 + 1)
-    u_k = np.sin(0.5 * np.pi * np.sin(2.0 * np.pi * s / (n + 1))) ** 2
+def log_gains_midpoint(pattern, points: int) -> np.ndarray:
+    """ln G of an array built from its nulls at the midpoints of `points` equal
+    steps of theta in [0, pi/2], summed in logs so that it can neither overflow
+    nor underflow: 2 sum_k ln (|u - u_k|/u_k) + 2m ln |cos(psi/2)|, lone nulls
+    included, with u = sin^2(psi/2) and u - u_k taken as c_k - c, c = cos^2(psi/2),
+    where c < u.  The pair factors are multiplied 16 at a time before their log
+    (at most 16 (1/u_k)'s orders of magnitude, far inside float64's range)."""
     theta = (np.arange(points) + 0.5) * (0.5 * np.pi / points)
-    u = np.sin(0.5 * np.pi * np.sin(theta)) ** 2
-    log_af = np.zeros(points)
-    for k in range(0, len(u_k), 256):
-        log_af += np.log(np.abs(1.0 - u[:, None] / u_k[None, k : k + 256])).sum(axis=1)
-    return float(np.exp(log_af).mean())
+    half = np.pi * pattern.d_ratio * np.sin(theta)
+    u, c = np.sin(half) ** 2, np.cos(half) ** 2
+    log_g = 2.0 * pattern.lone_nulls * np.log(np.abs(np.cos(half)))
+    pairs = len(pattern.null_u)
+    factors = np.ones((1024, -(-pairs // 16) * 16))
+    for x, x_k, at in ((u, pattern.null_u, u <= c), (c, pattern.null_c, c < u)):
+        at = np.flatnonzero(at)
+        for a in range(0, len(at) if pairs else 0, 1024):
+            i = at[a : a + 1024]
+            f = factors[: len(i)]
+            np.abs(np.subtract.outer(x[i], x_k), out=f[:, :pairs])
+            f[:, :pairs] /= pattern.null_u
+            with np.errstate(divide="ignore"):
+                log_g[i] += 2.0 * np.log(f.reshape(len(i), -1, 16).prod(axis=2)).sum(axis=1)
+    return log_g
+
+
+def beam_width_log_sum(pattern, orders, points: int) -> list[float]:
+    """mean_theta G(theta)^e for each order e in `orders`, by the midpoint rule on
+    `points` angles over log_gains_midpoint: so no G^e is lost to underflow, at any
+    degree or order."""
+    log_g = log_gains_midpoint(pattern, points)
+    return [float(np.exp(e * log_g).mean()) for e in orders]
 
 
 def bessel_beam_width(pattern, m: int) -> float:

@@ -16,7 +16,7 @@ from beamnet import netsim
 from beamnet.cli import build_parser, main
 from beamnet.ebw import BasisDistribution, MixtureDistribution, exact_beam_width
 from beamnet.patterns import TWO_PI, chebyshev_array, esnla, omni, sector
-from ebw_reference import esnla_beam_width_log_sum
+from ebw_reference import beam_width_log_sum
 
 
 def read_rows(path):
@@ -337,7 +337,7 @@ def test_ebw_at_a_degree_whose_plain_null_product_overflows(tmp_path, capsys):
     out = tmp_path / "e.csv"
     assert main(["ebw", "--pattern", "esnla:4000", "--out", str(out)]) == 0
     w_b = float(read_rows(out)[1][0][3])
-    assert w_b == pytest.approx(esnla_beam_width_log_sum(4000, 1 << 14), rel=5e-4)
+    assert w_b == pytest.approx(beam_width_log_sum(esnla(4000), [0.5], 1 << 14)[0], rel=5e-4)
     assert w_b == pytest.approx(0.00059783, rel=1e-5)
 
 

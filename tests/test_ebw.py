@@ -283,6 +283,25 @@ def test_exact_matches_bessel_sum(family, n, m):
     assert abs(exact_beam_width(p, BasisDistribution(float(m)), 1.0) / want - 1.0) <= 1e-12
 
 
+# Patterns whose G falls below NULL_CLAMP on whole arcs of theta (ESNLA from about
+# N = 400, binomial from about 100), and Chebyshev 200, whose equal ripple does not.
+UNDERFLOW_PATTERNS = [esnla(400), esnla(500), esnla(2000), binomial_array(100),
+                      binomial_array(200), chebyshev_array(200, 0.5, 30.0)]
+
+
+@pytest.mark.parametrize("p", UNDERFLOW_PATTERNS, ids=lambda p: p.label)
+def test_small_orders_count_the_gains_below_the_clamp(p):
+    """At small e = h/alpha, G^e is far from 0 where G < NULL_CLAMP = 1e-300 (e = 0.0025
+    lifts 1e-300 to 0.18): the exact W_B holds to the log-sum midpoint rule on
+    4e5 angles (ebw_reference.beam_width_log_sum) within 1e-4 relative, where the
+    clamp cost ESNLA 2000 7% at e = 0.0025.  The rule's own cusp error reaches
+    1.5e-5 at e = 0.05."""
+    orders = (0.0025, 0.01, 0.05)
+    want = ebw_reference.beam_width_log_sum(p, orders, 4 * 10**5)
+    got = [exact_beam_width(p, BasisDistribution(e), 1.0) for e in orders]
+    assert max(abs(g / w - 1.0) for g, w in zip(got, want)) <= 1e-4
+
+
 @pytest.mark.parametrize(
     "family,n,d",
     [("esnla", 1000, 0.5), ("esnla", 3600, 0.5), ("esnla", 2000, 1 / 16),

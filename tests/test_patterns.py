@@ -20,6 +20,7 @@ from beamnet.patterns import (
     omni,
     sector,
 )
+import ebw_reference
 import patterns_reference
 from patterns_reference import threshold_widths
 
@@ -378,6 +379,44 @@ def test_rescaling_keeps_the_bits(p):
     kept = plain > 0.0  # the gain stays above NULL_CLAMP
     assert np.array_equal(plain[kept], rescaled[kept])
     assert np.all(rescaled[~kept] < 1e-280)
+
+
+# Rows with gains below NULL_CLAMP: a rescaled product (ESNLA 2000), and plain ones
+# whose f = sqrt(G) itself underflows (ESNLA 1854, the last plain degree, and
+# binomial 100, lone nulls only), alone and two of a kind in a block of rows.
+BELOW_CLAMP_ROWS = [[esnla(2000)], [esnla(1854)], [binomial_array(100)],
+                    [esnla(1852), esnla(1854)], [binomial_array(100, 0.49), binomial_array(100)]]
+
+
+@pytest.mark.parametrize("e", [0.0025, 0.05, 0.9, 1.0, 2.0])
+@pytest.mark.parametrize("rows", BELOW_CLAMP_ROWS, ids=lambda rows: "+".join(p.label for p in rows))
+def test_order_keeps_the_bits_above_the_clamp(rows, e):
+    """With an order e the kernel gives G^e: the bits of G ** e wherever G is at
+    least NULL_CLAMP.  Below it, for e < 1, exp(e ln G), ln G from a rescaled f
+    and its binary exponent, or summed in logs, with e ln G within 1e-9 relative
+    of the log-sum oracle's (ebw_reference.log_gains_midpoint): about 4e-7
+    absolute at ln G = -4200, next to endfire, where the sines' rounding alone
+    moves ln G by that much.  For e >= 1, G^e stays below the clamp, and 0."""
+    width = 5000
+    sines = np.sin((np.arange(width) + 0.5) * (0.5 * math.pi / width))
+    sines = np.repeat(sines[None], len(rows), axis=0)
+    args = patterns._null_batch(rows).rows(range(len(rows)))
+    g = patterns._null_gains(sines, *args)
+    got = patterns._null_gains(sines, *args, order=e)
+    kept = g > 0.0
+    assert np.array_equal(got[kept], g[kept] ** e)
+    for i, p in enumerate(rows):
+        log_g = ebw_reference.log_gains_midpoint(p, width)
+        below = ~kept[i]
+        assert np.array_equal(below, log_g < math.log(patterns.NULL_CLAMP))
+        if e >= 1.0:
+            assert not got[i, below].any()
+            continue
+        want, normal = e * log_g[below], e * log_g[below] > -700.0  # G^e a normal float
+        with np.errstate(divide="ignore"):
+            assert np.allclose(np.log(got[i, below][normal]), want[normal], rtol=1e-9, atol=0.0)
+        assert np.all(got[i, below][~normal] < 1e-300)
+    assert not kept.all()
 
 
 # Rows for the kernel's bit oracle, cycled: pair counts 1 to 10 (unit-padded to
