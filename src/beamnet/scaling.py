@@ -148,7 +148,8 @@ def fit_power_law(table: SweepTable) -> PowerLawFit:
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(b1=10.0**intercept, gamma=-slope, r2=r2)
+    # 0.0 - slope, not -slope: a flat sweep's slope is +0.0, and its gamma +0.0.
+    return PowerLawFit(b1=10.0**intercept, gamma=0.0 - slope, r2=r2)
 
 
 def optimize_chebyshev_rms(ns, alpha_star: float,

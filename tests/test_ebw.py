@@ -33,6 +33,7 @@ from beamnet.patterns import (
     omni,
     sector,
 )
+from beamnet.scaling import optimize_chebyshev_rms
 
 SAMPLES = 2 * 10**5
 
@@ -281,6 +282,21 @@ def test_exact_matches_bessel_sum(family, n, m):
     assert p._rescaled == (n >= {"esnla": 1856, "binomial": math.inf, "chebyshev": 1196}[family])
     want = ebw_reference.bessel_beam_width(p, m)
     assert abs(exact_beam_width(p, BasisDistribution(float(m)), 1.0) / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha_star", [0.5, 1.0])
+def test_sweep_cells_and_optimised_chebyshev_match_the_bessel_sum(alpha_star):
+    """At D/lambda = 1/2, alpha* = 0.5 and 1 (alpha = 2 alpha*, h = 2) are the
+    integer orders e = 2 and 1, where W_B is a Bessel sum: the exact W_B of ESNLA
+    N = 2..20, and the W_B that optimize_chebyshev_rms returns at its optimised
+    R_MS for N = 2..20, hold to it within 1e-12 relative (1.6e-15 at worst)."""
+    e, alpha, ns = round(1.0 / alpha_star), 2.0 * alpha_star, range(2, 21, 2)
+    for n in ns:
+        want = ebw_reference.bessel_beam_width(esnla(n), e)
+        assert abs(exact_beam_width(esnla(n), BasisDistribution(2.0), alpha) / want - 1.0) <= 1e-12
+    for n, (r_ms, w) in zip(ns, optimize_chebyshev_rms(ns, alpha_star)):
+        want = ebw_reference.bessel_beam_width(chebyshev_array(n, 0.5, r_ms), e)
+        assert abs(w / want - 1.0) <= 1e-12, n
 
 
 # Patterns whose G falls below NULL_CLAMP on whole arcs of theta (ESNLA from about

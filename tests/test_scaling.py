@@ -90,6 +90,14 @@ def test_omni_sweep_is_constant_one():
     assert all(r.w_b == 1.0 for r in t.rows)
 
 
+def test_omni_fit_gamma_is_positive_zero():
+    """A flat sweep's slope is +0.0, so its gamma is +0.0, which CSVs write as 0,
+    not -0."""
+    fit = fit_power_law(sweep("omni", [1, 2, 3], samples=10))
+    assert fit.gamma == 0.0 and math.copysign(1.0, fit.gamma) == 1.0
+    assert f"{fit.gamma:.4f}" == "0.0000"
+
+
 def test_esnla_sweep_decreases():
     t = sweep("esnla", [2, 4, 6], alpha_star=2.0, samples=SAMPLES, seed=1)
     vals = [r.w_b for r in t.rows]
