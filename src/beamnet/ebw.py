@@ -54,10 +54,10 @@ pattern counts its hits G*(phi) > X among them.  The arrays built from their
 nulls get their gains by kind (lone nulls, rescaling), two patterns to a
 _null_gains call on the block's one row of sines (patterns._null_batch); at
 one D/lambda the second reuses the first's terms of the angles, and the kernel
-allocates its scratch once per call (patterns._BLOCK).  So an estimate holds O(2^14)
-samples per worker whatever the sample and thread counts, and each pattern's
-value is that of one call rng.random(m) per stretch, made one after another
-on the shard's generator: the same bits in any batch as alone
+allocates its scratch once per call (patterns._BLOCK).  So an estimate holds
+O(2^14) samples per worker whatever the sample and thread counts, and each
+pattern's value is that of one call rng.random(m) per stretch, made one after
+another on the shard's generator: the same bits in any batch as alone
 (effective_beam_width is a batch of one).  Threads split the draws, never the
 patterns: each takes a run of whole blocks of a shard, opened at its first
 draw, and the hit counts are integers, so no result depends on the thread
@@ -178,9 +178,10 @@ def effective_beam_widths(
     arrays = any(p.kind == "array" for p in drawn)
     exponent = 1.0 / alpha
     # Arrays built from their nulls go through _null_gains by kind, two to a call
-    # on the block's sines; four made each reproduce_tableC round fault in 4.5k
-    # pages afresh and raised its peak RSS by 0.9 MB, to save at most 3% of its time.
-    # Sectors and tapers go one at a time.
+    # on the block's sines, the sectors and tapers one at a time.  Two rows of gains
+    # stay in the heap beside the kernel's scratch; four made each reproduce_tableC
+    # round fault in 4.5k pages afresh and raised its peak RSS by 0.9 MB, to save
+    # at most 3% of its time.
     built = [j for j, p in enumerate(drawn) if p.null_u is not None]
     calls = []
     if built:
