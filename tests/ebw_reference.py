@@ -114,8 +114,9 @@ def log_gains_midpoint(pattern, points: int) -> np.ndarray:
     steps of theta in [0, pi/2], summed in logs so that it can neither overflow
     nor underflow: 2 sum_k ln (|u - u_k|/u_k) + 2m ln |cos(psi/2)|, lone nulls
     included, with u = sin^2(psi/2) and u - u_k taken as c_k - c, c = cos^2(psi/2),
-    where c < u.  The pair factors are multiplied 16 at a time before their log
-    (at most 16 (1/u_k)'s orders of magnitude, far inside float64's range)."""
+    where c < u.  The pair factors are multiplied 16 at a time before their log:
+    each lies in [0, 1/u_k], so 16 of them stay inside float64's range for the
+    degrees the tests take."""
     theta = (np.arange(points) + 0.5) * (0.5 * np.pi / points)
     half = np.pi * pattern.d_ratio * np.sin(theta)
     u, c = np.sin(half) ** 2, np.cos(half) ** 2
