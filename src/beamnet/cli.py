@@ -11,8 +11,9 @@ numbers and can run in parallel, also take --seed (at least 0) and --threads
 No command writes anything but CSV files.
 Exit codes: 0 success, 1 a reproduce check failed (its outputs are still
 written), 2 usage/precondition violation or a file that cannot be read or
-written, 3 numerical failure.  ebw reports the exact W_B, and netsim's
-bracket takes the exact W_B of both patterns.
+written, 3 numerical failure, 141 (128 + SIGPIPE) stdout closed by its reader
+before the command finished.  ebw reports the exact W_B, and netsim's bracket
+takes the exact W_B of both patterns.
 
 Every output CSV starts with a comment line recording the tool version and the
 resolved configuration, patterns as the spec given and the seed where the
@@ -26,6 +27,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -482,7 +484,18 @@ def main(argv=None) -> int:
             # File options go before the command line's own, so explicit flags win.
             i = argv.index(args.cmd) + 1
             args = parser.parse_args(argv[:i] + _config_tokens(parser, args) + argv[i:])
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left (`| head`).  Point stdout at os.devnull so the
+        # flush at exit stays quiet, and exit as SIGPIPE would: the run may not
+        # have finished, so neither 0 nor 1 is true.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass  # a stdout without a file descriptor
+        return 141
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

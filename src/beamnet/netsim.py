@@ -34,8 +34,12 @@ under directional reception, is contested) are not evaluated.
     Gupta and Kumar (2000): since G* <= 1, transmitter j can break link i only
     within (1 + Delta) d_i of R_i.  A block's transmitters are searched keyed by
     slot, so a live receiver meets only its slot's transmitters in the 3 x 3
-    cells around its own, and only those within its reach are tested:
-    O(L + pairs in those cells) time per slot, in NumPy arrays alone.
+    cells around its own, and only those within its reach (taken by one index
+    array, as most candidates are not) are tested: O(L + pairs in those cells)
+    time per slot, in NumPy arrays alone.  The
+    receive gain comes first: since G*_tx <= 1, a pair at or beyond
+    (1 + Delta) d_i G*_rx cannot break the link, so the transmit gain is
+    computed only for the pairs nearer than that.
   * the other three models have no cutoff (a fade, or the sum, lets any
     transmitter matter), so every (link, transmitter) pair is evaluated:
     O(L^2) time.  Pairwise + Rayleigh first tests each pair with both gains
@@ -144,6 +148,8 @@ def _cell_search(points, queries, key, reach, n: int):
     alike: point j at points[:, j], query i at queries[:, i], both of key key[i].
     Returns near(i): for a nonempty array of queries i, every (i, j, w) with j != i,
     key[j] == key[i] and w = _displacement(query i, point j) of length w[2] <= reach[i].
+    The candidates of the 3 x 3 cells that pass are taken by one index array, built
+    once and applied to i, j and the three components of w.
     """
     (px, py), (qx, qy) = points, queries
     g = min(int(1.0 / (float(reach.max()) + _REACH_PAD)), math.isqrt(n))
@@ -170,7 +176,7 @@ def _cell_search(points, queries, key, reach, n: int):
         j = order[np.repeat(lo - (ends - count), count) + np.arange(ends[-1])]
         i = np.repeat(i, count.reshape(len(i), -1).sum(axis=1))
         w = _displacement(qx[i], qy[i], px[j], py[j])
-        keep = (j != i) & (w[2] <= reach[i])
+        keep = np.flatnonzero((j != i) & (w[2] <= reach[i]))
         return i[keep], j[keep], tuple(a[keep] for a in w)
 
     return near
@@ -343,11 +349,18 @@ def _evaluate_slots(state, config, slots) -> list[np.ndarray]:
             continue
         if guard_only:
             # A live receiver does not transmit, so T_i (j == i) is the only one of
-            # its slot's transmitters near R_i that is not an interferer.
-            i, j, w = near(rows)
-            g_rx, g_tx = gains(i, b_x[j], b_y[j], d[j], w, starred=True)
+            # its slot's transmitters near R_i that is not an interferer.  Since
+            # G*_tx <= 1, fl(reach_i G*_rx G*_tx) <= reach_i G*_rx: only the pairs
+            # nearer than reach_i G*_rx need G*_tx, and the product keeps its bits.
+            i, j, (wx, wy, dist) = near(rows)
+            lim = reach[i] * _gain(config.rx_pattern, (b_x[i], b_y[i]), (wx, wy), alpha, True,
+                                   (d[i], dist))
+            kept = np.flatnonzero(dist < lim)
+            i, j, wx, wy, dist, lim = (a[kept] for a in (i, j, wx, wy, dist, lim))
+            g_tx = _gain(config.tx_pattern, (b_x[j], b_y[j]), (wx, wy), alpha, True,
+                         (d[j], dist))
             success[rows] = True
-            success[i[w[2] < reach[i] * g_rx * g_tx]] = False
+            success[i[dist < lim * g_tx]] = False
             continue
         # Rows of slots with equal L stack into one (rows, L) array: a row sum is
         # then the pairwise sum of the same L terms in the same order as alone.

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -85,6 +86,23 @@ def test_ebw_single_row_and_determinism(tmp_path):
     assert len(rows) == 1
     assert rows[0][0] == "esnla(4,0.5)"
     assert 0.0 < float(rows[0][3]) < 1.0
+
+
+def test_closed_stdout_exits_141_without_an_error_line(tmp_path, capsys, monkeypatch):
+    """A reader that leaves stdout (`| head`) is not a usage error: main writes its
+    CSV, prints no `error:` line, and returns 128 + SIGPIPE."""
+
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    out = tmp_path / "w.csv"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["ebw", "--pattern", "esnla:4", "--out", str(out)]) == 141
+    monkeypatch.undo()
+    assert "error" not in capsys.readouterr().err
+    header, rows = read_rows(out)
+    assert header == ["pattern_id", "alpha", "h_or_mixture", "W_B"] and len(rows) == 1
 
 
 def test_ebw_mixture_flag(tmp_path):

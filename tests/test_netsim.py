@@ -23,7 +23,7 @@ from beamnet.netsim import (
     multi_rayleigh_prediction,
     run_slot,
 )
-from beamnet.patterns import esnla, omni, parse_pattern_spec, sector
+from beamnet.patterns import AntennaPattern, esnla, omni, parse_pattern_spec, sector
 from netsim_reference import (
     dense_evaluate_slots,
     multi_rayleigh_success,
@@ -312,6 +312,31 @@ def test_guard_grid_matches_dense_reference(n, r, g):
         assert np.array_equal(a, b), t
     live = np.concatenate([s.live for s in drawn])
     assert 0 < np.count_nonzero(np.concatenate(got)) < np.count_nonzero(live)
+
+
+def test_guard_receive_gain_bounds_the_transmit_gains_computed(monkeypatch):
+    """Pairwise/none computes G*_tx only for the pairs nearer than reach_i G*_rx
+    (since G*_tx <= 1 no other pair can break a link): ESNLA(4) at the transmitters
+    is evaluated at fewer angles than ESNLA(2) at the receivers, and the flags stay
+    the dense evaluator's."""
+    cfg = make_config(n=300, r=0.18, p_t=0.5, tx_pattern=esnla(4, 0.5), rx_pattern=esnla(2, 0.5),
+                      seed=300)
+    state = generate_network(cfg)
+    drawn = netsim._draw_slots(state, cfg, [slot_seed(cfg, t) for t in range(6)])
+    want = dense_evaluate_slots(state, cfg, drawn)
+    angles = {"tx": 0, "rx": 0}
+    gain_from_sine = AntennaPattern.gain_from_sine
+
+    def counted(self, sin_theta):
+        side = "tx" if self is cfg.tx_pattern else "rx"
+        angles[side] += np.size(sin_theta)
+        return gain_from_sine(self, sin_theta)
+
+    monkeypatch.setattr(AntennaPattern, "gain_from_sine", counted)
+    got = netsim._evaluate_slots(state, cfg, drawn)
+    for t, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), t
+    assert 0 < angles["tx"] < angles["rx"], angles
 
 
 def test_guard_grid_block_of_slots_with_different_reaches():
