@@ -156,16 +156,18 @@ def _sweep_rows(table: scaling.SweepTable):
     ]
 
 
-def _check_seed_and_threads(args) -> None:
-    """Reject --seed below 0 and --threads below 1, before the command does any work."""
+def _check_run_flags(args) -> None:
+    """Reject --seed below 0 and --threads, --samples, --slots and --bins below 1,
+    those of them the command takes, before it does any work."""
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    for flag in ("threads", "samples", "slots", "bins"):
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
 
 def cmd_scan(args) -> int:
-    _check_seed_and_threads(args)
+    _check_run_flags(args)
     table = scaling.sweep(
         args.family,
         _parse_n_list(args.n_list),
@@ -237,7 +239,7 @@ def _reproduce_bundle(args, curves, out_dir):
 
 
 def cmd_reproduce(args) -> int:
-    _check_seed_and_threads(args)
+    _check_run_flags(args)
     out_dir = Path(args.out or "reproduce_out")  # made by the first file written
     ok = True
     if args.figure == "fig4":
@@ -287,10 +289,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_netsim(args) -> int:
-    _check_seed_and_threads(args)
-    for flag, value in (("--slots", args.slots), ("--bins", args.bins)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    _check_run_flags(args)
     config = netsim.NetworkConfig(
         n=args.n,
         r=args.r,

@@ -49,19 +49,20 @@ numbers).  It splits the samples into shards of 2^20 (`_parallel`), and shard i
 draws from its own (seed, i) stream, laid out as one stretch of uniforms per
 variate: phi, then the law's stretches (for a mixture, the component, then x).
 A shard is evaluated in blocks of _BLOCK = 2^14 samples, one cursor per stretch
-(`shard_cursors`); a block's phi, X and sin(phi) are taken once and every
-pattern counts its hits G*(phi) > X among them.  The arrays built from their
-nulls get their gains by kind (lone nulls, rescaling), two patterns to a
-_null_gains call on the block's one row of sines (patterns._null_batch); at
-one D/lambda the second reuses the first's terms of the angles, and the kernel
-allocates its scratch once per call (patterns._BLOCK).  So an estimate holds
-O(2^14) samples per worker whatever the sample and thread counts, and each
-pattern's value is that of one call rng.random(m) per stretch, made one after
-another on the shard's generator: the same bits in any batch as alone
-(effective_beam_width is a batch of one).  Threads split the draws, never the
-patterns: each takes a run of whole blocks of a shard, opened at its first
-draw, and the hit counts are integers, so no result depends on the thread
-count.
+(`shard_cursors`); a block's phi, X and sin(phi) are taken once, X is raised
+to the power alpha in place, and every pattern counts its hits G(phi) > X^alpha
+among them.  Both powers are increasing, so these are the hits G*(phi) > X but
+where the two powers' rounding splits a G within an ulp or so of X^alpha,
+which no draw of the tests or the benchmark does; a gain clamped to 0 misses
+either way.  Each pattern gets its gains on its own, an array's from
+gain_from_sine on the block's sines and a sector's from gain.
+So an estimate holds O(2^14) samples per worker whatever the sample and thread
+counts, and each pattern's value is that of one call rng.random(m) per
+stretch, made one after another on the shard's generator: the same bits in any
+batch as alone (effective_beam_width is a batch of one).  Threads split the
+draws, never the patterns: each takes a run of whole blocks of a shard, opened
+at its first draw, and the hit counts are integers, so no result depends on
+the thread count.
 """
 
 from __future__ import annotations
@@ -176,21 +177,6 @@ def effective_beam_widths(
         raise ValueError(f"threads must be >= 1, got {threads}")
     drawn = [p for p in patterns if p.kind != "omni"]
     arrays = any(p.kind == "array" for p in drawn)
-    exponent = 1.0 / alpha
-    # Arrays built from their nulls go through _null_gains by kind, two to a call
-    # on the block's sines, the sectors and tapers one at a time.  Two rows of gains
-    # stay in the heap beside the kernel's scratch; four made each reproduce_tableC
-    # round fault in 4.5k pages afresh and raised its peak RSS by 0.9 MB, to save
-    # at most 3% of its time.
-    built = [j for j, p in enumerate(drawn) if p.null_u is not None]
-    calls = []
-    if built:
-        nulls = _null_batch([drawn[j] for j in built])
-        for key in dict.fromkeys(nulls.kind):
-            same = [k for k, other in enumerate(nulls.kind) if other == key]
-            for c in (same[a : a + 2] for a in range(0, len(same), 2)):
-                calls.append(([built[k] for k in c], *nulls.rows(c)))
-    others = [j for j, p in enumerate(drawn) if p.null_u is None]
     # Each shard's blocks in up to `threads` runs of whole blocks, a task each.
     tasks = []
     for i, m in enumerate(sizes if drawn else ()):
@@ -204,15 +190,12 @@ def effective_beam_widths(
         for a in range(start, stop, _BLOCK):
             u_phi, *u_x = (c.random(min(_BLOCK, stop - a)) for c in cursors)
             x = dist.from_uniforms(*u_x)
+            np.power(x, alpha, out=x)  # G* > X where G > X^alpha (module docstring)
             theta = np.multiply(u_phi, TWO_PI, out=u_phi)
             sines = np.sin(theta) if arrays else None
-            for rows, *args in calls:
-                g = _null_gains(sines[None], *args)
-                count[rows] += np.count_nonzero(np.power(g, exponent, out=g) > x, axis=1)
-            for j in others:
-                p = drawn[j]
+            for j, p in enumerate(drawn):
                 g = p.gain_from_sine(sines) if p.kind == "array" else p.gain(theta)
-                count[j] += np.count_nonzero(np.power(g, exponent) > x)
+                count[j] += np.count_nonzero(g > x)
         return count
 
     counts = iter(sum(run_indexed(hits, len(tasks), threads), np.zeros(len(drawn), np.int64)))
@@ -406,8 +389,8 @@ def _quadrature(pieces, nodes, e: float) -> tuple[np.ndarray, np.ndarray]:
 def _runs(kind, nodes):
     """Split patterns, with `kind` (lone nulls, rescaling) and `nodes` nodes each,
     into runs k:l: one pattern, or consecutive patterns of one kind with at most
-    _BLOCK // 4 nodes together.  A run's gains hold ten arrays of its nodes at
-    once (sines, weights, gains and the kernel's seven of scratch; a rescaled
+    _BLOCK // 4 nodes together.  A run's gains hold nine arrays of its nodes at
+    once (sines, weights, gains and the kernel's six of scratch; a rescaled
     run one and a half more, the exponents): runs of a full _BLOCK left
     reproduce_tableC's peak RSS about 1 MB higher than runs of a quarter, and
     were no faster (2-vCPU x86 virtual machine)."""

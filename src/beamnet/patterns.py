@@ -17,16 +17,15 @@ and G(0) = 1 exactly.  Where |psi| > pi/2, u is above 1/2 and 1 - u/u_k would
 lose relative accuracy next to a null with psi_k near pi; there the factors
 come from c = cos^2(psi/2) and c_k = cos^2(psi_k/2) instead, as (c_k - c)/u_k.
 The sine is of |psi/2| folded into [0, pi/4], which gives u or c, whichever is
-at most 1/2.  One kernel (_null_gains) evaluates G for one pattern, for ebw's
-grids of one row per pattern and for patterns that share their angles, in
-blocks of _BLOCK angles, from one builder's columns (_null_batch), for one
-pattern or many.  It allocates its block scratch once per call and computes
-every block in views of it: a block of float64 is 128 KiB, glibc's default
-mmap threshold, and such temporaries allocated and freed block by block get
-the heap trimmed and their pages faulted in afresh.  Patterns that share their
-angles and D/lambda share the terms of the angles too (psi/2, the lone-null
-factor, y and the masks).  Arrays given by a taper (`from_coefficients`)
-evaluate the polynomial at z and are normalized by their power at theta = 0.
+at most 1/2.  One kernel (_null_gains) evaluates G on one row of sines per
+pattern, in blocks of _BLOCK angles, for one pattern (gain_from_sine: the
+simulator and the sampled W_B) or a grid of many (ebw's exact W_B), from one
+builder's columns (_null_batch).  It allocates its block scratch once per call
+and computes every block in views of it: a block of float64 is 128 KiB,
+glibc's default mmap threshold, and such temporaries allocated and freed block
+by block get the heap trimmed and their pages faulted in afresh.  Arrays given
+by a taper (`from_coefficients`) evaluate the polynomial at z and are
+normalized by their power at theta = 0.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ _RESCALE_LOG2_BOUND = 1000
 # kernel, samples per block of the Monte Carlo estimators (ebw) and (link, transmitter)
 # pairs per run of the slot engine's cutoff-free models (netsim).  Their temporaries
 # then stay in cache.  A block of float64 is 128 KiB, glibc's default mmap threshold:
-# seven such temporaries freed together get the heap trimmed, and the next call's
+# six such temporaries freed together get the heap trimmed, and the next call's
 # fault their pages in again, so the null-product kernel allocates its scratch
 # once per call (_null_gains).
 _BLOCK = 1 << 14
@@ -118,30 +117,25 @@ def _log_roots(under, f, power, block, scale, lone_nulls, r, b) -> np.ndarray:
 
 
 def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b, order=None) -> np.ndarray:
-    """Clamped gains G at `sines`, one row per pattern built from its nulls, in
-    blocks of at most _BLOCK: row i has D/lambda d_ratio[i] and pair factors
-    (r, b)[:, i] = (-1/u_k, c_k/u_k), or the exact unit r = 0, b = 1 past its
-    pairs.  The rows share lone_nulls, whose factors are cos(psi/2) (sqrt(1 - u)
-    loses accuracy next to psi = pi), and `rescale`: renormalizing the partial
-    product to [1/2, 1) after each pair factor, which keeps G's bits wherever
-    the plain product neither overflows nor underflows (scaling by 2^k is exact).
-    `sines` has one row per pattern, or one row that every pattern shares; then
-    a pattern at the D/lambda of the one before it reuses that one's terms of
-    the angles (psi/2, the lone-null factor, y and the masks).  Every block,
-    partial ones included, is computed in views of scratch allocated once per
-    call (_BLOCK).  With an `order` e it gives G^e, and where G is below
-    NULL_CLAMP and e < 1, which can lift G^e far above it, exp(2 e ln|f|)
-    (_log_roots) instead of 0."""
+    """Clamped gains G at `sines`, one row of sines per pattern built from its
+    nulls, in blocks of at most _BLOCK: row i has D/lambda d_ratio[i] and pair
+    factors (r, b)[:, i] = (-1/u_k, c_k/u_k), or the exact unit r = 0, b = 1 past
+    its pairs.  The rows share lone_nulls, whose factors are cos(psi/2)
+    (sqrt(1 - u) loses accuracy next to psi = pi), and `rescale`: renormalizing
+    the partial product to [1/2, 1) after each pair factor, which keeps G's bits
+    wherever the plain product neither overflows nor underflows (scaling by 2^k
+    is exact).  Every block, partial ones included, is computed in views of
+    scratch allocated once per call (_BLOCK).  With an `order` e it gives G^e,
+    and where G is below NULL_CLAMP and e < 1, which can lift G^e far above it,
+    exp(2 e ln|f|) (_log_roots) instead of 0."""
     n, width = len(d_ratio), sines.shape[1]
     g = np.empty((n, width))
-    shared = len(sines) < n
-    rows = 1 if shared else min(n, _BLOCK // max(1, width)) or 1
+    rows = min(n, _BLOCK // max(1, width)) or 1
     shape = (rows, width) if rows > 1 else (min(width, _BLOCK),)  # a block's, at most
-    # The lone-null factor, the product (the same array unless the sines are
-    # shared) and the pair factor t, psi/2 before the pair loop; with pairs also
-    # y, the high and low masks and t's second term; with rescaling the exponents.
+    # The product f and the pair factor t, psi/2 before the pair loop; with pairs
+    # also y, the high and low masks and t's second term; with rescaling the exponents.
     paired = len(r) > 0
-    scratch = [*np.empty((7 if paired else 3, *shape))]
+    scratch = [*np.empty((6 if paired else 2, *shape))]
     if rescale and paired:
         scratch += [np.empty(shape, dtype=int), np.empty(shape, dtype=np.intc)]
     for j in range(0, width, _BLOCK):
@@ -156,32 +150,25 @@ def _null_gains(sines, d_ratio, lone_nulls, rescale, r, b, order=None) -> np.nda
                 r_i, b_i = r_i[:pairs], b_i[:pairs]
             else:
                 scale, r_i, b_i = scale[:, None], r_i[..., None], b_i[..., None]
-            block = sines[0 if shared else at, j : j + _BLOCK]
-            f0, f, t, *rest = (buf[: len(block)] for buf in scratch)
-            if not (shared and i and d_ratio[i] == d_ratio[i - 1]):
-                half = np.multiply(block, scale, out=t)  # psi/2, in [-pi/2, pi/2]
-                if lone_nulls:
-                    np.cos(half, out=f0)
-                    f0 **= lone_nulls
-                else:
-                    f0.fill(1.0)
-                if paired:
-                    # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A
-                    # pair factor is 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
-                    y, high, low = rest[:3]
-                    a = np.abs(half, out=half)
-                    np.minimum(a, np.subtract(0.5 * math.pi, a, out=y), out=y)
-                    np.sin(y, out=y)
-                    y *= y
-                    np.greater(a, 0.25 * math.pi, out=high)
-                    np.subtract(1.0, high, out=low)
-            if shared:
-                np.copyto(f, f0)
+            block = sines[at, j : j + _BLOCK]
+            f, t, *rest = (buf[: len(block)] for buf in scratch)
+            half = np.multiply(block, scale, out=t)  # psi/2, in [-pi/2, pi/2]
+            if lone_nulls:
+                np.cos(half, out=f)
+                f **= lone_nulls
             else:
-                f = f0
+                f.fill(1.0)
             root, power = f, None
             if len(r_i):
+                # y = min(u, c), the sin^2 of |psi/2| folded into [0, pi/4].  A pair
+                # factor is 1 - y/u_k where y = u, and (c_k - y)/u_k where y = c.
                 y, high, low, t2, *exponents = rest
+                a = np.abs(half, out=half)
+                np.minimum(a, np.subtract(0.5 * math.pi, a, out=y), out=y)
+                np.sin(y, out=y)
+                y *= y
+                np.greater(a, 0.25 * math.pi, out=high)
+                np.subtract(1.0, high, out=low)
                 if rescale:
                     power, e = exponents
                     power.fill(0)

@@ -81,8 +81,10 @@ class SweepTable:
 
     def __post_init__(self):
         _check_n_values([row.n for row in self.rows])
-        if any(not 0.0 < row.w_b <= 1.0 for row in self.rows):
-            raise ValueError("sweep W_B values must lie in (0, 1]")
+        for row in self.rows:
+            if not 0.0 < row.w_b <= 1.0:
+                raise ValueError(f"sweep W_B values must lie in (0, 1], got {row.w_b} "
+                                 f"at {self.family} N = {row.n}")
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,17 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     assert not (tmp_path / "x").exists()  # reproduce's output directory included
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a network, pattern, R_MS search or sweep is built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the usage check")
+
+    for name in ("netsim.generate_network", "scaling.sweep", "scaling.optimize_chebyshev_rms",
+                 "patterns.build_pattern", "patterns.parse_pattern_spec"):
+        monkeypatch.setattr(f"beamnet.{name}", fail)
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--threads", "0", "--threads must be >= 1, got 0"),
     ("--threads", "-1", "--threads must be >= 1, got -1"),
@@ -243,17 +254,25 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, cmd, threads):
     ids=["scan", "reproduce", "netsim"],
 )
 def test_seed_or_threads_out_of_range_is_usage_error_before_any_work(
-        tmp_path, capsys, monkeypatch, cmd, flag, value, message):
+        tmp_path, capsys, no_work, cmd, flag, value, message):
     """The message names the flag and the value, and comes before any network,
     pattern, R_MS search or sweep is built."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("work began before the usage check")
-
-    for name in ("netsim.generate_network", "scaling.sweep", "scaling.optimize_chebyshev_rms",
-                 "patterns.build_pattern", "patterns.parse_pattern_spec"):
-        monkeypatch.setattr(f"beamnet.{name}", no_work)
     assert main(cmd + [flag, value, "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize(
+    "cmd",
+    [["scan", "--family", "chebyshev", "--n-list", "2,4,600"],
+     ["reproduce", "tableC", "--n-list", "2,4,6"]],
+    ids=["scan", "reproduce"],
+)
+def test_samples_below_one_is_usage_error_before_any_work(tmp_path, capsys, no_work, cmd,
+                                                          samples):
+    assert main(cmd + ["--samples", samples, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -596,6 +615,22 @@ def test_fit_rejects_n_below_one(tmp_path, capfd):
     assert capfd.readouterr().err == ("error: sweep N values must be strictly increasing "
                                       "integers >= 1, got [0, 2, 5]\n")
     assert not (tmp_path / "fit.csv").exists()
+
+
+def test_sweep_w_b_out_of_range_names_its_cell(tmp_path, capsys):
+    """A sweep W_B of 0, from a CSV row or from a reproduce at one sample, is a
+    usage error that names the family, N and the value."""
+    src = tmp_path / "sweep.csv"
+    src.write_text("family,alpha_star,d_ratio,N,W_B,stderr\n"
+                   "binomial,2,0.5,2,0.5,0\nbinomial,2,0.5,4,0,0\nbinomial,2,0.5,6,0.2,0\n")
+    assert main(["fit", "--in", str(src), "--out", str(tmp_path / "fit.csv")]) == 2
+    assert capsys.readouterr().err == ("error: sweep W_B values must lie in (0, 1], "
+                                       "got 0.0 at binomial N = 4\n")
+    assert main(["reproduce", "fig6", "--n-list", "2,4,6", "--samples", "1",
+                 "--out", str(tmp_path / "f6")]) == 2
+    assert capsys.readouterr().err == ("error: sweep W_B values must lie in (0, 1], "
+                                       "got 0.0 at esnla N = 2\n")
+    assert not (tmp_path / "fit.csv").exists() and not (tmp_path / "f6").exists()
 
 
 def test_fit_bytes_do_not_depend_on_where_the_sweep_lies(tmp_path):

@@ -466,22 +466,6 @@ def test_kernel_has_the_bits_of_the_per_block_kernel(width, count, lone, rescale
     assert np.array_equal(got, patterns_reference.null_gains(sines, d, lone, rescale, none, none))
 
 
-@pytest.mark.parametrize("rescale", [False, True], ids=["plain", "rescale"])
-@pytest.mark.parametrize("lone", [0, 1, 9], ids=lambda m: f"lone{m}")
-@pytest.mark.parametrize("width", [1, BLOCK - 1, 3 * BLOCK + 5], ids=str)
-def test_kernel_rows_sharing_their_sines_have_the_bits_of_their_own(width, lone, rescale):
-    """One row of sines for every pattern: a pattern at the D/lambda of the one
-    before it reuses that one's terms of the angles, also after a pattern
-    without pairs, and each gets the gains of its own copy of the row."""
-    rows = [esnla(2, 0.5), esnla(20, 0.5), esnla(8, 1 / 16), binomial_array(3, 0.5),
-            chebyshev_array(7, 0.5, 30.0), esnla(4, 1 / 16), esnla(12, 1 / 16)]
-    sines = kernel_sines(1, width, width)
-    d, r, b = kernel_args(rows, len(rows))
-    own = np.repeat(sines, len(rows), axis=0)
-    want = patterns_reference.null_gains(own, d, lone, rescale, r, b)
-    assert np.array_equal(patterns._null_gains(sines, d, lone, rescale, r, b), want)
-
-
 @pytest.mark.parametrize("width,count", [(5000, 3), (BLOCK + 1, 2)], ids=str)
 def test_kernel_keeps_the_bits_where_rows_rescale(width, count):
     """Rows that overflow without rescaling (Chebyshev N = 1196, ESNLA N = 1856),

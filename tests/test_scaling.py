@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,13 @@ def test_fit_validation():
     fit_power_law(table)  # fine
     with pytest.raises(ValueError):
         SweepTable("esnla", 2.0, 0.5, rows + (SweepRow(16, 1.5, 0.0),))
+
+
+@pytest.mark.parametrize("w_b", [0.0, 1.5, math.nan])
+def test_sweep_table_names_the_cell_whose_w_b_is_out_of_range(w_b):
+    rows = (SweepRow(2, 0.5, 0.0), SweepRow(4, w_b, 0.0), SweepRow(8, 0.3, 0.0))
+    with pytest.raises(ValueError, match=re.escape(f"(0, 1], got {w_b} at chebyshev N = 4")):
+        SweepTable("chebyshev", 2.0, 0.5, rows)
 
 
 def test_sweep_table_needs_increasing_n():
